@@ -163,16 +163,14 @@ def nu_coefficient(state: StaggeredState, slopes_arr: np.ndarray, model: FluxMod
     return 0.125 * one * bracket * fuu
 
 
-def _transition_pairs(prev: StaggeredState, next: StaggeredState):
-    """Align each value of `next` with the (left, right) pair of `prev` cells
-    that produced it; Half-to-Base edge cells use ghost replicas."""
+def _transition_arrays(prev: StaggeredState, next: StaggeredState):
+    """Values and kbar of `prev` such that each value of `next` comes from an
+    adjacent (left, right) pair; Half-to-Base edge cells use ghost replicas."""
     if next.parity is prev.parity or next.step_index != prev.step_index + 1:
         raise ValueError("states are not a consecutive staggered transition")
     if prev.parity is Parity.BASE:
-        u, k = prev.values, prev.kbar
-    else:
-        u, k = _replicate(prev.values, 1), _replicate(prev.kbar, 1)
-    return u[:-1], u[1:], k[:-1], k[1:]
+        return prev.values, prev.kbar
+    return _replicate(prev.values, 1), _replicate(prev.kbar, 1)
 
 
 def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -183,18 +181,20 @@ def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxM
         |v - c| - |uR - c|/2 - |uL - c|/2
         + lam*(F(kR, uR, c) - F(kL, uL, c)) - lam*|f(kR, c) - f(kL, c)|
     with F(k, u, c) = sign(u - c) (f(k, u) - f(k, c)).  Nonpositive (up to
-    rounding) whenever `next` came from the first-order scheme.
+    rounding) whenever `next` came from the first-order scheme.  The left and
+    right terms are slices of one array per constant.
     """
-    ul, ur, kl, kr = _transition_pairs(prev, next)
+    u, k = _transition_arrays(prev, next)
     v = next.values
+    f_u = model.eval(k, u)
     worst = -math.inf
     for c in np.asarray(c_grid, dtype=float):
-        flc = model.eval(kl, np.full_like(kl, c))
-        frc = model.eval(kr, np.full_like(kr, c))
-        f_left = np.sign(ul - c) * (model.eval(kl, ul) - flc)
-        f_right = np.sign(ur - c) * (model.eval(kr, ur) - frc)
-        res = (np.abs(v - c) - 0.5 * np.abs(ur - c) - 0.5 * np.abs(ul - c)
-               + lam * (f_right - f_left) - lam * np.abs(frc - flc))
+        f_c = model.eval(k, np.full_like(k, c))
+        d = u - c
+        dist = np.abs(d)
+        flux = np.sign(d) * (f_u - f_c)
+        res = (np.abs(v - c) - 0.5 * dist[1:] - 0.5 * dist[:-1]
+               + lam * (flux[1:] - flux[:-1]) - lam * np.abs(f_c[1:] - f_c[:-1]))
         worst = max(worst, float(np.max(res)))
     return worst
 
@@ -265,10 +265,10 @@ class DiagnosticsCollector(Diagnostic):
         rep = self.report
         rep.steps += 1
         rep.snapped_time = next.time
-        rep.u_min = min(rep.u_min, float(np.min(next.values)))
-        rep.u_max = max(rep.u_max, float(np.max(next.values)))
+        rep.u_min = min(rep.u_min, float(next.values.min()))
+        rep.u_max = max(rep.u_max, float(next.values.max()))
         if corrections is not None and len(corrections.a):
-            rep.correction_max = max(rep.correction_max, float(np.max(np.abs(corrections.a))))
+            rep.correction_max = max(rep.correction_max, float(np.abs(corrections.a).max()))
             checked = correction_bound_check(corrections, self.cfg, self.model, prev.mesh.dx)
             if checked is not None:
                 rep.correction_bound = checked[1]

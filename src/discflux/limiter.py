@@ -46,14 +46,6 @@ def minmod(args: Sequence[float]) -> float:
     return 0.0
 
 
-def _minmod_columns(cols: np.ndarray) -> np.ndarray:
-    """Columnwise minmod of a (m, n) stack; a zero entry forces 0."""
-    pos = np.all(cols > 0, axis=0)
-    neg = np.all(cols < 0, axis=0)
-    mags = np.min(np.abs(cols), axis=0)
-    return np.where(pos, mags, 0.0) - np.where(neg, mags, 0.0)
-
-
 def slopes(values: np.ndarray, dx: float, cfg: LimiterConfig) -> np.ndarray:
     """Limited slopes per cell (first and last entries are 0).
 
@@ -69,8 +61,14 @@ def slopes(values: np.ndarray, dx: float, cfg: LimiterConfig) -> np.ndarray:
     fwd = values[2:] - values[1:-1]
     bwd = values[1:-1] - values[:-2]
     ctr = 0.5 * (values[2:] - values[:-2])
-    cols = [fwd, ctr, bwd]
+    cols = [ctr, bwd]
     if cfg.kind is LimiterKind.MINMOD_MODIFIED:
         cols.append(np.sign(fwd) * (cfg.k_tilde * dx**cfg.alpha))
-    out[1:-1] = _minmod_columns(np.stack(cols))
+    # Pairwise minmod; a zero argument forces +0.0.
+    mags, pos, neg = np.abs(fwd), fwd > 0, fwd < 0
+    for col in cols:
+        np.minimum(mags, np.abs(col), out=mags)
+        pos &= col > 0
+        neg &= col < 0
+    out[1:-1] = np.where(pos, mags, 0.0) - np.where(neg, mags, 0.0)
     return out

@@ -29,7 +29,8 @@ import numpy as np
 
 from .diagnostics import Diagnostic, DiagnosticsCollector, DiagnosticsReport
 from .flux_model import Coefficient, FluxModel
-from .grid import Parity, StaggeredState, cell_average_coefficient, extend_absorbing
+from .grid import (Mesh, Parity, StaggeredState, _replicate, cell_average_coefficient,
+                   extend_absorbing)  # noqa: F401  extend_absorbing: traced by bench/child.py
 from .limiter import LimiterConfig, slopes
 
 log = logging.getLogger(__name__)
@@ -113,32 +114,69 @@ def _check_cfl(model: FluxModel, lam: float, level: CflLevel) -> tuple[float, fl
     return kappa_used, kappa
 
 
-def _advance(state: StaggeredState, coeff: Coefficient, v: np.ndarray, lam: float) -> StaggeredState:
-    """Wrap stepped values into a natural-width state on the flipped parity."""
-    mesh = state.mesh
-    if state.parity is Parity.BASE:
-        new_parity = Parity.HALF
-        v = v[1:-1]  # drop the staggered values outside the natural half grid
-    else:
-        new_parity = Parity.BASE
-    return StaggeredState(
-        mesh=mesh,
-        values=v,
-        kbar=cell_average_coefficient(mesh, coeff, new_parity),
-        parity=new_parity,
-        time=state.time + lam * mesh.dx,
-        step_index=state.step_index + 1,
-    )
+class _Stepper:
+    """The step kernel of one march; `limiter` None selects the first-order scheme.
+
+    Built once per run: both averaged-coefficient arrays (read-only, so every
+    state can share them), their ghost-padded copies, and one ghost-padded
+    buffer each step copies the values into.  Outputs are always fresh arrays.
+    """
+
+    def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
+                 limiter: LimiterConfig | None):
+        self.model, self.lam, self.limiter = model, lam, limiter
+        self.ghost = 1 if limiter is None else 2
+        self.kbar = {p: cell_average_coefficient(mesh, coeff, p) for p in Parity}
+        for k in self.kbar.values():
+            k.flags.writeable = False
+        self.kpad = {p: _replicate(k, self.ghost) for p, k in self.kbar.items()}
+        self.buf = np.empty(mesh.n_cells + 2 * self.ghost)
+
+    def _extend(self, state: StaggeredState) -> tuple[np.ndarray, np.ndarray]:
+        """Absorbing ghost padding of values and kbar, as `extend_absorbing`."""
+        g, u = self.ghost, state.values
+        ev = self.buf[:len(u) + 2 * g]
+        ev[:g], ev[g:-g], ev[-g:] = u[0], u, u[-1]
+        if state.kbar is self.kbar[state.parity]:
+            return ev, self.kpad[state.parity]
+        return ev, _replicate(state.kbar, g)
+
+    def advance(self, state: StaggeredState, v: np.ndarray) -> StaggeredState:
+        """Wrap stepped values into a natural-width state on the flipped parity."""
+        to_half = state.parity is Parity.BASE  # drop the staggered values outside the half grid
+        parity = Parity.HALF if to_half else Parity.BASE
+        return StaggeredState(state.mesh, v[1:-1] if to_half else v, self.kbar[parity], parity,
+                              state.time + self.lam * state.mesh.dx, state.step_index + 1)
+
+    def ingredients(self, state: StaggeredState):
+        """Extended values, slopes, mid and current fluxes, and correction terms."""
+        ev, ek = self._extend(state)
+        sig = slopes(ev, state.mesh.dx, self.limiter)
+        mid = _mid_values(ev, ek, sig, self.model, self.lam)
+        f_mid = np.asarray(self.model.eval(ek, mid), dtype=float)
+        f_now = np.asarray(self.model.eval(ek, ev), dtype=float)
+        a = self.lam * (f_mid - f_now) + sig / 8.0
+        return ev, sig, f_mid, f_now, a
+
+    def step(self, state: StaggeredState) -> tuple[StaggeredState, CorrectionTerms | None]:
+        """One step of the held scheme, with the corrections of the second-order one."""
+        if self.limiter is None:
+            ev, ek = self._extend(state)
+            fl = self.model.eval(ek, ev)
+            v = 0.5 * (ev[:-1] + ev[1:]) - self.lam * (fl[1:] - fl[:-1])
+            return self.advance(state, v), None
+        ev, sig, f_mid, _, a = self.ingredients(state)
+        v = (0.5 * (ev[1:-2] + ev[2:-1])
+             - 0.125 * (sig[2:-1] - sig[1:-2])
+             - self.lam * (f_mid[2:-1] - f_mid[1:-2]))
+        return self.advance(state, v), CorrectionTerms(a=a[2:-2])
 
 
 def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: float,
             cfl_level: CflLevel = CflLevel.MAX_PRINCIPLE) -> StaggeredState:
     """One first-order staggered step onto the opposite-parity grid."""
     _check_cfl(model, lam, cfl_level)
-    ev, ek = extend_absorbing(state, 1)
-    fl = model.eval(ek, ev)
-    v = 0.5 * (ev[:-1] + ev[1:]) - lam * (fl[1:] - fl[:-1])
-    return _advance(state, coeff, v, lam)
+    return _Stepper(model, coeff, state.mesh, lam, None).step(state)[0]
 
 
 def mid_time_values(state: StaggeredState, model: FluxModel, slopes_arr: np.ndarray,
@@ -153,17 +191,6 @@ def _mid_values(u, k, sig, model, lam):
     return u - 0.5 * lam * np.asarray(model.d_u(k, u), dtype=float) * sig
 
 
-def _nt_ingredients(state: StaggeredState, model: FluxModel, cfg: SchemeConfig):
-    """Extended arrays, slopes, mid values, and correction terms for one step."""
-    ev, ek = extend_absorbing(state, 2)
-    sig = slopes(ev, state.mesh.dx, cfg.limiter)
-    mid = _mid_values(ev, ek, sig, model, cfg.lam)
-    f_mid = np.asarray(model.eval(ek, mid), dtype=float)
-    f_now = np.asarray(model.eval(ek, ev), dtype=float)
-    a = cfg.lam * (f_mid - f_now) + sig / 8.0
-    return ev, sig, f_mid, f_now, a
-
-
 def nt_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
             cfg: SchemeConfig) -> tuple[StaggeredState, CorrectionTerms]:
     """One second-order staggered step; also returns the correction terms.
@@ -172,11 +199,7 @@ def nt_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
     exactly, and the corrections vanish.
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
-    ev, sig, f_mid, _, a = _nt_ingredients(state, model, cfg)
-    v = (0.5 * (ev[1:-2] + ev[2:-1])
-         - 0.125 * (sig[2:-1] - sig[1:-2])
-         - cfg.lam * (f_mid[2:-1] - f_mid[1:-2]))
-    return _advance(state, coeff, v, cfg.lam), CorrectionTerms(a=a[2:-2])
+    return _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter).step(state)
 
 
 def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
@@ -187,10 +210,11 @@ def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coe
     rearrangement of the direct update, so outputs agree to rounding.
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
-    ev, _, _, f_now, a = _nt_ingredients(state, model, cfg)
+    stepper = _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter)
+    ev, _, _, f_now, a = stepper.ingredients(state)
     ubar = 0.5 * (ev[1:-2] + ev[2:-1]) - cfg.lam * (f_now[2:-1] - f_now[1:-2])
     v = ubar - (a[2:-1] - a[1:-2])
-    return _advance(state, coeff, v, cfg.lam)
+    return stepper.advance(state, v)
 
 
 def snap_steps(t_start: float, t_end: float, dt: float) -> int:
@@ -223,13 +247,11 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
 
     dt = cfg.lam * initial.mesh.dx
     n_steps = snap_steps(initial.time, t_end, dt)
+    second_order = cfg.scheme is Scheme.NESSYAHU_TADMOR
+    stepper = _Stepper(model, coeff, initial.mesh, cfg.lam, cfg.limiter if second_order else None)
     state = initial
     for _ in range(n_steps):
-        if cfg.scheme is Scheme.NESSYAHU_TADMOR:
-            new, corrections = nt_step(state, model, coeff, cfg)
-        else:
-            new = lf_step(state, model, coeff, cfg.lam, cfg.cfl_level)
-            corrections = None
+        new, corrections = stepper.step(state)
         collector.observe(state, new, corrections)
         for obs in observers:
             obs.observe(state, new, corrections)

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discflux import (LimiterConfig, LimiterKind, Mesh, Parity,
                       SchemeConfig, StaggeredState, accumulate_cubic,
                       builtin_burgers_const_k, builtin_multiplicative,
+                      builtin_two_flux_rational,
                       cell_average_coefficient, cfl_bound, CflLevel,
                       correction_bound_check, entropy_residual_lf, lf_step,
                       nt_step, nu_coefficient, onesided_check, psi_constant,
@@ -215,3 +220,51 @@ class TestReportJson:
         assert set(payload) == expected
         assert payload["lambda"] == 0.05
         assert payload["u_min"] is None  # no states observed yet
+
+
+def _entropy_residual_lf_oracle(prev, next, model, lam, c_grid):
+    """The residual as first written: four flux evaluations per constant on
+    left/right slices, kept to pin the shared-evaluation form bit for bit."""
+    if prev.parity is Parity.BASE:
+        u, k = prev.values, prev.kbar
+    else:
+        u, k = (np.concatenate([a[:1], a, a[-1:]]) for a in (prev.values, prev.kbar))
+    ul, ur, kl, kr = u[:-1], u[1:], k[:-1], k[1:]
+    v = next.values
+    worst = -math.inf
+    for c in np.asarray(c_grid, dtype=float):
+        flc = model.eval(kl, np.full_like(kl, c))
+        frc = model.eval(kr, np.full_like(kr, c))
+        f_left = np.sign(ul - c) * (model.eval(kl, ul) - flc)
+        f_right = np.sign(ur - c) * (model.eval(kr, ur) - frc)
+        res = (np.abs(v - c) - 0.5 * np.abs(ur - c) - 0.5 * np.abs(ul - c)
+               + lam * (f_right - f_left) - lam * np.abs(frc - flc))
+        worst = max(worst, float(np.max(res)))
+    return worst
+
+
+BUILTINS = [lambda: builtin_multiplicative(3.0, 1.0), builtin_two_flux_rational,
+            builtin_burgers_const_k]
+
+
+class TestEntropyResidualRewrite:
+    @given(st.sampled_from(BUILTINS), st.sampled_from([Parity.BASE, Parity.HALF]),
+           st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle_bitwise(self, builtin, prev_parity, n_cells, seed):
+        model, coeff = builtin()
+        rng = np.random.default_rng(seed)
+        mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
+        step = 0 if prev_parity is Parity.BASE else 1
+        states = []
+        for parity in (prev_parity, Parity.HALF if prev_parity is Parity.BASE else Parity.BASE):
+            n = mesh.n_values(parity)
+            states.append(StaggeredState(
+                mesh=mesh, values=rng.uniform(model.u_lo, model.u_hi, n),
+                kbar=cell_average_coefficient(mesh, coeff, parity), parity=parity,
+                time=step * 0.01, step_index=step))
+            step += 1
+        lam, c_grid = rng.uniform(0.01, 0.2), np.linspace(model.u_lo, model.u_hi, 11)
+        got = entropy_residual_lf(states[0], states[1], model, lam, c_grid)
+        want = _entropy_residual_lf_oracle(states[0], states[1], model, lam, c_grid)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -103,3 +103,21 @@ class TestLimiterConfig:
     def test_k_tilde_positive(self):
         with pytest.raises(ValueError):
             LimiterConfig(k_tilde=0.0)
+
+
+# Repeated values make zero jumps, where minmod must give +0.0.
+with_repeats = st.lists(st.one_of(st.integers(-3, 3).map(float), finite), min_size=3, max_size=30)
+
+
+class TestPairwiseMinmod:
+    @given(with_repeats, st.sampled_from([PLAIN, MODIFIED]),
+           st.floats(min_value=1e-4, max_value=1.0))
+    @settings(max_examples=300)
+    def test_interior_slopes_equal_scalar_minmod_bitwise(self, values, cfg, dx):
+        sig = slopes(np.asarray(values), dx, cfg)
+        for j in range(1, len(values) - 1):
+            fwd = values[j + 1] - values[j]
+            args = [fwd, 0.5 * (values[j + 1] - values[j - 1]), values[j] - values[j - 1]]
+            if cfg.kind is LimiterKind.MINMOD_MODIFIED:
+                args.append(float(np.sign(fwd)) * (cfg.k_tilde * dx**cfg.alpha))
+            assert sig[j].tobytes() == np.float64(minmod(args)).tobytes(), (j, args)

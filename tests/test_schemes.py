@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import discflux.schemes as schemes
 from discflux import (CflError, CflLevel, Coefficient, Convexity, FluxModel,
                       LimiterConfig, LimiterKind, Mesh, Parity, Scheme,
                       SchemeConfig, StaggeredState, builtin_burgers_const_k,
@@ -343,3 +344,83 @@ class TestMarch:
         assert report.steps == 10
         assert report.kappa_bound == math.inf
         assert any("manual" in rec.message.lower() for rec in caplog.records)
+
+
+class _CorrectionLog:
+    def __init__(self):
+        self.a = []
+
+    def observe(self, prev, next, corrections):
+        self.a.append(None if corrections is None else corrections.a.tobytes())
+
+
+KERNEL_CASES = [
+    (Scheme.LAX_FRIEDRICHS, LimiterConfig()),
+    (Scheme.NESSYAHU_TADMOR, LimiterConfig()),
+    (Scheme.NESSYAHU_TADMOR, LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED)),
+]
+
+
+def _kernel_run(n_cells, scheme=Scheme.NESSYAHU_TADMOR, limiter=LimiterConfig()):
+    model, coeff = builtin_multiplicative(3.0, 1.0)
+    mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
+    state = initial_state(mesh, coeff, lambda x: 0.5 + 0.4 * np.sin(3.0 * x))
+    return model, coeff, state, SchemeConfig(scheme=scheme, limiter=limiter, lam=1 / 30)
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    @pytest.mark.parametrize("n_cells", [40, 41])
+    def test_march_equals_chained_public_steps(self, scheme, limiter, n_cells):
+        model, coeff, state, cfg = _kernel_run(n_cells, scheme, limiter)
+        log = _CorrectionLog()
+        final, report = march(state, model, coeff, cfg, 0.1, observers=[log])
+        assert report.steps >= 60 and not math.isinf(report.nu_min)
+        by_hand, corrections = state, []
+        for _ in range(report.steps):
+            if scheme is Scheme.NESSYAHU_TADMOR:
+                by_hand, corr = nt_step(by_hand, model, coeff, cfg)
+                corrections.append(corr.a.tobytes())
+            else:
+                by_hand = lf_step(by_hand, model, coeff, cfg.lam)
+                corrections.append(None)
+        assert final.values.tobytes() == by_hand.values.tobytes()
+        assert log.a == corrections
+
+    def test_first_step_uses_the_initial_states_own_kbar(self):
+        model, coeff, state, cfg = _kernel_run(40)
+        own = StaggeredState(mesh=state.mesh, values=state.values,
+                             kbar=np.full_like(state.kbar, 2.0),
+                             parity=Parity.BASE, time=0.0, step_index=0)
+        two_steps = 2 * cfg.lam * state.mesh.dx
+        final, report = march(own, model, coeff, cfg, two_steps)
+        assert report.steps == 2
+        by_hand, _ = nt_step(nt_step(own, model, coeff, cfg)[0], model, coeff, cfg)
+        assert final.values.tobytes() == by_hand.values.tobytes()
+        plain, _ = march(state, model, coeff, cfg, two_steps)
+        assert final.values.tobytes() != plain.values.tobytes()
+
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES[:2])
+    def test_cfl_checked_once_per_march(self, monkeypatch, scheme, limiter):
+        model, coeff, state, cfg = _kernel_run(40, scheme, limiter)
+        calls = []
+        real = schemes.cfl_bound
+        monkeypatch.setattr(schemes, "cfl_bound", lambda *args: calls.append(args) or real(*args))
+        _, report = march(state, model, coeff, cfg, 0.1)
+        assert report.steps >= 60
+        assert len(calls) == 1
+
+    def test_returned_kbar_is_read_only(self):
+        model, coeff, state, cfg = _kernel_run(40)
+        final, _ = march(state, model, coeff, cfg, 0.1)
+        assert not final.kbar.flags.writeable
+        with pytest.raises(ValueError):
+            final.kbar[0] = 0.0
+
+    @pytest.mark.parametrize("step", [
+        lambda s, m, c, cfg: lf_step(s, m, c, cfg.lam, cfg.cfl_level),
+        nt_step, predictor_corrector_step])
+    def test_public_steps_check_cfl_themselves(self, step):
+        model, coeff, state, _ = _kernel_run(40)
+        with pytest.raises(CflError):
+            step(state, model, coeff, SchemeConfig(lam=0.1))
