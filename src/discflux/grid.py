@@ -164,7 +164,7 @@ def extend_absorbing(state: StaggeredState, ghost: int) -> tuple[np.ndarray, np.
 
 
 def _replicate(arr: np.ndarray, ghost: int) -> np.ndarray:
-    return np.concatenate([np.full(ghost, arr[0]), arr, np.full(ghost, arr[-1])])
+    return np.concatenate([arr[:1].repeat(ghost), arr, arr[-1:].repeat(ghost)])
 
 
 def initial_state(mesh: Mesh, coeff: Coefficient, u0: Callable,

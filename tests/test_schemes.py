@@ -424,3 +424,11 @@ class TestStepKernel:
         model, coeff, state, _ = _kernel_run(40)
         with pytest.raises(CflError):
             step(state, model, coeff, SchemeConfig(lam=0.1))
+
+    def test_single_cell_steps_as_the_public_functions_did(self):
+        model, coeff = builtin_burgers_const_k()
+        state = initial_state(Mesh.from_cells(0.0, 1.0, 1), coeff, lambda x: np.full_like(x, 0.5))
+        half = lf_step(state, model, coeff, 0.1)
+        assert half.parity is Parity.HALF and len(half.values) == 0
+        with pytest.raises(ValueError):
+            lf_step(half, model, coeff, 0.1)
