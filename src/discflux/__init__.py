@@ -17,8 +17,8 @@ from .grid import (Mesh, Parity, StaggeredState, cell_average_coefficient,
                    cell_average_initial, extend_absorbing, initial_state,
                    write_state_csv)
 from .limiter import LimiterConfig, LimiterKind, minmod, slopes
-from .schemes import (CflError, CflLevel, CorrectionTerms, Scheme, SchemeConfig,
-                      cfl_bound, lf_step, march, mid_time_values, nt_step,
-                      predictor_corrector_step, snap_steps)
+from .schemes import (CflError, CflLevel, Scheme, SchemeConfig, cfl_bound, lf_step,
+                      march, mid_time_values, nt_step, predictor_corrector_step,
+                      snap_steps)
 
 __version__ = "0.1.0"

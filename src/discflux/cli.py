@@ -7,7 +7,10 @@ Subcommands:
     study <config> --halvings refinement study from a config
 
 Config files are flat `key = value` lines with dotted section keys
-(`limiter.alpha = 0.75`) and `#` comments.  Exit codes: 0 success,
+(`limiter.alpha = 0.75`) and `#` comments.  A config parses into an
+`ExperimentSpec`, and `run`, `reproduce` and `study` all march through
+`experiments.run_experiment`, so `study` applies the config's `limiter.*`
+and `cfl_level` on every level.  Exit codes: 0 success,
 1 config error, 2 CFL refusal, 3 verification failure.  The environment
 variable DISCFLUX_OUTDIR overrides the output directory.
 """
@@ -23,11 +26,12 @@ from pathlib import Path
 
 from .diagnostics import DiagnosticsReport
 from .experiments import (EXAMPLES, ErrorRow, ErrorTable, ExperimentSpec,
-                          InitialData, SnapshotObserver, l1_error,
-                          reference_run, refinement_study, run_experiment)
+                          InitialData, l1_error, reference_run,
+                          refinement_study, run_experiment)
 from .grid import write_state_csv
 from .limiter import LimiterConfig, LimiterKind
-from .schemes import CflError, CflLevel, Scheme, SchemeConfig, march, snap_steps
+from .schemes import CflError, CflLevel, Scheme
+from .schemes import march  # noqa: F401  (unused here; bench/child.py wraps cli.march)
 from .verify import SUITES
 
 _SCHEMES = {"lax-friedrichs": Scheme.LAX_FRIEDRICHS, "lf": Scheme.LAX_FRIEDRICHS,
@@ -68,24 +72,13 @@ def _as_float(entries, key, default=None):
 
 @dataclass
 class RunConfig:
-    """Parsed simulation configuration."""
+    """Parsed simulation configuration: the run description plus CLI-only settings."""
 
-    model_name: str
-    model_params: dict
-    x_min: float
-    x_max: float
-    dx: float
-    lam: float
+    spec: ExperimentSpec
     scheme: Scheme
-    cfl_level: CflLevel
-    limiter: LimiterConfig
-    u0: InitialData
-    t_end: tuple[float, ...]
     output_dir: Path
-    window_x: float | None = None
     diagnostics: bool = True
-    reference_dx: float | None = None
-    k_tilde_auto: bool = False
+    reference_given: bool = False
 
     @classmethod
     def from_entries(cls, entries: dict[str, str], out_override: str | None = None) -> "RunConfig":
@@ -132,7 +125,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # without an explicit cap the modified limiter defaults to
-        # 2*C_u0*dx^(-alpha), which reduces it to plain minmod at this mesh
+        # 2*C_u0*dx^(-alpha), which reduces it to plain minmod at each mesh
         k_tilde_auto = (limiter.kind is LimiterKind.MINMOD_MODIFIED
                         and "limiter.k_tilde" not in entries)
 
@@ -161,20 +154,16 @@ class RunConfig:
         diagnostics = entries.get("diagnostics", "true").lower() in ("true", "1", "yes", "on")
         ref_dx = _as_float(entries, "reference.dx") if "reference.dx" in entries else None
 
-        return cls(model_name=model_name, model_params=model_params,
-                   x_min=x_min, x_max=x_max, dx=dx, lam=lam,
-                   scheme=_SCHEMES[scheme_name], cfl_level=_CFL_LEVELS[level_name],
-                   limiter=limiter, u0=u0, t_end=t_end, output_dir=out_dir,
-                   window_x=window_x, diagnostics=diagnostics, reference_dx=ref_dx,
-                   k_tilde_auto=k_tilde_auto)
-
-    def to_spec(self) -> ExperimentSpec:
-        ratio = round(self.dx / self.reference_dx) if self.reference_dx else 1
-        return ExperimentSpec(
-            name="config-run", model_name=self.model_name, model_params=self.model_params,
-            x_min=self.x_min, x_max=self.x_max, dx=self.dx, lam=self.lam,
-            u0=self.u0, output_times=self.t_end,
-            reference_dx=self.reference_dx if self.reference_dx else self.dx / max(1, ratio))
+        try:
+            spec = ExperimentSpec(
+                name="config-run", model_name=model_name, model_params=model_params,
+                x_min=x_min, x_max=x_max, dx=dx, lam=lam, u0=u0, output_times=t_end,
+                reference_dx=ref_dx or dx, limiter=limiter, k_tilde_auto=k_tilde_auto,
+                cfl_level=_CFL_LEVELS[level_name], window_x=window_x)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return cls(spec=spec, scheme=_SCHEMES[scheme_name], output_dir=out_dir,
+                   diagnostics=diagnostics, reference_given=ref_dx is not None)
 
 
 def load_config(path: str, out_override: str | None = None) -> RunConfig:
@@ -189,29 +178,6 @@ def _write_report(report: DiagnosticsReport, path: Path) -> None:
     path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
 
 
-def _run_config(config: RunConfig) -> DiagnosticsReport:
-    spec = config.to_spec()
-    model, coeff = spec.build()
-    mesh = spec.mesh()
-    state0 = spec.initial(mesh, coeff)
-    limiter = config.limiter
-    if config.k_tilde_auto:
-        limiter = replace(limiter, k_tilde=2.0 * model.c_u0 * mesh.dx**-limiter.alpha)
-    cfg = SchemeConfig(scheme=config.scheme, lam=config.lam, limiter=limiter,
-                       cfl_level=config.cfl_level, collect_diagnostics=config.diagnostics,
-                       window_x=config.window_x)
-    dt = cfg.lam * mesh.dx
-    wanted = {snap_steps(0.0, t, dt): t for t in config.t_end if t > 0}
-    snap = SnapshotObserver(wanted)
-    final, report = march(state0, model, coeff, cfg, max(config.t_end), observers=(snap,))
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    for t in config.t_end:
-        state = state0 if t == 0 else snap.states[wanted[snap_steps(0.0, t, dt)]]
-        write_state_csv(state, config.output_dir / f"u_t{t:.6f}.csv")
-    _write_report(report, config.output_dir / "diagnostics.json")
-    return report
-
-
 def cmd_run(args) -> int:
     try:
         config = load_config(args.config, args.out)
@@ -219,15 +185,20 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        report = _run_config(config)
+        run = run_experiment(config.spec, config.scheme,
+                             collect_diagnostics=config.diagnostics)
     except CflError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(config.t_end)} solution file(s) and diagnostics.json "
-          f"to {config.output_dir} ({report.steps} steps)")
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    for t, state in run.states.items():
+        write_state_csv(state, config.output_dir / f"u_t{t:.6f}.csv")
+    _write_report(run.report, config.output_dir / "diagnostics.json")
+    print(f"wrote {len(config.spec.output_times)} solution file(s) and diagnostics.json "
+          f"to {config.output_dir} ({run.report.steps} steps)")
     return 0
 
 
@@ -280,8 +251,8 @@ def cmd_study(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        spec = config.to_spec()
-        if config.reference_dx is None:
+        spec = config.spec
+        if not config.reference_given:
             spec = replace(spec, reference_dx=spec.dx / 2**(args.halvings + 1))
         table = refinement_study(spec, config.scheme, args.halvings)
     except CflError as exc:

@@ -29,7 +29,7 @@ from .grid import Parity, StaggeredState, _replicate
 from .limiter import LimiterConfig, LimiterKind, slopes
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .schemes import CorrectionTerms, SchemeConfig
+    from .schemes import SchemeConfig
 
 TOL = 1e-12
 
@@ -210,18 +210,25 @@ def accumulate_cubic(report: DiagnosticsReport, state: StaggeredState,
     return report
 
 
-def correction_bound_check(corrections: "CorrectionTerms", cfg: "SchemeConfig",
-                           model: FluxModel, dx: float) -> tuple[float, float, bool] | None:
+def _correction_bound(cfg: "SchemeConfig", model: FluxModel, dx: float) -> float | None:
+    """The bound on max |a_j| for this run, or None without the modified limiter."""
+    lim = cfg.limiter
+    if lim.kind is not LimiterKind.MINMOD_MODIFIED:
+        return None
+    return (cfg.lam**2 * model.sup_fu**2 / 2.0 + 0.125) * lim.k_tilde * dx**lim.alpha
+
+
+def correction_bound_check(a: np.ndarray, cfg: "SchemeConfig", model: FluxModel,
+                           dx: float) -> tuple[float, float, bool] | None:
     """Check max |a_j| <= (lam^2 sup_fu^2 / 2 + 1/8) * k_tilde * dx^alpha.
 
     Returns (max_a, bound, holds), or None when the modified limiter is not
     active (the bound only applies there).
     """
-    lim = cfg.limiter
-    if lim.kind is not LimiterKind.MINMOD_MODIFIED:
+    bound = _correction_bound(cfg, model, dx)
+    if bound is None:
         return None
-    max_a = float(np.max(np.abs(corrections.a))) if len(corrections.a) else 0.0
-    bound = (cfg.lam**2 * model.sup_fu**2 / 2.0 + 0.125) * lim.k_tilde * dx**lim.alpha
+    max_a = float(np.max(np.abs(a))) if len(a) else 0.0
     return max_a, bound, max_a <= bound + TOL
 
 
@@ -229,7 +236,7 @@ class Diagnostic:
     """Observer fed every (prev, next) transition of a march."""
 
     def observe(self, prev: StaggeredState, next: StaggeredState,
-                corrections: "CorrectionTerms | None") -> None:
+                corrections: np.ndarray | None) -> None:
         raise NotImplementedError
 
 
@@ -252,6 +259,7 @@ class DiagnosticsCollector(Diagnostic):
             u_max=float(np.max(initial.values)),
             psi=psi_constant(model, cfg.lam, coeff.sup_norm),
         )
+        self._correction_bound = _correction_bound(cfg, model, initial.mesh.dx)
         self._zero_limiter = LimiterConfig(kind=LimiterKind.ZERO)
         self._c_grid = np.linspace(model.u_lo, model.u_hi, cfg.entropy_c_count)
 
@@ -267,11 +275,9 @@ class DiagnosticsCollector(Diagnostic):
         rep.snapped_time = next.time
         rep.u_min = min(rep.u_min, float(next.values.min()))
         rep.u_max = max(rep.u_max, float(next.values.max()))
-        if corrections is not None and len(corrections.a):
-            rep.correction_max = max(rep.correction_max, float(np.abs(corrections.a).max()))
-            checked = correction_bound_check(corrections, self.cfg, self.model, prev.mesh.dx)
-            if checked is not None:
-                rep.correction_bound = checked[1]
+        if corrections is not None and len(corrections):
+            rep.correction_max = max(rep.correction_max, float(np.abs(corrections).max()))
+            rep.correction_bound = self._correction_bound
         if not self.full:
             return
         lhs, rhs, holds = onesided_check(prev, next, self.model, self.cfg.lam,

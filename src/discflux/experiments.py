@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,11 @@ class InitialData:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to rerun one canned experiment."""
+    """Everything needed to rerun one experiment: problem, mesh and scheme settings.
+
+    With `k_tilde_auto` the modified limiter's cap is 2*C_u0*dx^(-alpha) on
+    each mesh it runs on, which reduces it to plain minmod there.
+    """
 
     name: str
     model_name: str
@@ -45,6 +49,10 @@ class ExperimentSpec:
     u0: InitialData = field(default_factory=lambda: InitialData.constant(0.0))
     output_times: tuple[float, ...] = ()
     reference_dx: float = 0.002
+    limiter: LimiterConfig = field(default_factory=LimiterConfig)
+    k_tilde_auto: bool = False
+    cfl_level: CflLevel = CflLevel.MAX_PRINCIPLE
+    window_x: float | None = None
 
     def __post_init__(self):
         if any(t < 0 for t in self.output_times):
@@ -98,15 +106,15 @@ EXAMPLES = {1: example_1, 2: example_2}
 
 
 class SnapshotObserver(Diagnostic):
-    """Captures states whose step index matches a requested output time."""
+    """Captures the states reached at the requested step indices."""
 
-    def __init__(self, wanted: dict[int, float]):
+    def __init__(self, wanted: set[int]):
         self.wanted = wanted
-        self.states: dict[float, StaggeredState] = {}
+        self.states: dict[int, StaggeredState] = {}
 
     def observe(self, prev, next, corrections):
         if next.step_index in self.wanted:
-            self.states[self.wanted[next.step_index]] = next
+            self.states[next.step_index] = next
 
 
 @dataclass
@@ -120,26 +128,27 @@ class ExperimentRun:
 
 def run_experiment(spec: ExperimentSpec, scheme: Scheme, dx: float | None = None,
                    times: tuple[float, ...] | None = None,
-                   limiter: LimiterConfig | None = None,
                    collect_diagnostics: bool = True) -> ExperimentRun:
-    """March one scheme through all requested output times in a single run."""
+    """March one scheme through all requested output times in a single run.
+
+    Each time maps to the state at its even-step snap (the initial state when
+    that is step 0).
+    """
     model, coeff = spec.build()
     mesh = spec.mesh(dx)
     state0 = spec.initial(mesh, coeff)
-    cfg = SchemeConfig(scheme=scheme, lam=spec.lam,
-                       limiter=limiter or LimiterConfig(),
-                       cfl_level=CflLevel.MAX_PRINCIPLE,
-                       collect_diagnostics=collect_diagnostics)
+    limiter = spec.limiter
+    if spec.k_tilde_auto:
+        limiter = replace(limiter, k_tilde=2.0 * model.c_u0 * mesh.dx**-limiter.alpha)
+    cfg = SchemeConfig(scheme=scheme, lam=spec.lam, limiter=limiter,
+                       cfl_level=spec.cfl_level, collect_diagnostics=collect_diagnostics,
+                       window_x=spec.window_x)
     times = spec.output_times if times is None else times
-    dt = cfg.lam * mesh.dx
-    wanted = {snap_steps(0.0, t, dt): t for t in times if t > 0}
-    snap = SnapshotObserver(wanted)
+    steps = {t: snap_steps(0.0, t, cfg.lam * mesh.dx) for t in times}
+    snap = SnapshotObserver(set(steps.values()))
     t_final = max(times) if times else 0.0
     final, report = march(state0, model, coeff, cfg, t_final, observers=(snap,))
-    states = dict(snap.states)
-    for t in times:
-        if t == 0.0:
-            states[t] = state0
+    states = {t: snap.states[n] if n else state0 for t, n in steps.items()}
     return ExperimentRun(spec=spec, scheme=scheme, states=states, final=final, report=report)
 
 

@@ -134,10 +134,6 @@ class Coefficient:
         if self.bv_norm < 0:
             raise ValueError("bv_norm must be nonnegative")
 
-    @property
-    def discontinuities(self) -> tuple[float, ...]:
-        return self.breaks
-
     @classmethod
     def piecewise_constant(cls, breaks: Sequence[float], values: Sequence[float]) -> "Coefficient":
         breaks = tuple(float(b) for b in breaks)
@@ -154,11 +150,11 @@ class Coefficient:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        piece = np.searchsorted(self.breaks, x, side="right")  # right-continuous at breaks
         out = np.empty_like(x)
-        flat_x = np.atleast_1d(x)
-        flat_o = np.atleast_1d(out)
-        for i, xi in enumerate(flat_x):
-            flat_o[i] = self.funcs[self.piece_index(float(xi))](xi)
+        for i, fn in enumerate(self.funcs):
+            on = piece == i
+            out[on] = fn(x[on])
         return out if out.ndim else float(out)
 
     def limits_at(self, x_m: float) -> tuple[float, float]:

@@ -79,13 +79,6 @@ class SchemeConfig:
             raise ValueError("lam must be positive")
 
 
-@dataclass(frozen=True)
-class CorrectionTerms:
-    """Per-cell correction values a_j of the predictor-corrector form."""
-
-    a: np.ndarray
-
-
 def cfl_bound(model: FluxModel, level: CflLevel) -> float:
     """Admissible kappa = lam * sup|f_u| for the requested guarantee level.
 
@@ -158,8 +151,9 @@ class _Stepper:
         a = self.lam * (f_mid - f_now) + sig / 8.0
         return ev, sig, f_mid, f_now, a
 
-    def step(self, state: StaggeredState) -> tuple[StaggeredState, CorrectionTerms | None]:
-        """One step of the held scheme, with the corrections of the second-order one."""
+    def step(self, state: StaggeredState) -> tuple[StaggeredState, np.ndarray | None]:
+        """One step of the held scheme, with the per-cell correction values a_j of
+        the second-order one (None for the first-order scheme)."""
         if self.limiter is None:
             ev, ek = self._extend(state)
             fl = self.model.eval(ek, ev)
@@ -169,7 +163,7 @@ class _Stepper:
         v = (0.5 * (ev[1:-2] + ev[2:-1])
              - 0.125 * (sig[2:-1] - sig[1:-2])
              - self.lam * (f_mid[2:-1] - f_mid[1:-2]))
-        return self.advance(state, v), CorrectionTerms(a=a[2:-2])
+        return self.advance(state, v), a[2:-2]
 
 
 def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: float,
@@ -192,8 +186,8 @@ def _mid_values(u, k, sig, model, lam):
 
 
 def nt_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
-            cfg: SchemeConfig) -> tuple[StaggeredState, CorrectionTerms]:
-    """One second-order staggered step; also returns the correction terms.
+            cfg: SchemeConfig) -> tuple[StaggeredState, np.ndarray]:
+    """One second-order staggered step; also returns the correction terms a_j.
 
     With the Zero limiter the update reduces to the first-order step
     exactly, and the corrections vanish.

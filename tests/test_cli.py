@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +59,7 @@ class TestConfigParsing:
 
     def test_dt_converted_to_lambda(self):
         config = RunConfig.from_entries(parse_config_text(EX1_CONFIG))
-        assert config.lam == pytest.approx(1 / 30, rel=1e-9)
+        assert config.spec.lam == pytest.approx(1 / 30, rel=1e-9)
 
     def test_modified_limiter_cap_defaults_to_plain_minmod(self, tmp_path):
         # auto cap 2*C_u0*dx^(-alpha) exceeds any jump, so the modified run
@@ -152,6 +155,19 @@ class TestVerifyCommand:
         assert "FAIL" in out and "state-7" in out
 
 
+STUDY_CONFIG = """\
+model = multiplicative
+domain.x_min = -1
+domain.x_max = 1
+dx = 0.04
+lambda = 0.0333333333333333333
+u0 = constant
+u0.value = 0.15
+t_end = 0.4
+reference.dx = 0.005
+"""
+
+
 class TestStudyCommand:
     def test_study_writes_table(self, tmp_path, capsys):
         text = """\
@@ -176,3 +192,35 @@ reference.dx = 0.0078125
     def test_bad_halvings_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, EX1_CONFIG)
         assert main(["study", cfg, "--halvings", "1", "--out", str(tmp_path / "s")]) == 1
+
+    def test_cfl_level_applies_to_study(self, tmp_path, capsys):
+        # kappa = 0.1 exceeds the one-sided bound 4.44e-5 of this model
+        cfg = write_config(tmp_path, STUDY_CONFIG + "cfl_level = one-sided\n")
+        assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 2
+        assert "kappa_bound" in capsys.readouterr().err
+
+    def test_limiter_applies_to_study(self, tmp_path):
+        def l1_column(name, extra):
+            cfg = write_config(tmp_path, STUDY_CONFIG + extra, name=f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["study", cfg, "--halvings", "2", "--out", str(out)]) == 0
+            rows = (out / "error_table.csv").read_text().splitlines()[1:]
+            return [row.split(",")[3] for row in rows]
+
+        zero = l1_column("zero", "scheme = nessyahu-tadmor\nlimiter.kind = zero\n")
+        # NT with zero slopes is the first-order scheme bit for bit
+        assert zero == l1_column("lf", "scheme = lax-friedrichs\n")
+        assert zero != l1_column("minmod", "scheme = nessyahu-tadmor\nlimiter.kind = minmod\n")
+
+
+class TestBenchHooks:
+    def test_wrapped_attributes_resolve(self):
+        # the benchmark child wraps these module attributes; a missing one
+        # makes every benchmark repetition fail
+        path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+        spec = importlib.util.spec_from_file_location("bench_child", path)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        for module, attr, _ in child.LIGHT + child.FULL:
+            assert callable(getattr(child._resolve(module), attr, None)), (module, attr)
+        assert callable(importlib.import_module("discflux.experiments").make_model)

@@ -11,8 +11,8 @@ from discflux import (LimiterConfig, LimiterKind, Mesh, Parity,
                       builtin_two_flux_rational,
                       cell_average_coefficient, cfl_bound, CflLevel,
                       correction_bound_check, entropy_residual_lf, lf_step,
-                      nt_step, nu_coefficient, onesided_check, psi_constant,
-                      slopes)
+                      march, nt_step, nu_coefficient, onesided_check,
+                      psi_constant, Scheme, slopes)
 from discflux.diagnostics import DiagnosticsReport
 
 
@@ -206,6 +206,23 @@ class TestCorrectionBound:
         max_a, bound, holds = correction_bound_check(corr, cfg, model, state.mesh.dx)
         assert holds
         assert max_a >= 0.9 * bound
+
+    @pytest.mark.parametrize("light", [False, True])
+    def test_march_reports_the_bound_only_where_it_applies(self, light):
+        model, coeff, state = burgers_state(np.linspace(1.0, 0.0, 40), x_min=0.0, x_max=1.0)
+        modified = LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED, k_tilde=0.5, alpha=0.75)
+
+        def reported(scheme, limiter, t_end=0.1):
+            cfg = SchemeConfig(scheme=scheme, lam=0.1, limiter=limiter,
+                               collect_diagnostics=not light)
+            return march(state, model, coeff, cfg, t_end)[1].correction_bound, cfg
+
+        bound, cfg = reported(Scheme.NESSYAHU_TADMOR, modified)
+        _, corr = nt_step(state, model, coeff, cfg)
+        assert bound == correction_bound_check(corr, cfg, model, state.mesh.dx)[1]
+        assert reported(Scheme.NESSYAHU_TADMOR, modified, t_end=0.0)[0] is None
+        assert reported(Scheme.LAX_FRIEDRICHS, modified)[0] is None
+        assert reported(Scheme.NESSYAHU_TADMOR, LimiterConfig())[0] is None
 
 
 class TestReportJson:

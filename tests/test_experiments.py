@@ -96,6 +96,12 @@ class TestRunExperiment:
         assert run.final.parity is Parity.BASE
         assert run.report.kappa_used == pytest.approx(0.1)
 
+    def test_time_short_of_two_steps_maps_to_the_initial_state(self):
+        spec = constant_spec()  # dt = 0.00625, so t = 0.01 snaps to step 0
+        run = run_experiment(spec, Scheme.LAX_FRIEDRICHS, times=(0.01, 0.5))
+        assert run.states[0.01].step_index == 0 and run.states[0.01].time == 0.0
+        assert run.states[0.5].step_index == 80
+
     def test_spec_validates_nesting(self):
         with pytest.raises(ValueError):
             ExperimentSpec(name="bad", model_name="burgers-const-k",

@@ -48,7 +48,7 @@ class TestMultiplicative:
 
     def test_coefficient(self):
         _, coeff = builtin_multiplicative(3.0, 1.0)
-        assert coeff.discontinuities == (0.0,)
+        assert coeff.breaks == (0.0,)
         assert coeff.bv_norm == 2.0
         assert coeff.sup_norm == 3.0
         assert coeff.limits_at(0.0) == (3.0, 1.0)
