@@ -9,7 +9,7 @@ Each check evaluates one inequality the schemes are expected to satisfy:
   bounded independently of dx;
 * quadratic accumulator with a curvature coefficient nu >= 0;
 * discrete cell entropy inequality for the first-order scheme, evaluated
-  against a grid of Kruzkov constants;
+  against a grid of Kruzkov constants (judged on first-order runs only);
 * correction-term bound for the modified limiter.
 
 Tolerances are 1e-12 absolute on order-one quantities.  A collector folds
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .schemes import SchemeConfig
 
 TOL = 1e-12
+ENTROPY_C_COUNT = 11  # Kruzkov constants spread evenly over [u_lo, u_hi]
 
 
 @dataclass
@@ -241,14 +242,16 @@ class Diagnostic:
 
 
 class DiagnosticsCollector(Diagnostic):
-    """Folds the full check suite over one march into a DiagnosticsReport."""
+    """Folds the check suite over one march into a DiagnosticsReport; the cell
+    entropy inequality is judged on first-order (Lax-Friedrichs) marches only."""
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig",
-                 initial: StaggeredState, full: bool = True):
+                 initial: StaggeredState):
+        from .schemes import Scheme  # local import keeps module load acyclic
+
         self.model = model
         self.coeff = coeff
         self.cfg = cfg
-        self.full = full
         self.report = DiagnosticsReport(
             scheme=cfg.scheme.value,
             lam=cfg.lam,
@@ -260,14 +263,9 @@ class DiagnosticsCollector(Diagnostic):
             psi=psi_constant(model, cfg.lam, coeff.sup_norm),
         )
         self._correction_bound = _correction_bound(cfg, model, initial.mesh.dx)
-        self._zero_limiter = LimiterConfig(kind=LimiterKind.ZERO)
-        self._c_grid = np.linspace(model.u_lo, model.u_hi, cfg.entropy_c_count)
-
-    def _scheme_slopes(self, state: StaggeredState) -> np.ndarray:
-        from .schemes import Scheme  # local import keeps module load acyclic
-
-        lim = self.cfg.limiter if self.cfg.scheme is Scheme.NESSYAHU_TADMOR else self._zero_limiter
-        return slopes(state.values, state.mesh.dx, lim)
+        lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
+        self._limiter = LimiterConfig(kind=LimiterKind.ZERO) if lf else cfg.limiter
+        self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
 
     def observe(self, prev, next, corrections):
         rep = self.report
@@ -278,7 +276,7 @@ class DiagnosticsCollector(Diagnostic):
         if corrections is not None and len(corrections):
             rep.correction_max = max(rep.correction_max, float(np.abs(corrections).max()))
             rep.correction_bound = self._correction_bound
-        if not self.full:
+        if not self.cfg.collect_diagnostics:
             return
         lhs, rhs, holds = onesided_check(prev, next, self.model, self.cfg.lam,
                                          k_sup=self.coeff.sup_norm, k_bv=self.coeff.bv_norm)
@@ -286,12 +284,13 @@ class DiagnosticsCollector(Diagnostic):
         rep.onesided_margins.append(rhs - lhs)
         rep.onesided_holds = rep.onesided_holds and holds
         accumulate_cubic(rep, prev, self.cfg.window_x)
-        sig = self._scheme_slopes(prev)
+        sig = slopes(prev.values, prev.mesh.dx, self._limiter)
         nu = nu_coefficient(prev, sig, self.model, self.cfg.lam)
         du = np.diff(prev.values)
         rep.quad_accumulator += prev.mesh.dx * float(np.sum(nu * du**2))
         if len(nu):
             rep.nu_min = min(rep.nu_min, float(np.min(nu)))
-        rep.entropy_max_residual = max(
-            rep.entropy_max_residual,
-            entropy_residual_lf(prev, next, self.model, self.cfg.lam, self._c_grid))
+        if self._c_grid is not None:
+            rep.entropy_max_residual = max(
+                rep.entropy_max_residual,
+                entropy_residual_lf(prev, next, self.model, self.cfg.lam, self._c_grid))

@@ -72,7 +72,6 @@ class SchemeConfig:
     cfl_level: CflLevel = CflLevel.MAX_PRINCIPLE
     collect_diagnostics: bool = True
     window_x: float | None = None
-    entropy_c_count: int = 11
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -145,7 +144,7 @@ class _Stepper:
         """Extended values, slopes, mid and current fluxes, and correction terms."""
         ev, ek = self._extend(state)
         sig = slopes(ev, state.mesh.dx, self.limiter)
-        mid = _mid_values(ev, ek, sig, self.model, self.lam)
+        mid = mid_time_values(ev, ek, sig, self.model, self.lam)
         f_mid = np.asarray(self.model.eval(ek, mid), dtype=float)
         f_now = np.asarray(self.model.eval(ek, ev), dtype=float)
         a = self.lam * (f_mid - f_now) + sig / 8.0
@@ -173,15 +172,11 @@ def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: fl
     return _Stepper(model, coeff, state.mesh, lam, None).step(state)[0]
 
 
-def mid_time_values(state: StaggeredState, model: FluxModel, slopes_arr: np.ndarray,
+def mid_time_values(u: np.ndarray, k: np.ndarray, sig: np.ndarray, model: FluxModel,
                     lam: float) -> np.ndarray:
-    """Half-step predicted values u - (lam/2) f_u(k, u) * slope."""
-    if len(slopes_arr) != len(state.values):
+    """Half-step predicted values u - (lam/2) f_u(k, u) * sig, cell by cell."""
+    if len(sig) != len(u):
         raise ValueError("slopes must align with state values")
-    return _mid_values(state.values, state.kbar, slopes_arr, model, lam)
-
-
-def _mid_values(u, k, sig, model, lam):
     return u - 0.5 * lam * np.asarray(model.d_u(k, u), dtype=float) * sig
 
 
@@ -235,7 +230,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     kappa_used, kappa = _check_cfl(model, cfg.lam, cfg.cfl_level)
     if cfg.cfl_level is CflLevel.MANUAL:
         log.warning("manual CFL level: lam*sup|f_u| = %.6g is not checked", kappa_used)
-    collector = DiagnosticsCollector(model, coeff, cfg, initial, full=cfg.collect_diagnostics)
+    collector = DiagnosticsCollector(model, coeff, cfg, initial)
     collector.report.kappa_used = kappa_used
     collector.report.kappa_bound = kappa
 

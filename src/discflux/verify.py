@@ -2,7 +2,8 @@
 
 Each suite runs a fixed-seed scenario and returns the worst margin seen,
 where a nonnegative margin (up to the 1e-12 tolerance) means the checked
-inequality held everywhere.
+inequality held everywhere.  Suites that march run `n_steps` snapped down to
+an even count, as `march` does.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import TOL, correction_bound_check, nu_coefficient, onesided_check
+from .diagnostics import TOL
 from .experiments import EXAMPLES, run_experiment
 from .flux_model import builtin_burgers_const_k, builtin_multiplicative
 from .grid import Mesh, Parity, StaggeredState, cell_average_coefficient
-from .limiter import LimiterConfig, LimiterKind, slopes
-from .schemes import (CflLevel, Scheme, SchemeConfig, cfl_bound, lf_step,
+from .limiter import LimiterConfig, LimiterKind
+from .schemes import (CflLevel, Scheme, SchemeConfig, cfl_bound, lf_step, march,
                       nt_step, predictor_corrector_step)
 
 
@@ -100,13 +101,9 @@ def _burgers_setup(level: CflLevel):
 def suite_onesided(n_states: int = 10, n_steps: int = 100) -> SuiteResult:
     """One-sided jump decay for constant-coefficient convex flux, per step."""
     model, coeff, cfg, mesh = _burgers_setup(CflLevel.ONE_SIDED)
-    worst = math.inf
-    for state in _random_states(n_states, mesh, coeff, seed=20240818):
-        for _ in range(n_steps):
-            new, _ = nt_step(state, model, coeff, cfg)
-            lhs, rhs, _ = onesided_check(state, new, model, cfg.lam)
-            worst = min(worst, rhs - lhs)
-            state = new
+    t_end = n_steps * cfg.lam * mesh.dx
+    worst = min(march(state, model, coeff, cfg, t_end)[1].onesided_worst_margin
+                for state in _random_states(n_states, mesh, coeff, seed=20240818))
     return SuiteResult("onesided", worst >= -TOL, worst,
                        f"{n_states} states x {n_steps} steps, lam={cfg.lam:.6g}")
 
@@ -114,13 +111,9 @@ def suite_onesided(n_states: int = 10, n_steps: int = 100) -> SuiteResult:
 def suite_nu(n_states: int = 10, n_steps: int = 100) -> SuiteResult:
     """Curvature coefficient nonnegativity under the strictest CFL level."""
     model, coeff, cfg, mesh = _burgers_setup(CflLevel.CUBIC_ESTIMATE)
-    worst = math.inf
-    for state in _random_states(n_states, mesh, coeff, seed=20240819):
-        for _ in range(n_steps):
-            sig = slopes(state.values, mesh.dx, cfg.limiter)
-            nu = nu_coefficient(state, sig, model, cfg.lam)
-            worst = min(worst, float(np.min(nu)))
-            state, _ = nt_step(state, model, coeff, cfg)
+    t_end = n_steps * cfg.lam * mesh.dx
+    worst = min(march(state, model, coeff, cfg, t_end)[1].nu_min
+                for state in _random_states(n_states, mesh, coeff, seed=20240819))
     return SuiteResult("nu", worst >= -TOL, worst,
                        f"{n_states} states x {n_steps} steps, lam={cfg.lam:.6g}")
 
@@ -137,7 +130,8 @@ def suite_correction(dxs=(1e-2, 1e-3, 1e-4), n_steps: int = 20) -> SuiteResult:
     """Correction-term bound for the modified limiter on steep data."""
     model, coeff = builtin_burgers_const_k()
     lim = LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED, k_tilde=1.0, alpha=0.75)
-    cfg = SchemeConfig(scheme=Scheme.NESSYAHU_TADMOR, lam=0.2, limiter=lim)
+    cfg = SchemeConfig(scheme=Scheme.NESSYAHU_TADMOR, lam=0.2, limiter=lim,
+                       collect_diagnostics=False)
     worst = math.inf
     for dx in dxs:
         mesh = Mesh.from_cells(0.0, 1.0, round(1.0 / dx))
@@ -145,10 +139,8 @@ def suite_correction(dxs=(1e-2, 1e-3, 1e-4), n_steps: int = 20) -> SuiteResult:
         values = np.where(mesh.centers(Parity.BASE) < 0.5, 1.0, 0.0)
         state = StaggeredState(mesh=mesh, values=values, kbar=kbar,
                                parity=Parity.BASE, time=0.0, step_index=0)
-        for _ in range(n_steps):
-            state, corr = nt_step(state, model, coeff, cfg)
-            max_a, bound, _ = correction_bound_check(corr, cfg, model, mesh.dx)
-            worst = min(worst, bound + TOL - max_a)
+        _, report = march(state, model, coeff, cfg, n_steps * cfg.lam * mesh.dx)
+        worst = min(worst, report.correction_bound + TOL - report.correction_max)
     return SuiteResult("correction", worst >= 0.0, worst,
                        f"dx in {list(dxs)}, {n_steps} steps each")
 

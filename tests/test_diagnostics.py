@@ -10,8 +10,8 @@ from discflux import (LimiterConfig, LimiterKind, Mesh, Parity,
                       builtin_burgers_const_k, builtin_multiplicative,
                       builtin_two_flux_rational,
                       cell_average_coefficient, cfl_bound, CflLevel,
-                      correction_bound_check, entropy_residual_lf, lf_step,
-                      march, nt_step, nu_coefficient, onesided_check,
+                      correction_bound_check, entropy_residual_lf, example_1,
+                      lf_step, march, nt_step, nu_coefficient, onesided_check,
                       psi_constant, Scheme, slopes)
 from discflux.diagnostics import DiagnosticsReport
 
@@ -149,6 +149,21 @@ class TestEntropyResidual:
         model, coeff, state = burgers_state([0.4] * 6)
         with pytest.raises(ValueError):
             entropy_residual_lf(state, state, model, 0.1, np.array([0.0]))
+
+    def test_march_judges_first_order_runs_only(self):
+        spec = example_1()
+        model, coeff = spec.build()
+        mesh = spec.mesh()
+        assert mesh.n_cells == 50
+        state = spec.initial(mesh, coeff)
+
+        def residual(scheme):
+            cfg = SchemeConfig(scheme=scheme, lam=spec.lam)
+            return march(state, model, coeff, cfg, 0.2)[1].to_json_dict()["entropy_max_residual"]
+
+        assert residual(Scheme.NESSYAHU_TADMOR) is None
+        lf = residual(Scheme.LAX_FRIEDRICHS)
+        assert math.isfinite(lf) and lf <= 1e-12
 
 
 class TestAccumulateCubic:

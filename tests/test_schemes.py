@@ -143,26 +143,26 @@ class TestMidTimeValues:
     def test_zero_slopes(self):
         model, coeff = flat_k_model(lambda u: u * (1 - u), lambda u: 1 - 2 * u)
         state = base_state([0.2, 0.5, 0.8], coeff)
-        mid = mid_time_values(state, model, np.zeros(3), lam=0.2)
+        mid = mid_time_values(state.values, state.kbar, np.zeros(3), model, lam=0.2)
         assert np.array_equal(mid, state.values)
 
     def test_sonic_point(self):
         model, coeff = flat_k_model(lambda u: u * (1 - u), lambda u: 1 - 2 * u)
         state = base_state([0.5, 0.5, 0.5], coeff)
-        mid = mid_time_values(state, model, np.full(3, 0.7), lam=0.2)
+        mid = mid_time_values(state.values, state.kbar, np.full(3, 0.7), model, lam=0.2)
         assert np.all(mid == 0.5)
 
     def test_hand_value(self):
         model, coeff = flat_k_model(lambda u: u * (1 - u), lambda u: 1 - 2 * u)
         state = base_state([0.2, 0.2, 0.2], coeff)
-        mid = mid_time_values(state, model, np.full(3, 0.1), lam=0.1)
+        mid = mid_time_values(state.values, state.kbar, np.full(3, 0.1), model, lam=0.1)
         assert mid[1] == pytest.approx(0.197, abs=1e-15)
 
     def test_alignment_enforced(self):
         model, coeff = flat_k_model(lambda u: u, lambda u: 1.0 + 0 * u)
         state = base_state([0.2, 0.3, 0.4], coeff)
         with pytest.raises(ValueError):
-            mid_time_values(state, model, np.zeros(2), lam=0.1)
+            mid_time_values(state.values, state.kbar, np.zeros(2), model, lam=0.1)
 
 
 class TestNtStep:
