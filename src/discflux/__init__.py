@@ -12,7 +12,7 @@ from .experiments import (ErrorRow, ErrorTable, ExperimentSpec, InitialData,
 from .flux_model import (BUILTIN_MODELS, Coefficient, Convexity, FluxModel,
                          HypothesisReport, builtin_burgers_const_k,
                          builtin_multiplicative, builtin_two_flux_rational,
-                         make_model, sup_bounds, verify_hypotheses)
+                         make_model, verify_hypotheses)
 from .grid import (Mesh, Parity, StaggeredState, cell_average_coefficient,
                    cell_average_initial, extend_absorbing, initial_state,
                    write_state_csv)

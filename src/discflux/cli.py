@@ -82,16 +82,18 @@ class RunConfig:
 
     @classmethod
     def from_entries(cls, entries: dict[str, str], out_override: str | None = None) -> "RunConfig":
-        known_prefixes = ("model", "domain.", "limiter.", "u0", "reference.")
-        known_keys = {"dx", "lambda", "dt", "scheme", "cfl_level", "t_end",
-                      "output_dir", "window_x", "diagnostics"}
-        for key in entries:
-            if key not in known_keys and not key.startswith(known_prefixes):
-                raise ConfigError(f"unknown config key {key!r}")
-
         if "model" not in entries:
             raise ConfigError("missing required key 'model'")
         model_name = entries["model"]
+        known_prefixes = ("domain.", "limiter.", "u0.", "reference.")
+        known_keys = {"model", "dx", "lambda", "dt", "scheme", "cfl_level", "t_end",
+                      "output_dir", "window_x", "diagnostics", "u0"}
+        if model_name == "multiplicative":
+            known_keys |= {"model.k_left", "model.k_right"}
+        for key in entries:
+            if key not in known_keys and not key.startswith(known_prefixes):
+                raise ConfigError(f"unknown config key {key!r} for model {model_name!r}")
+
         model_params = {}
         if model_name == "multiplicative":
             model_params = {"k_left": _as_float(entries, "model.k_left", 3.0),

@@ -19,7 +19,7 @@ the checks over the (previous, next) state pairs of one time march.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +37,7 @@ ENTROPY_C_COUNT = 11  # Kruzkov constants spread evenly over [u_lo, u_hi]
 
 @dataclass
 class DiagnosticsReport:
-    """Per-step and accumulated verification quantities for one march."""
+    """Verification quantities accumulated over one march."""
 
     scheme: str = ""
     lam: float = 0.0
@@ -49,8 +49,7 @@ class DiagnosticsReport:
     kappa_bound: float = math.inf
     u_min: float = math.inf
     u_max: float = -math.inf
-    onesided_series: list[float] = field(default_factory=list)
-    onesided_margins: list[float] = field(default_factory=list)
+    onesided_worst_margin: float = math.inf
     onesided_holds: bool = True
     cubic_accumulator: float = 0.0
     quad_accumulator: float = 0.0
@@ -58,11 +57,6 @@ class DiagnosticsReport:
     entropy_max_residual: float = -math.inf
     correction_max: float = 0.0
     correction_bound: float | None = None
-    psi: float = 0.0
-
-    @property
-    def onesided_worst_margin(self) -> float:
-        return min(self.onesided_margins, default=math.inf)
 
     def to_json_dict(self) -> dict:
         none_if_inf = lambda v: None if not math.isfinite(v) else v
@@ -260,7 +254,6 @@ class DiagnosticsCollector(Diagnostic):
             cfl_level=cfg.cfl_level.value,
             u_min=float(np.min(initial.values)),
             u_max=float(np.max(initial.values)),
-            psi=psi_constant(model, cfg.lam, coeff.sup_norm),
         )
         self._correction_bound = _correction_bound(cfg, model, initial.mesh.dx)
         lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
@@ -280,8 +273,7 @@ class DiagnosticsCollector(Diagnostic):
             return
         lhs, rhs, holds = onesided_check(prev, next, self.model, self.cfg.lam,
                                          k_sup=self.coeff.sup_norm, k_bv=self.coeff.bv_norm)
-        rep.onesided_series.append(lhs)
-        rep.onesided_margins.append(rhs - lhs)
+        rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
         rep.onesided_holds = rep.onesided_holds and holds
         accumulate_cubic(rep, prev, self.cfg.window_x)
         sig = slopes(prev.values, prev.mesh.dx, self._limiter)

@@ -57,6 +57,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if any(t < 0 for t in self.output_times):
             raise ValueError("output times must be nonnegative")
+        cells = (self.x_max - self.x_min) / self.dx
+        if abs(cells - round(cells)) > 1e-9 or round(cells) < 1:
+            raise ValueError(f"dx = {self.dx!r} does not tile [{self.x_min!r}, {self.x_max!r}]")
         ratio = self.dx / self.reference_dx
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("reference_dx must divide dx (nested grids)")
@@ -132,11 +135,14 @@ def run_experiment(spec: ExperimentSpec, scheme: Scheme, dx: float | None = None
     """March one scheme through all requested output times in a single run.
 
     Each time maps to the state at its even-step snap (the initial state when
-    that is step 0).
+    that is step 0).  Initial averages outside [u_lo, u_hi], NaN included, are
+    refused with ValueError: the estimates hold only inside the model box.
     """
     model, coeff = spec.build()
     mesh = spec.mesh(dx)
     state0 = spec.initial(mesh, coeff)
+    if not np.all((state0.values >= model.u_lo) & (state0.values <= model.u_hi)):
+        raise ValueError(f"initial data leaves [{model.u_lo!r}, {model.u_hi!r}]")
     limiter = spec.limiter
     if spec.k_tilde_auto:
         limiter = replace(limiter, k_tilde=2.0 * model.c_u0 * mesh.dx**-limiter.alpha)

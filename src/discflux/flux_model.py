@@ -16,7 +16,6 @@ via :func:`verify_hypotheses`.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -55,7 +54,6 @@ class FluxModel:
     sup_fuk: float
     exact_bounds: bool = True
     fd_derivatives: bool = False
-    crossing_condition_known: bool | None = None
 
     @property
     def c_u0(self) -> float:
@@ -145,9 +143,6 @@ class Coefficient:
         return cls(breaks=breaks, funcs=funcs, const_values=values,
                    bv_norm=bv, sup_norm=float(max(abs(v) for v in values)))
 
-    def piece_index(self, x: float) -> int:
-        return bisect.bisect_right(self.breaks, x)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         piece = np.searchsorted(self.breaks, x, side="right")  # right-continuous at breaks
@@ -190,7 +185,6 @@ def builtin_multiplicative(k_left: float, k_right: float) -> tuple[FluxModel, Co
         convexity=Convexity.STRICTLY_CONCAVE,
         gamma1=2.0 * k_lo, gamma2=2.0 * k_hi,
         sup_fu=k_hi, sup_fk=0.25, sup_fuk=1.0,
-        crossing_condition_known=True,
     )
     coeff = Coefficient.piecewise_constant([0.0], [k_left, k_right])
     return model, coeff
@@ -234,7 +228,6 @@ def builtin_two_flux_rational() -> tuple[FluxModel, Coefficient]:
         convexity=Convexity.STRICTLY_CONCAVE,
         gamma1=1.0, gamma2=8.0,
         sup_fu=2.0, sup_fk=sup_fk, sup_fuk=sup_fuk,
-        crossing_condition_known=True,
     )
     coeff = Coefficient.piecewise_constant([0.0], [0.0, 1.0])
     return model, coeff
@@ -257,7 +250,6 @@ def builtin_burgers_const_k() -> tuple[FluxModel, Coefficient]:
         convexity=Convexity.STRICTLY_CONVEX,
         gamma1=1.0, gamma2=1.0,
         sup_fu=1.0, sup_fk=0.5, sup_fuk=1.0,
-        crossing_condition_known=True,
     )
     coeff = Coefficient.piecewise_constant([], [1.0])
     return model, coeff
@@ -379,16 +371,3 @@ def verify_hypotheses(model: FluxModel, coeff: Coefficient, samples: int) -> Hyp
 
     return report
 
-
-def sup_bounds(model: FluxModel, samples: int) -> tuple[float, float, float, float, float]:
-    """Return (sup_fu, sup_fk, sup_fuk, gamma1, gamma2) over the model box.
-
-    Builtin models carry closed-form values; otherwise the bounds are
-    re-estimated by grid sampling with `samples` points per axis.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    if model.exact_bounds:
-        return model.sup_fu, model.sup_fk, model.sup_fuk, model.gamma1, model.gamma2
-    return _sample_bounds(model.d_u, model.d_k, model.d_uu, model.d_uk,
-                          model.u_lo, model.u_hi, model.k_lo, model.k_hi, samples)

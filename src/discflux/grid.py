@@ -10,9 +10,8 @@ replication of the edge entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,21 +85,38 @@ class StaggeredState:
         if self.time < 0 or self.step_index < 0:
             raise ValueError("time and step_index must be nonnegative")
 
-    def with_values(self, values: np.ndarray) -> "StaggeredState":
-        return replace(self, values=values)
 
+def _cell_averages(edges: np.ndarray, jumps: Sequence[float], pieces: tuple,
+                   quad_points: int) -> np.ndarray:
+    """Means over the cells between consecutive `edges`.
 
-def _split_points(a: float, b: float, jumps: Sequence[float]) -> list[float]:
-    pts = [a] + [x for x in jumps if a < x < b] + [b]
-    return pts
-
-
-def _average_on(a: float, b: float, fn: Callable, const: float | None, quad_points: int) -> float:
-    """Integral mean of fn over [a, b]; exact for constants, composite midpoint otherwise."""
-    if const is not None:
-        return const
-    xs = a + (np.arange(quad_points) + 0.5) * (b - a) / quad_points
-    return float(np.mean(fn(xs)))
+    Each cell is split at the `jumps` strictly inside it, in the order given.
+    `pieces` is (breaks, funcs, const_values) as in Coefficient: a sub-interval
+    takes the piece its midpoint falls in; constant pieces are exact, the others
+    use the composite midpoint rule with `quad_points` nodes.  Sub-interval
+    integrals are summed per cell in order and divided by the cell width.
+    """
+    if quad_points < 1:
+        raise ValueError("quad_points must be >= 1")
+    inner = [x for x in jumps if edges[0] < x < edges[-1] and x not in edges]
+    at = np.searchsorted(edges, inner)
+    pts = np.insert(edges, at, inner)
+    owner = np.insert(np.arange(len(edges) - 1), at, at - 1)
+    lo, width = pts[:-1], np.diff(pts)
+    breaks, funcs, const_values = pieces
+    piece = np.searchsorted(breaks, 0.5 * (lo + pts[1:]), side="right")
+    means = np.empty(len(lo))
+    for i, (fn, const) in enumerate(zip(funcs, const_values)):
+        on = piece == i
+        if const is not None:
+            means[on] = const
+        elif on.any():
+            xs = (np.arange(quad_points) + 0.5) * width[on][:, None]
+            xs /= quad_points
+            xs += lo[on][:, None]
+            means[on] = np.mean(fn(xs), axis=1)
+    sums = np.bincount(owner, weights=width * means, minlength=len(edges) - 1)
+    return sums / np.diff(edges)
 
 
 def cell_average_initial(mesh: Mesh, u0: Callable[[np.ndarray], np.ndarray],
@@ -109,20 +125,11 @@ def cell_average_initial(mesh: Mesh, u0: Callable[[np.ndarray], np.ndarray],
 
     Cells are split at the supplied jump locations, so piecewise-constant
     data is averaged exactly; smooth pieces use the composite midpoint rule
-    with `quad_points` subintervals.
+    with `quad_points` subintervals.  `u0` is called once on a 2-D array of
+    nodes, so it must act elementwise.
     """
-    if quad_points < 1:
-        raise ValueError("quad_points must be >= 1")
-    edges = mesh.cell_edges(Parity.BASE)
-    out = np.empty(mesh.n_cells)
-    for j in range(mesh.n_cells):
-        a, b = edges[j], edges[j + 1]
-        pts = _split_points(a, b, jumps)
-        acc = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            acc += (hi - lo) * _average_on(lo, hi, u0, None, quad_points)
-        out[j] = acc / (b - a)
-    return out
+    return _cell_averages(mesh.cell_edges(Parity.BASE), jumps, ((), (u0,), (None,)),
+                          quad_points)
 
 
 def cell_average_coefficient(mesh: Mesh, coeff: Coefficient, parity: Parity,
@@ -131,27 +138,9 @@ def cell_average_coefficient(mesh: Mesh, coeff: Coefficient, parity: Parity,
 
     Cells are split analytically at the coefficient's discontinuities;
     constant pieces integrate exactly, smooth pieces use the midpoint rule.
-    The coefficient is time-independent, so results are cached per
-    (mesh, coefficient, parity); callers receive a fresh copy.
     """
-    return _cached_coefficient_average(mesh, coeff, parity, quad_points).copy()
-
-
-@lru_cache(maxsize=64)
-def _cached_coefficient_average(mesh: Mesh, coeff: Coefficient, parity: Parity,
-                                quad_points: int) -> np.ndarray:
-    edges = mesh.cell_edges(parity)
-    out = np.empty(len(edges) - 1)
-    for j in range(len(out)):
-        a, b = edges[j], edges[j + 1]
-        acc = 0.0
-        pts = _split_points(a, b, coeff.breaks)
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            i = coeff.piece_index(0.5 * (lo + hi))
-            acc += (hi - lo) * _average_on(lo, hi, coeff.funcs[i],
-                                           coeff.const_values[i], quad_points)
-        out[j] = acc / (b - a)
-    return out
+    return _cell_averages(mesh.cell_edges(parity), coeff.breaks,
+                          (coeff.breaks, coeff.funcs, coeff.const_values), quad_points)
 
 
 def extend_absorbing(state: StaggeredState, ghost: int) -> tuple[np.ndarray, np.ndarray]:

@@ -120,6 +120,44 @@ class TestRunCommand:
         assert (tmp_path / "env_out" / "u_t0.000000.csv").exists()
 
 
+TWO_FLUX_CONFIG = """\
+model = two-flux-rational
+domain.x_min = -1
+domain.x_max = 1
+dx = 0.04
+lambda = 0.05
+u0 = constant
+u0.value = 0.5
+t_end = 0.2
+"""
+
+
+class TestInputOutsideTheTheory:
+    def test_inside_the_theory_runs(self, tmp_path):
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("old, new", [
+        ("u0.value = 0.5", "u0.value = 1.7"),   # above u_hi: u ran to +-1.4e4
+        ("u0.value = 0.5", "u0.value = nan"),
+        ("u0.value = 0.5", "u0.value = inf"),
+        ("dx = 0.04", "dx = 0.03"),             # 2/0.03 cells: silently became 67
+        ("u0 = constant", "u0 = constant\nmodelfoo = 3"),
+        ("u0 = constant", "u0 = constant\nu0foo = 3"),
+        ("u0 = constant", "u0 = constant\nmodel.k_left = 3"),  # only multiplicative reads it
+    ], ids=["above-u_hi", "nan", "inf", "dx-does-not-tile", "modelfoo", "u0foo",
+            "k_left-for-two-flux"])
+    def test_run_refuses_with_exit_1(self, tmp_path, capsys, old, new):
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace(old, new))
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_study_refuses_data_outside_the_box(self, tmp_path):
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace("u0.value = 0.5", "u0.value = -0.1"))
+        assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
+
+
 class TestReproduceCommand:
     def test_invalid_id_exit_1(self, tmp_path):
         assert main(["reproduce", "7", "--out", str(tmp_path)]) == 1

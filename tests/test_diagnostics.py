@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,7 +190,7 @@ class TestAccumulateCubic:
         report2 = DiagnosticsReport()
         accumulate_cubic(report2, state, window_x=0.4)  # ... and still inside
         report3 = DiagnosticsReport()
-        shifted = state.with_values(np.array([0.1] * 2 + [0.4] * 6))
+        shifted = dataclasses.replace(state, values=np.array([0.1] * 2 + [0.4] * 6))
         accumulate_cubic(report3, shifted, window_x=0.4)  # jump at x = -2: outside
         assert inside > 0 and report2.cubic_accumulator == inside
         assert report3.cubic_accumulator == 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from discflux import (Coefficient, Convexity, FluxModel, builtin_burgers_const_k,
                       builtin_multiplicative, builtin_two_flux_rational, make_model,
-                      sup_bounds, verify_hypotheses)
+                      verify_hypotheses)
 
 BUILTINS = {
     "multiplicative": lambda: builtin_multiplicative(3.0, 1.0),
@@ -156,12 +156,12 @@ class TestVerifyHypotheses:
 class TestSupBounds:
     def test_multiplicative_closed_form(self):
         model, _ = builtin_multiplicative(3.0, 1.0)
-        fu, fk, fuk, g1, g2 = sup_bounds(model, 64)
+        fu, g1, g2 = model.sup_fu, model.gamma1, model.gamma2
         assert (fu, g1, g2) == (3.0, 2.0, 6.0)
 
     def test_burgers(self):
         model, _ = builtin_burgers_const_k()
-        fu, fk, fuk, g1, g2 = sup_bounds(model, 64)
+        fu, g1, g2 = model.sup_fu, model.gamma1, model.gamma2
         assert (fu, g1, g2) == (1.0, 1.0, 1.0)
 
     def test_sampled_model_close_to_exact(self):

@@ -1,5 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discflux import (Coefficient, Mesh, Parity, StaggeredState,
                       builtin_multiplicative, cell_average_coefficient,
@@ -86,6 +90,109 @@ class TestCellAverageCoefficient:
         edges = mesh.cell_edges(Parity.BASE)
         exact = (np.cos(edges[:-1]) - np.cos(edges[1:])) / mesh.dx
         assert kb == pytest.approx(exact, abs=1e-6)
+
+
+def _split_points_oracle(a, b, jumps):
+    return [a] + [x for x in jumps if a < x < b] + [b]
+
+
+def _average_on_oracle(a, b, fn, const, quad_points):
+    if const is not None:
+        return const
+    xs = a + (np.arange(quad_points) + 0.5) * (b - a) / quad_points
+    return float(np.mean(fn(xs)))
+
+
+def _cell_average_initial_oracle(mesh, u0, quad_points, jumps):
+    """The per-cell loop as first written, kept to pin the vectorized form bit for bit."""
+    edges = mesh.cell_edges(Parity.BASE)
+    out = np.empty(mesh.n_cells)
+    for j in range(mesh.n_cells):
+        a, b = edges[j], edges[j + 1]
+        pts = _split_points_oracle(a, b, jumps)
+        acc = 0.0
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            acc += (hi - lo) * _average_on_oracle(lo, hi, u0, None, quad_points)
+        out[j] = acc / (b - a)
+    return out
+
+
+def _cell_average_coefficient_oracle(mesh, coeff, parity, quad_points):
+    """The per-cell loop as first written, kept to pin the vectorized form bit for bit."""
+    edges = mesh.cell_edges(parity)
+    out = np.empty(len(edges) - 1)
+    for j in range(len(out)):
+        a, b = edges[j], edges[j + 1]
+        acc = 0.0
+        pts = _split_points_oracle(a, b, coeff.breaks)
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            i = bisect.bisect_right(coeff.breaks, 0.5 * (lo + hi))
+            acc += (hi - lo) * _average_on_oracle(lo, hi, coeff.funcs[i],
+                                                  coeff.const_values[i], quad_points)
+        out[j] = acc / (b - a)
+    return out
+
+
+INITIAL_DATA = [
+    lambda x: np.full_like(np.asarray(x, dtype=float), 0.15),
+    lambda x: np.where(np.asarray(x) <= 0.1, 0.9, 0.2),
+    lambda x: np.sin(3.0 * x) + 0.5 * (x > -0.2),
+]
+
+
+@st.composite
+def meshes_and_jumps(draw):
+    """A mesh on [-1, 1] and jumps that are unsorted, repeated, share a cell, lie on
+    edges or lie outside."""
+    mesh = Mesh.from_cells(-1.0, 1.0, draw(st.integers(min_value=1, max_value=400)))
+    edges = mesh.cell_edges(Parity.BASE)
+    cell = draw(st.integers(min_value=0, max_value=mesh.n_cells - 1))
+    anywhere = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+    in_one_cell = st.floats(min_value=edges[cell], max_value=edges[cell + 1])
+    on_edge = st.sampled_from(list(edges) + list(mesh.cell_edges(Parity.HALF)))
+    jumps = draw(st.lists(st.one_of(anywhere, in_one_cell, on_edge), max_size=6))
+    return mesh, jumps
+
+
+@st.composite
+def coefficients(draw, jumps):
+    """Constant, multi-break constant, smooth, or multi-break with smooth pieces."""
+    kind = draw(st.sampled_from(["constant", "multi-break", "smooth", "mixed"]))
+    if kind == "constant":
+        return Coefficient.piecewise_constant([], [2.5])
+    if kind == "smooth":
+        return Coefficient(breaks=(), funcs=(np.sin,), const_values=(None,),
+                           bv_norm=2.0, sup_norm=1.0)
+    breaks = sorted(set(jumps))
+    values = draw(st.lists(st.floats(min_value=0.0, max_value=4.0),
+                           min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    if kind == "multi-break":
+        return Coefficient.piecewise_constant(breaks, values)
+    consts = tuple(v if i % 2 else None for i, v in enumerate(values))
+    funcs = tuple((lambda x, v=v: np.full_like(x, v)) if c is not None
+                  else (lambda x, v=v: v + np.cos(3.0 * x)) for v, c in zip(values, consts))
+    return Coefficient(breaks=tuple(breaks), funcs=funcs, const_values=consts,
+                       bv_norm=1.0, sup_norm=5.0)
+
+
+class TestVectorizedAveragesEqualTheirLoops:
+    @given(meshes_and_jumps(), st.sampled_from(INITIAL_DATA), st.sampled_from([1, 3, 8, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_initial(self, mesh_jumps, u0, quad_points):
+        mesh, jumps = mesh_jumps
+        got = cell_average_initial(mesh, u0, quad_points=quad_points, jumps=jumps)
+        want = _cell_average_initial_oracle(mesh, u0, quad_points, jumps)
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.data(), meshes_and_jumps(), st.sampled_from(list(Parity)),
+           st.sampled_from([1, 3, 8, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_coefficient(self, data, mesh_jumps, parity, quad_points):
+        mesh, jumps = mesh_jumps
+        coeff = data.draw(coefficients(jumps))
+        got = cell_average_coefficient(mesh, coeff, parity, quad_points=quad_points)
+        want = _cell_average_coefficient_oracle(mesh, coeff, parity, quad_points)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExtendAbsorbing:

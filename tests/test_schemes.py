@@ -269,7 +269,7 @@ class TestMarch:
         final, report = march(state, model, coeff, SchemeConfig(lam=1 / 30), 0.0)
         assert final is state
         assert report.steps == 0
-        assert report.onesided_series == []
+        assert report.onesided_worst_margin == math.inf
 
     def test_example_1_step_count(self):
         model, coeff = builtin_multiplicative(3.0, 1.0)
