@@ -10,15 +10,17 @@ Config files are flat `key = value` lines with dotted section keys
 (`limiter.alpha = 0.75`) and `#` comments.  A config parses into an
 `ExperimentSpec`, and `run`, `reproduce` and `study` all march through
 `experiments.run_experiment`, so `study` applies the config's `limiter.*`
-and `cfl_level` on every level.  Exit codes: 0 success,
-1 config error, 2 CFL refusal, 3 verification failure.  The environment
-variable DISCFLUX_OUTDIR overrides the output directory.
+and `cfl_level` on every level.  A key that the run does not read is a
+config error.  Exit codes: 0 success, 1 config or usage error, 2 CFL
+refusal, 3 verification failure.  The environment variable DISCFLUX_OUTDIR
+overrides the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -38,6 +40,11 @@ _SCHEMES = {"lax-friedrichs": Scheme.LAX_FRIEDRICHS, "lf": Scheme.LAX_FRIEDRICHS
             "nessyahu-tadmor": Scheme.NESSYAHU_TADMOR, "nt": Scheme.NESSYAHU_TADMOR}
 _CFL_LEVELS = {lvl.value: lvl for lvl in CflLevel}
 _LIMITERS = {kind.value: kind for kind in LimiterKind}
+_INITIAL = {"constant": lambda r: InitialData.constant(r.number("u0.value")),
+            "step": lambda r: InitialData.step(r.number("u0.left"), r.number("u0.right"),
+                                               at=r.number("u0.jump", "0"))}
+_FLAGS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
 
 
 class ConfigError(ValueError):
@@ -59,15 +66,36 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def _as_float(entries, key, default=None):
-    if key not in entries:
-        if default is None:
+class _Reader:
+    """Reads config entries, marking each key it reads; a key without a default is required."""
+
+    def __init__(self, entries: dict[str, str]):
+        self.entries, self.read = entries, set()
+
+    def text(self, key: str, default: str | None = None) -> str:
+        self.read.add(key)
+        if key not in self.entries and default is None:
             raise ConfigError(f"missing required key {key!r}")
-        return default
+        return self.entries.get(key, default)
+
+    def number(self, key: str, default: str | None = None) -> float:
+        return _finite(key, self.text(key, default))
+
+    def choice(self, key: str, table: dict, default: str, fold: bool = False):
+        name = self.text(key, default)
+        try:
+            return table[name.lower() if fold else name]
+        except KeyError:
+            raise ConfigError(f"unknown {key} {name!r}; choose from {sorted(table)}") from None
+
+
+def _finite(key: str, text: str) -> float:
     try:
-        return float(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"key {key!r}: expected a finite number, got {text!r}")
 
 
 @dataclass
@@ -82,89 +110,47 @@ class RunConfig:
 
     @classmethod
     def from_entries(cls, entries: dict[str, str], out_override: str | None = None) -> "RunConfig":
-        if "model" not in entries:
-            raise ConfigError("missing required key 'model'")
-        model_name = entries["model"]
-        known_prefixes = ("domain.", "limiter.", "u0.", "reference.")
-        known_keys = {"model", "dx", "lambda", "dt", "scheme", "cfl_level", "t_end",
-                      "output_dir", "window_x", "diagnostics", "u0"}
-        if model_name == "multiplicative":
-            known_keys |= {"model.k_left", "model.k_right"}
-        for key in entries:
-            if key not in known_keys and not key.startswith(known_prefixes):
-                raise ConfigError(f"unknown config key {key!r} for model {model_name!r}")
-
+        """Build a run from config entries; a key that the run does not read is refused."""
+        r = _Reader(entries)
+        model_name = r.text("model")
         model_params = {}
         if model_name == "multiplicative":
-            model_params = {"k_left": _as_float(entries, "model.k_left", 3.0),
-                            "k_right": _as_float(entries, "model.k_right", 1.0)}
-
-        x_min = _as_float(entries, "domain.x_min")
-        x_max = _as_float(entries, "domain.x_max")
-        dx = _as_float(entries, "dx")
-        if dx <= 0:
-            raise ConfigError("dx must be positive")
-
+            model_params = {"k_left": r.number("model.k_left", "3"),
+                            "k_right": r.number("model.k_right", "1")}
+        dx = r.number("dx")
         if ("lambda" in entries) == ("dt" in entries):
             raise ConfigError("supply exactly one of 'lambda' or 'dt'")
-        lam = _as_float(entries, "lambda") if "lambda" in entries \
-            else _as_float(entries, "dt") / dx
+        if "dt" in entries and dx <= 0:
+            raise ConfigError("dx must be positive")
+        lam = r.number("lambda") if "lambda" in entries else r.number("dt") / dx
 
-        scheme_name = entries.get("scheme", "nessyahu-tadmor")
-        if scheme_name not in _SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme_name!r}")
-        level_name = entries.get("cfl_level", "max-principle")
-        if level_name not in _CFL_LEVELS:
-            raise ConfigError(f"unknown cfl_level {level_name!r}")
-
-        lim_kind = entries.get("limiter.kind", "minmod")
-        if lim_kind not in _LIMITERS:
-            raise ConfigError(f"unknown limiter.kind {lim_kind!r}")
-        try:
-            limiter = LimiterConfig(kind=_LIMITERS[lim_kind],
-                                    k_tilde=_as_float(entries, "limiter.k_tilde", 1.0),
-                                    alpha=_as_float(entries, "limiter.alpha", 0.75))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        kind = r.choice("limiter.kind", _LIMITERS, "minmod")
+        modified = kind is LimiterKind.MINMOD_MODIFIED
         # without an explicit cap the modified limiter defaults to
         # 2*C_u0*dx^(-alpha), which reduces it to plain minmod at each mesh
-        k_tilde_auto = (limiter.kind is LimiterKind.MINMOD_MODIFIED
-                        and "limiter.k_tilde" not in entries)
-
-        u0_kind = entries.get("u0", "constant")
-        if u0_kind == "constant":
-            u0 = InitialData.constant(_as_float(entries, "u0.value"))
-        elif u0_kind == "step":
-            u0 = InitialData.step(_as_float(entries, "u0.left"),
-                                  _as_float(entries, "u0.right"),
-                                  at=_as_float(entries, "u0.jump", 0.0))
-        else:
-            raise ConfigError(f"unknown u0 kind {u0_kind!r}")
-
-        if "t_end" not in entries:
-            raise ConfigError("missing required key 't_end'")
-        try:
-            t_end = tuple(float(part) for part in entries["t_end"].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"key 't_end': {exc}") from exc
-        if any(t < 0 for t in t_end) or not t_end:
-            raise ConfigError("t_end entries must be nonnegative")
-
-        out_dir = Path(out_override or os.environ.get("DISCFLUX_OUTDIR")
-                       or entries.get("output_dir", "."))
-        window_x = _as_float(entries, "window_x") if "window_x" in entries else None
-        diagnostics = entries.get("diagnostics", "true").lower() in ("true", "1", "yes", "on")
-        ref_dx = _as_float(entries, "reference.dx") if "reference.dx" in entries else None
-
+        k_tilde_auto = modified and "limiter.k_tilde" not in entries
+        k_tilde = r.number("limiter.k_tilde") if modified and not k_tilde_auto else 1.0
+        alpha = r.number("limiter.alpha", "0.75") if modified else 0.75
+        ref_dx = r.number("reference.dx") if "reference.dx" in entries else None
+        scheme = r.choice("scheme", _SCHEMES, "nessyahu-tadmor")
+        diagnostics = r.choice("diagnostics", _FLAGS, "true", fold=True)
+        out_dir = r.text("output_dir", ".")
         try:
             spec = ExperimentSpec(
                 name="config-run", model_name=model_name, model_params=model_params,
-                x_min=x_min, x_max=x_max, dx=dx, lam=lam, u0=u0, output_times=t_end,
-                reference_dx=ref_dx or dx, limiter=limiter, k_tilde_auto=k_tilde_auto,
-                cfl_level=_CFL_LEVELS[level_name], window_x=window_x)
-        except ValueError as exc:
+                x_min=r.number("domain.x_min"), x_max=r.number("domain.x_max"), dx=dx,
+                lam=lam, u0=r.choice("u0", _INITIAL, "constant")(r),
+                output_times=tuple(_finite("t_end", t) for t in r.text("t_end").split(",")),
+                reference_dx=dx if ref_dx is None else ref_dx,
+                limiter=LimiterConfig(kind, k_tilde, alpha), k_tilde_auto=k_tilde_auto,
+                cfl_level=r.choice("cfl_level", _CFL_LEVELS, "max-principle"),
+                window_x=r.number("window_x") if "window_x" in entries else None)
+        except ValueError as exc:  # range errors of the spec; a reader ConfigError keeps its text
             raise ConfigError(str(exc)) from exc
-        return cls(spec=spec, scheme=_SCHEMES[scheme_name], output_dir=out_dir,
+        if unread := sorted(set(entries) - r.read):
+            raise ConfigError("keys this run does not read: " + ", ".join(map(repr, unread)))
+        out_dir = Path(out_override or os.environ.get("DISCFLUX_OUTDIR") or out_dir)
+        return cls(spec=spec, scheme=scheme, output_dir=out_dir,
                    diagnostics=diagnostics, reference_given=ref_dx is not None)
 
 
@@ -180,21 +166,24 @@ def _write_report(report: DiagnosticsReport, path: Path) -> None:
     path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
 
 
+def _refusals_to_exit_codes(cmd):
+    """Exit 1 on a config error (any ValueError, ConfigError included), 2 on a CFL refusal."""
+    def wrapped(args) -> int:
+        try:
+            return cmd(args)
+        except CflError as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+    return wrapped
+
+
+@_refusals_to_exit_codes
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        run = run_experiment(config.spec, config.scheme,
-                             collect_diagnostics=config.diagnostics)
-    except CflError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = load_config(args.config, args.out)
+    run = run_experiment(config.spec, config.scheme, collect_diagnostics=config.diagnostics)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for t, state in run.states.items():
         write_state_csv(state, config.output_dir / f"u_t{t:.6f}.csv")
@@ -205,9 +194,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.example not in EXAMPLES:
-        print(f"unknown example id {args.example}; choose 1 or 2", file=sys.stderr)
-        return 1
     spec = EXAMPLES[args.example]()
     out_dir = Path(args.out or os.environ.get("DISCFLUX_OUTDIR")
                    or f"reproduce-{spec.name}")
@@ -236,33 +222,18 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return 1
     result = SUITES[args.suite]()
     print(result.line())
     return 0 if result.passed else 3
 
 
+@_refusals_to_exit_codes
 def cmd_study(args) -> int:
-    try:
-        config = load_config(args.config, args.out)
-        if args.halvings < 2:
-            raise ConfigError("--halvings must be >= 2")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        spec = config.spec
-        if not config.reference_given:
-            spec = replace(spec, reference_dx=spec.dx / 2**(args.halvings + 1))
-        table = refinement_study(spec, config.scheme, args.halvings)
-    except CflError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = load_config(args.config, args.out)
+    spec = config.spec
+    if not config.reference_given:
+        spec = replace(spec, reference_dx=spec.dx / 2**(args.halvings + 1))
+    table = refinement_study(spec, config.scheme, args.halvings)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     table.write(config.output_dir / "error_table.csv")
     print(table.to_csv_text(), end="")
@@ -282,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.set_defaults(fn=cmd_run)
 
     p_rep = sub.add_parser("reproduce", help="run a canned experiment (1 or 2)")
-    p_rep.add_argument("example", type=int)
+    p_rep.add_argument("example", type=int, choices=sorted(EXAMPLES))
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(fn=cmd_reproduce)
 
@@ -296,7 +267,10 @@ def main(argv: list[str] | None = None) -> int:
     p_study.add_argument("--out", default=None)
     p_study.set_defaults(fn=cmd_study)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 1: 2 means a CFL refusal here
+        return 1 if exc.code else 0
     return args.fn(args)
 
 

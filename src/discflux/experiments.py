@@ -31,6 +31,12 @@ class InitialData:
         return cls(fn=lambda x: np.where(np.asarray(x) <= at, left, right), jumps=(at,))
 
 
+def _whole_count(length: float, step: float) -> int:
+    """round(length / step) if that ratio is whole to within 1e-9, else 0."""
+    n = length / step
+    return round(n) if math.isfinite(n) and abs(n - round(n)) <= 1e-9 else 0
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to rerun one experiment: problem, mesh and scheme settings.
@@ -57,11 +63,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if any(t < 0 for t in self.output_times):
             raise ValueError("output times must be nonnegative")
-        cells = (self.x_max - self.x_min) / self.dx
-        if abs(cells - round(cells)) > 1e-9 or round(cells) < 1:
+        if not all(0 < v < math.inf for v in (self.dx, self.reference_dx, self.lam)):
+            raise ValueError("dx, reference_dx and lam must be positive and finite")
+        if _whole_count(self.x_max - self.x_min, self.dx) < 1:
             raise ValueError(f"dx = {self.dx!r} does not tile [{self.x_min!r}, {self.x_max!r}]")
-        ratio = self.dx / self.reference_dx
-        if abs(ratio - round(ratio)) > 1e-9:
+        if _whole_count(self.dx, self.reference_dx) < 1:
             raise ValueError("reference_dx must divide dx (nested grids)")
 
     def build(self) -> tuple[FluxModel, Coefficient]:

@@ -52,7 +52,6 @@ class FluxModel:
     sup_fu: float
     sup_fk: float
     sup_fuk: float
-    exact_bounds: bool = True
     fd_derivatives: bool = False
 
     @property
@@ -74,8 +73,7 @@ class FluxModel:
         return cls(name=name, eval=eval, d_u=d_u, d_k=d_k, d_uu=d_uu, d_uk=d_uk,
                    u_lo=u_lo, u_hi=u_hi, k_lo=k_lo, k_hi=k_hi,
                    convexity=convexity, gamma1=gamma1, gamma2=gamma2,
-                   sup_fu=sup_fu, sup_fk=sup_fk, sup_fuk=sup_fuk,
-                   exact_bounds=False)
+                   sup_fu=sup_fu, sup_fk=sup_fk, sup_fuk=sup_fuk)
 
     @classmethod
     def from_eval_only(cls, name, eval, u_lo, u_hi, k_lo, k_hi, convexity,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -29,8 +30,8 @@ class LimiterConfig:
     alpha: float = 0.75
 
     def __post_init__(self):
-        if self.k_tilde <= 0:
-            raise ValueError("k_tilde must be positive")
+        if not 0 < self.k_tilde < math.inf:
+            raise ValueError("k_tilde must be positive and finite")
         if self.kind is LimiterKind.MINMOD_MODIFIED and not (2.0 / 3.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie strictly in (2/3, 1) for the modified limiter")
 

@@ -1,9 +1,12 @@
 import importlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discflux.cli import ConfigError, RunConfig, main, parse_config_text
 
@@ -145,8 +148,23 @@ class TestInputOutsideTheTheory:
         ("u0 = constant", "u0 = constant\nmodelfoo = 3"),
         ("u0 = constant", "u0 = constant\nu0foo = 3"),
         ("u0 = constant", "u0 = constant\nmodel.k_left = 3"),  # only multiplicative reads it
+        ("u0 = constant", "u0 = constant\nlimiter.k_tidle = 2"),
+        ("domain.x_max = 1", "domain.x_max = 1\ndomain.x_mx = 3"),
+        ("u0 = constant", "u0 = constant\nreference.foo = 1"),
+        ("u0 = constant", "u0 = constant\nu0.left = 0.3"),      # only u0 = step reads it
+        ("u0 = constant", "u0 = constant\nlimiter.alpha = 0.5"),  # only minmod-modified reads it
+        ("u0 = constant", "u0 = constant\nlimiter.k_tilde = 2"),
+        ("u0 = constant", "u0 = constant\ndiagnostics = flase"),
+        ("u0 = constant", "u0 = constant\nwindow_x = nan"),
+        ("domain.x_max = 1", "domain.x_max = inf"),
+        ("t_end = 0.2", "t_end = inf"),
+        ("u0 = constant", "u0 = constant\nreference.dx = 0"),
+        ("u0 = constant", "u0 = constant\nlimiter.kind = minmod-modified\nlimiter.k_tilde = nan"),
+        ("dx = 0.04\nlambda = 0.05", "dx = 0\ndt = 0.002"),
     ], ids=["above-u_hi", "nan", "inf", "dx-does-not-tile", "modelfoo", "u0foo",
-            "k_left-for-two-flux"])
+            "k_left-for-two-flux", "k_tidle", "x_mx", "reference-foo", "u0-left-for-constant",
+            "alpha-for-minmod", "k_tilde-for-minmod", "diagnostics-flase", "window_x-nan",
+            "x_max-inf", "t_end-inf", "reference-dx-0", "k_tilde-nan", "dx-0-with-dt"])
     def test_run_refuses_with_exit_1(self, tmp_path, capsys, old, new):
         cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace(old, new))
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -156,6 +174,60 @@ class TestInputOutsideTheTheory:
     def test_study_refuses_data_outside_the_box(self, tmp_path):
         cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace("u0.value = 0.5", "u0.value = -0.1"))
         assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
+
+    @pytest.mark.parametrize("extra", ["reference.dx = 0.01\n", "limiter.kind = minmod\n",
+                                       "diagnostics = OFF\n", "scheme = lf\nlimiter.kind = zero\n"])
+    def test_keys_the_spec_reads_are_accepted(self, tmp_path, extra):
+        # keys are judged against the spec, which serves run and study and
+        # carries a limiter for either scheme
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG + extra)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+KEYS = ["model", "model.k_left", "model.k_right", "domain.x_min", "domain.x_max", "dx",
+        "lambda", "dt", "scheme", "cfl_level", "limiter.kind", "limiter.k_tilde",
+        "limiter.alpha", "u0", "u0.value", "u0.left", "u0.right", "u0.jump", "t_end",
+        "output_dir", "window_x", "diagnostics", "reference.dx"]
+TYPOS = ["limiter.k_tidle", "domain.x_mx", "reference.foo", "modelfoo", "u0foo", "Dx"]
+VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300", "0.5", "0.04",
+          "0.002", "2", "garbage", "", "0.8, 1.6", "1,", "multiplicative", "two-flux-rational",
+          "burgers-const-k", "lf", "nessyahu-tadmor", "manual", "one-sided", "cubic-estimate",
+          "zero", "minmod", "minmod-modified", "constant", "step", "TRUE", "off"]
+
+
+class TestConfigTextBuildsOrRaisesConfigError:
+    @given(overrides=st.dictionaries(st.sampled_from(KEYS + TYPOS), st.sampled_from(VALUES),
+                                     max_size=6),
+           removed=st.sets(st.sampled_from(KEYS), max_size=3))
+    @example(overrides={"domain.x_max": "inf"}, removed=set())
+    @example(overrides={"domain.x_min": "inf"}, removed=set())
+    @example(overrides={"t_end": "inf"}, removed=set())
+    @example(overrides={"reference.dx": "0"}, removed=set())
+    @example(overrides={"dx": "0"}, removed=set())  # the base config gives dt
+    @example(overrides={"dx": "1e-300", "domain.x_max": "1e300"}, removed=set())  # inf cells
+    @settings(max_examples=300, deadline=None)
+    def test_from_entries(self, overrides, removed):
+        """Any config text builds a run or raises ConfigError, never another exception."""
+        entries = {k: v for k, v in parse_config_text(EX1_CONFIG).items() if k not in removed}
+        entries.update(overrides)
+        try:
+            spec = RunConfig.from_entries(entries).spec
+        except ConfigError:
+            return
+        assert not set(entries) & set(TYPOS)
+        numbers = (spec.x_min, spec.x_max, spec.dx, spec.lam, spec.reference_dx,
+                   spec.limiter.k_tilde, spec.limiter.alpha, *spec.output_times)
+        assert all(map(math.isfinite, numbers))
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [], ["reproduce", "abc"], ["study", "c.cfg", "--halvings", "x"],
+    ], ids=["no-command", "reproduce-abc", "halvings-x"])
+    def test_usage_error_exit_1(self, argv, capsys):
+        # argparse exits 2, which the CLI documents as a CFL refusal
+        assert main(argv) == 1
+        assert "usage" in capsys.readouterr().err
 
 
 class TestReproduceCommand:

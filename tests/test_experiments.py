@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentSpec(name="bad", model_name="burgers-const-k",
                            dx=0.1, reference_dx=0.04, output_times=(1.0,))
+
+    @pytest.mark.parametrize("bad", [
+        {"dx": 0.0}, {"dx": -0.04}, {"reference_dx": 0.0}, {"lam": 0.0}, {"lam": math.inf},
+        {"x_max": math.inf}, {"x_max": math.nan},
+        {"x_max": 1e300, "dx": 1e-300, "reference_dx": 1e-300}],  # inf cells
+        ids=["dx-0", "dx-negative", "reference_dx-0", "lam-0", "lam-inf", "x_max-inf",
+             "x_max-nan", "cells-overflow"])
+    def test_spec_refuses_values_outside_its_range(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentSpec(name="bad", model_name="burgers-const-k", **bad)
 
 
 class TestRefinementStudy:

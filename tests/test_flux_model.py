@@ -169,7 +169,6 @@ class TestSupBounds:
         sampled = FluxModel.from_callables(
             "sampled", exact.eval, exact.d_u, exact.d_k, exact.d_uu, exact.d_uk,
             exact.u_lo, exact.u_hi, exact.k_lo, exact.k_hi, exact.convexity)
-        assert not sampled.exact_bounds
         assert sampled.sup_fu == pytest.approx(3.0, rel=1e-6)
         assert sampled.gamma1 == pytest.approx(2.0, rel=1e-6)
         assert sampled.gamma2 == pytest.approx(6.0, rel=1e-6)

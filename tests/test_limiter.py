@@ -104,6 +104,12 @@ class TestLimiterConfig:
         with pytest.raises(ValueError):
             LimiterConfig(k_tilde=0.0)
 
+    @pytest.mark.parametrize("k_tilde", [float("nan"), float("inf")])
+    def test_k_tilde_finite(self, k_tilde):
+        # a non-finite cap wrote NaN/Infinity as the correction bound
+        with pytest.raises(ValueError):
+            LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED, k_tilde=k_tilde)
+
 
 # Repeated values make zero jumps, where minmod must give +0.0.
 with_repeats = st.lists(st.one_of(st.integers(-3, 3).map(float), finite), min_size=3, max_size=30)
