@@ -231,8 +231,8 @@ def cmd_verify(args) -> int:
 def cmd_study(args) -> int:
     config = load_config(args.config, args.out)
     spec = config.spec
-    if not config.reference_given:
-        spec = replace(spec, reference_dx=spec.dx / 2**(args.halvings + 1))
+    if not config.reference_given:  # an underflow to 0 is refused, as are < 2 halvings
+        spec = replace(spec, reference_dx=math.ldexp(spec.dx, -(max(args.halvings, 0) + 1)))
     table = refinement_study(spec, config.scheme, args.halvings)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     table.write(config.output_dir / "error_table.csv")

@@ -25,14 +25,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .flux_model import Coefficient, Convexity, FluxModel
-from .grid import Parity, StaggeredState, _replicate
-from .limiter import LimiterConfig, LimiterKind, slopes
+from .grid import Mesh, Parity, StaggeredState, _replicate
+from .limiter import LimiterKind, slopes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .schemes import SchemeConfig
 
 TOL = 1e-12
 ENTROPY_C_COUNT = 11  # Kruzkov constants spread evenly over [u_lo, u_hi]
+_JSON_KEYS = ("scheme", "lambda", "dx", "steps", "snapped_time", "u_min", "u_max",
+              "onesided_holds", "onesided_worst_margin", "cubic_accumulator", "quad_accumulator",
+              "nu_min", "entropy_max_residual", "correction_max", "correction_bound", "cfl_level",
+              "kappa_used", "kappa_bound")
 
 
 @dataclass
@@ -59,27 +63,12 @@ class DiagnosticsReport:
     correction_bound: float | None = None
 
     def to_json_dict(self) -> dict:
-        none_if_inf = lambda v: None if not math.isfinite(v) else v
-        return {
-            "scheme": self.scheme,
-            "lambda": self.lam,
-            "dx": self.dx,
-            "steps": self.steps,
-            "snapped_time": self.snapped_time,
-            "u_min": none_if_inf(self.u_min),
-            "u_max": none_if_inf(self.u_max),
-            "onesided_holds": self.onesided_holds,
-            "onesided_worst_margin": none_if_inf(self.onesided_worst_margin),
-            "cubic_accumulator": self.cubic_accumulator,
-            "quad_accumulator": self.quad_accumulator,
-            "nu_min": none_if_inf(self.nu_min),
-            "entropy_max_residual": none_if_inf(self.entropy_max_residual),
-            "correction_max": self.correction_max,
-            "correction_bound": self.correction_bound,
-            "cfl_level": self.cfl_level,
-            "kappa_used": self.kappa_used,
-            "kappa_bound": none_if_inf(self.kappa_bound),
-        }
+        """The report under its JSON keys; an infinite (unset) extreme or bound is null."""
+        out = {key: getattr(self, "lam" if key == "lambda" else key) for key in _JSON_KEYS}
+        for key in ("u_min", "u_max", "onesided_worst_margin", "nu_min", "entropy_max_residual",
+                    "kappa_bound"):
+            out[key] = out[key] if math.isfinite(out[key]) else None
+        return out
 
 
 def psi_constant(model: FluxModel, lam: float, k_sup: float) -> float:
@@ -97,13 +86,22 @@ def psi_constant(model: FluxModel, lam: float, k_sup: float) -> float:
                + 64.0 * lam * fk * k_sup + 88.0 * c) * lam * fk)
 
 
-def _signed_jumps(values: np.ndarray, model: FluxModel) -> np.ndarray:
-    """Magnitudes of the one-sided jumps: positive parts for convex fluxes,
-    negative parts for concave ones."""
-    d = np.diff(values)
+def _one_sided(du: np.ndarray, model: FluxModel) -> np.ndarray:
+    """One-sided jump magnitudes: positive parts of du (convex flux), else negative parts."""
     if model.convexity is Convexity.STRICTLY_CONVEX:
-        return np.maximum(d, 0.0)
-    return np.abs(np.minimum(d, 0.0))
+        return np.maximum(du, 0.0)
+    return np.abs(np.minimum(du, 0.0))
+
+
+def _decay_terms(model: FluxModel, lam: float, k_sup: float, k_bv: float) -> tuple[float, float]:
+    """The cubic decay factor lam * gamma1 / 500 and the term Psi * ||k||_BV."""
+    return lam * model.gamma1 / 500.0, psi_constant(model, lam, k_sup) * k_bv
+
+
+def _jump_decay(sq_prev, m_prev, next_values, model, decay, psi_bv) -> tuple[float, float]:
+    """(lhs, rhs) of the decay bound, given the old one-sided jumps and their square sum."""
+    lhs = float((_one_sided(next_values[1:] - next_values[:-1], model)**2).sum())
+    return lhs, float(sq_prev - decay * (m_prev**3).sum() + psi_bv)
 
 
 def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -116,16 +114,30 @@ def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
     Coefficient norms default to values derived from the state's averaged
     coefficient (exact for piecewise-constant k with interface jumps).
     """
-    if k_bv is None:
-        k_bv = float(np.sum(np.abs(np.diff(prev.kbar))))
-    if k_sup is None:
-        k_sup = float(np.max(np.abs(prev.kbar)))
-    m_prev = _signed_jumps(prev.values, model)
-    m_next = _signed_jumps(next.values, model)
-    lhs = float(np.sum(m_next**2))
-    rhs = float(np.sum(m_prev**2) - (lam * model.gamma1 / 500.0) * np.sum(m_prev**3)
-                + psi_constant(model, lam, k_sup) * k_bv)
+    k_bv = float(np.sum(np.abs(np.diff(prev.kbar)))) if k_bv is None else k_bv
+    k_sup = float(np.max(np.abs(prev.kbar))) if k_sup is None else k_sup
+    m_prev = _one_sided(np.diff(prev.values), model)
+    lhs, rhs = _jump_decay(float(np.sum(m_prev**2)), m_prev, next.values, model,
+                           *_decay_terms(model, lam, k_sup, k_bv))
     return lhs, rhs, lhs <= rhs + TOL
+
+
+def _midpoints(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a[:-1] + a[1:])
+
+
+def _nu(u, du, kt, sig, model: FluxModel, lam: float) -> np.ndarray:
+    """nu from the values, their jumps, the midpoint kbar and the slopes."""
+    ut = _midpoints(u)
+    beta = lam * np.asarray(model.d_u(kt, ut), dtype=float)
+    nonzero = du != 0.0
+    safe = np.where(nonzero, du, 1.0)
+    r = np.where(nonzero, (sig[1:] - sig[:-1]) / safe, 0.0)
+    s = np.where(nonzero, (sig[:-1] + sig[1:]) / (2.0 * safe), 0.0)
+    one = 1.0 - 4.0 * beta**2
+    bracket = 1.0 - (one / 16.0) * r**2 - beta * r - s
+    fuu = model.curvature_sign * np.asarray(model.d_uu(kt, ut), dtype=float)
+    return 0.125 * one * bracket * fuu
 
 
 def nu_coefficient(state: StaggeredState, slopes_arr: np.ndarray, model: FluxModel,
@@ -140,32 +152,36 @@ def nu_coefficient(state: StaggeredState, slopes_arr: np.ndarray, model: FluxMod
     convention matches the convex case.
     """
     u = np.asarray(state.values, dtype=float)
-    k = np.asarray(state.kbar, dtype=float)
     sig = np.asarray(slopes_arr, dtype=float)
     if len(sig) != len(u):
         raise ValueError("slopes must align with state values")
-    du = u[1:] - u[:-1]
-    kt = 0.5 * (k[:-1] + k[1:])
-    ut = 0.5 * (u[:-1] + u[1:])
-    beta = lam * np.asarray(model.d_u(kt, ut), dtype=float)
-    nonzero = du != 0.0
-    safe = np.where(nonzero, du, 1.0)
-    r = np.where(nonzero, (sig[1:] - sig[:-1]) / safe, 0.0)
-    s = np.where(nonzero, (sig[:-1] + sig[1:]) / (2.0 * safe), 0.0)
-    one = 1.0 - 4.0 * beta**2
-    bracket = 1.0 - (one / 16.0) * r**2 - beta * r - s
-    fuu = model.curvature_sign * np.asarray(model.d_uu(kt, ut), dtype=float)
-    return 0.125 * one * bracket * fuu
+    return _nu(u, np.diff(u), _midpoints(np.asarray(state.kbar, dtype=float)), sig, model, lam)
 
 
-def _transition_arrays(prev: StaggeredState, next: StaggeredState):
-    """Values and kbar of `prev` such that each value of `next` comes from an
-    adjacent (left, right) pair; Half-to-Base edge cells use ghost replicas."""
+def _transition_arrays(prev: StaggeredState, next: StaggeredState, *arrays: np.ndarray):
+    """Arrays of `prev` such that each value of `next` comes from an adjacent
+    (left, right) pair; Half-to-Base edge cells use ghost replicas."""
     if next.parity is prev.parity or next.step_index != prev.step_index + 1:
         raise ValueError("states are not a consecutive staggered transition")
-    if prev.parity is Parity.BASE:
-        return prev.values, prev.kbar
-    return _replicate(prev.values, 1), _replicate(prev.kbar, 1)
+    return arrays if prev.parity is Parity.BASE else [_replicate(a, 1) for a in arrays]
+
+
+def _kruzkov_table(k: np.ndarray, model: FluxModel, lam: float, c_grid: np.ndarray):
+    """The constants as a column, f(k, c) (a row per constant) and lam*|f(kR, c) - f(kL, c)|."""
+    c = np.asarray(c_grid, dtype=float)
+    f_c = np.array([model.eval(k, np.full_like(k, ci)) for ci in c]).reshape(len(c), len(k))
+    return c[:, None], f_c, lam * np.abs(f_c[:, 1:] - f_c[:, :-1])
+
+
+def _entropy_worst(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> float:
+    """Worst residual over all constants at once; a NaN row is skipped, as
+    Python's `max` skips it when folding one constant at a time."""
+    d = u - c
+    dist = np.abs(d)
+    flux = np.sign(d) * (model.eval(k, u) - f_c)
+    res = (np.abs(v - c) - 0.5 * dist[:, 1:] - 0.5 * dist[:, :-1]
+           + lam * (flux[:, 1:] - flux[:, :-1]) - jump)
+    return max(-math.inf, *res.max(axis=1).tolist())
 
 
 def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -176,32 +192,27 @@ def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxM
         |v - c| - |uR - c|/2 - |uL - c|/2
         + lam*(F(kR, uR, c) - F(kL, uL, c)) - lam*|f(kR, c) - f(kL, c)|
     with F(k, u, c) = sign(u - c) (f(k, u) - f(k, c)).  Nonpositive (up to
-    rounding) whenever `next` came from the first-order scheme.  The left and
-    right terms are slices of one array per constant.
+    rounding) whenever `next` came from the first-order scheme.  All constants
+    are evaluated at once, one row each; left and right terms are slices.
     """
-    u, k = _transition_arrays(prev, next)
-    v = next.values
-    f_u = model.eval(k, u)
-    worst = -math.inf
-    for c in np.asarray(c_grid, dtype=float):
-        f_c = model.eval(k, np.full_like(k, c))
-        d = u - c
-        dist = np.abs(d)
-        flux = np.sign(d) * (f_u - f_c)
-        res = (np.abs(v - c) - 0.5 * dist[1:] - 0.5 * dist[:-1]
-               + lam * (flux[1:] - flux[:-1]) - lam * np.abs(f_c[1:] - f_c[:-1]))
-        worst = max(worst, float(np.max(res)))
-    return worst
+    u, k = _transition_arrays(prev, next, prev.values, prev.kbar)
+    return _entropy_worst(u, next.values, model, lam, k, *_kruzkov_table(k, model, lam, c_grid))
+
+
+def _window_mask(mesh: Mesh, parity: Parity, window_x: float | None) -> np.ndarray | None:
+    return None if window_x is None else np.abs(mesh.interface_positions(parity)) <= window_x
+
+
+def _cubic(du: np.ndarray, dx: float, mask: np.ndarray | None) -> float:
+    d = np.abs(du) if mask is None else np.abs(du)[mask]
+    return dx * float((d**3).sum())
 
 
 def accumulate_cubic(report: DiagnosticsReport, state: StaggeredState,
                      window_x: float | None) -> DiagnosticsReport:
     """Add dx * sum of |jump|^3 over interfaces inside |x| <= window_x."""
-    d = np.abs(np.diff(state.values))
-    if window_x is not None:
-        pos = state.mesh.interface_positions(state.parity)
-        d = d[np.abs(pos) <= window_x]
-    report.cubic_accumulator += state.mesh.dx * float(np.sum(d**3))
+    mask = _window_mask(state.mesh, state.parity, window_x)
+    report.cubic_accumulator += _cubic(np.diff(state.values), state.mesh.dx, mask)
     return report
 
 
@@ -237,30 +248,42 @@ class Diagnostic:
 
 class DiagnosticsCollector(Diagnostic):
     """Folds the check suite over one march into a DiagnosticsReport; the cell
-    entropy inequality is judged on first-order (Lax-Friedrichs) marches only."""
+    entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
+    Each step differences `prev` once; what is fixed for the run is computed once.
+    """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig",
                  initial: StaggeredState):
         from .schemes import Scheme  # local import keeps module load acyclic
 
-        self.model = model
-        self.coeff = coeff
-        self.cfg = cfg
+        self.model, self.cfg = model, cfg
         self.report = DiagnosticsReport(
-            scheme=cfg.scheme.value,
-            lam=cfg.lam,
-            dx=initial.mesh.dx,
-            snapped_time=initial.time,
-            cfl_level=cfg.cfl_level.value,
-            u_min=float(np.min(initial.values)),
-            u_max=float(np.max(initial.values)),
-        )
+            scheme=cfg.scheme.value, lam=cfg.lam, dx=initial.mesh.dx, snapped_time=initial.time,
+            cfl_level=cfg.cfl_level.value, u_min=float(np.min(initial.values)),
+            u_max=float(np.max(initial.values)))
         self._correction_bound = _correction_bound(cfg, model, initial.mesh.dx)
         lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
-        self._limiter = LimiterConfig(kind=LimiterKind.ZERO) if lf else cfg.limiter
         self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
+        self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
+        self._fixed: dict[Parity, tuple] = {}
+        self._carried, self._carried_sq = None, 0.0  # last `next` and its one-sided square sum
 
-    def observe(self, prev, next, corrections):
+    def _constants(self, state: StaggeredState) -> tuple:
+        """kbar, its midpoints, the window mask and, for LF, zero slopes and the Kruzkov
+        table of the state's parity; rebuilt only for a state that brings its own kbar."""
+        fixed = self._fixed.get(state.parity)
+        if fixed is None or fixed[0] is not state.kbar:
+            k, lf = state.kbar, self._c_grid is not None
+            k_in = k if state.parity is Parity.BASE else _replicate(k, 1)
+            table = _kruzkov_table(k_in, self.model, self.cfg.lam, self._c_grid) if lf else None
+            self._fixed[state.parity] = fixed = (
+                k, _midpoints(np.asarray(k, dtype=float)),
+                _window_mask(state.mesh, state.parity, self.cfg.window_x),
+                np.zeros(len(k)) if lf else None, (k_in, *table) if lf else None)
+        return fixed
+
+    def observe(self, prev, next, corrections, sig=None):
+        """Fold one transition; `sig` are the slopes the step took on `prev`'s cells."""
         rep = self.report
         rep.steps += 1
         rep.snapped_time = next.time
@@ -271,18 +294,23 @@ class DiagnosticsCollector(Diagnostic):
             rep.correction_bound = self._correction_bound
         if not self.cfg.collect_diagnostics:
             return
-        lhs, rhs, holds = onesided_check(prev, next, self.model, self.cfg.lam,
-                                         k_sup=self.coeff.sup_norm, k_bv=self.coeff.bv_norm)
+        _, kt, mask, zero_slopes, kruzkov = self._constants(prev)
+        dx, du = prev.mesh.dx, prev.values[1:] - prev.values[:-1]
+        m_prev = _one_sided(du, self.model)
+        sq_prev = self._carried_sq if prev is self._carried else float((m_prev**2).sum())
+        lhs, rhs = _jump_decay(sq_prev, m_prev, next.values, self.model, self._decay, self._psi_bv)
+        self._carried, self._carried_sq = next, lhs
         rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
-        rep.onesided_holds = rep.onesided_holds and holds
-        accumulate_cubic(rep, prev, self.cfg.window_x)
-        sig = slopes(prev.values, prev.mesh.dx, self._limiter)
-        nu = nu_coefficient(prev, sig, self.model, self.cfg.lam)
-        du = np.diff(prev.values)
-        rep.quad_accumulator += prev.mesh.dx * float(np.sum(nu * du**2))
+        rep.onesided_holds = rep.onesided_holds and lhs <= rhs + TOL
+        rep.cubic_accumulator += _cubic(du, dx, mask)
+        if sig is None:  # not handed over: take them as the step does, on ghost-padded values
+            sig = zero_slopes if zero_slopes is not None else slopes(
+                _replicate(prev.values, 2), dx, self.cfg.limiter)[2:-2]
+        nu = _nu(prev.values, du, kt, sig, self.model, self.cfg.lam)
+        rep.quad_accumulator += dx * float((nu * du**2).sum())
         if len(nu):
-            rep.nu_min = min(rep.nu_min, float(np.min(nu)))
-        if self._c_grid is not None:
-            rep.entropy_max_residual = max(
-                rep.entropy_max_residual,
-                entropy_residual_lf(prev, next, self.model, self.cfg.lam, self._c_grid))
+            rep.nu_min = min(rep.nu_min, float(nu.min()))
+        if kruzkov:
+            (u,) = _transition_arrays(prev, next, prev.values)
+            rep.entropy_max_residual = max(rep.entropy_max_residual, _entropy_worst(
+                u, next.values, self.model, self.cfg.lam, *kruzkov))

@@ -306,8 +306,7 @@ def verify_hypotheses(model: FluxModel, coeff: Coefficient, samples: int) -> Hyp
     fscale = 1.0 + float(np.max(np.abs(model.eval(K, U))))
 
     # H1: coefficient values stay inside [k_lo, k_hi].
-    worst = 0.0
-    witness = None
+    worst, witness = 0.0, None
     lo, hi = (coeff.breaks[0] - 1.0, coeff.breaks[-1] + 1.0) if coeff.breaks else (-1.0, 1.0)
     edges = [lo, *coeff.breaks, hi]
     for i, (a, b) in enumerate(zip(edges, edges[1:])):
@@ -337,8 +336,7 @@ def verify_hypotheses(model: FluxModel, coeff: Coefficient, samples: int) -> Hyp
                                           (float(K[i_worst]), float(U[i_worst])))
 
     # H5: flux values at u_lo and u_hi do not depend on k.
-    worst = 0.0
-    witness = None
+    worst, witness = 0.0, None
     for u_end in (model.u_lo, model.u_hi):
         f_end = np.asarray(model.eval(ks, np.full_like(ks, u_end)), dtype=float)
         spread = float(np.max(f_end) - np.min(f_end))
@@ -348,8 +346,7 @@ def verify_hypotheses(model: FluxModel, coeff: Coefficient, samples: int) -> Hyp
 
     # H7: at each jump of k, flux differences may only cross from - to +
     # as u increases (scanned over sampled state pairs).
-    worst = 0.0
-    witness = None
+    worst, witness = 0.0, None
     tol7 = 1e-12 * fscale
     for x_m in coeff.breaks:
         k_minus, k_plus = coeff.limits_at(x_m)

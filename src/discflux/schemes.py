@@ -74,8 +74,8 @@ class SchemeConfig:
     window_x: float | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
 
 def cfl_bound(model: FluxModel, level: CflLevel) -> float:
@@ -150,19 +150,19 @@ class _Stepper:
         a = self.lam * (f_mid - f_now) + sig / 8.0
         return ev, sig, f_mid, f_now, a
 
-    def step(self, state: StaggeredState) -> tuple[StaggeredState, np.ndarray | None]:
-        """One step of the held scheme, with the per-cell correction values a_j of
-        the second-order one (None for the first-order scheme)."""
+    def step(self, state: StaggeredState):
+        """One step of the held scheme, with the correction values a_j and the slopes
+        on `state`'s cells of the second-order one (None, None for the first-order one)."""
         if self.limiter is None:
             ev, ek = self._extend(state)
             fl = self.model.eval(ek, ev)
             v = 0.5 * (ev[:-1] + ev[1:]) - self.lam * (fl[1:] - fl[:-1])
-            return self.advance(state, v), None
+            return self.advance(state, v), None, None
         ev, sig, f_mid, _, a = self.ingredients(state)
         v = (0.5 * (ev[1:-2] + ev[2:-1])
              - 0.125 * (sig[2:-1] - sig[1:-2])
              - self.lam * (f_mid[2:-1] - f_mid[1:-2]))
-        return self.advance(state, v), a[2:-2]
+        return self.advance(state, v), a[2:-2], sig[2:-2]
 
 
 def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: float,
@@ -188,7 +188,7 @@ def nt_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
     exactly, and the corrections vanish.
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
-    return _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter).step(state)
+    return _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter).step(state)[:2]
 
 
 def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
@@ -240,8 +240,8 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     stepper = _Stepper(model, coeff, initial.mesh, cfg.lam, cfg.limiter if second_order else None)
     state = initial
     for _ in range(n_steps):
-        new, corrections = stepper.step(state)
-        collector.observe(state, new, corrections)
+        new, corrections, sig = stepper.step(state)
+        collector.observe(state, new, corrections, sig)
         for obs in observers:
             obs.observe(state, new, corrections)
         state = new

@@ -175,6 +175,14 @@ class TestInputOutsideTheTheory:
         cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace("u0.value = 0.5", "u0.value = -0.1"))
         assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
 
+    @pytest.mark.parametrize("halvings", ["2000", "-5000"])
+    def test_study_refuses_halvings_beyond_float_range(self, tmp_path, capsys, halvings):
+        # the default reference mesh dx / 2**(halvings + 1) leaves the float range
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG)
+        assert main(["study", cfg, "--halvings", halvings, "--out", str(tmp_path / "s")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("extra", ["reference.dx = 0.01\n", "limiter.kind = minmod\n",
                                        "diagnostics = OFF\n", "scheme = lf\nlimiter.kind = zero\n"])
     def test_keys_the_spec_reads_are_accepted(self, tmp_path, extra):

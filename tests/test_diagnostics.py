@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from discflux import (LimiterConfig, LimiterKind, Mesh, Parity,
                       correction_bound_check, entropy_residual_lf, example_1,
                       lf_step, march, nt_step, nu_coefficient, onesided_check,
                       psi_constant, Scheme, slopes)
-from discflux.diagnostics import DiagnosticsReport
+from discflux.diagnostics import DiagnosticsCollector, DiagnosticsReport
 
 
 def burgers_state(values, x_min=0.0, x_max=None):
@@ -166,6 +167,15 @@ class TestEntropyResidual:
         lf = residual(Scheme.LAX_FRIEDRICHS)
         assert math.isfinite(lf) and lf <= 1e-12
 
+    def test_nan_constant_is_skipped_as_the_loop_skipped_it(self):
+        model, coeff, state = burgers_state(np.linspace(0.9, 0.1, 8))
+        new = lf_step(state, model, coeff, lam=0.1)
+        grid = np.array([np.nan, 0.5, np.nan])
+        got = entropy_residual_lf(state, new, model, 0.1, grid)
+        assert got == _entropy_residual_lf_oracle(state, new, model, 0.1, grid)
+        assert got == entropy_residual_lf(state, new, model, 0.1, grid[1:2])
+        assert entropy_residual_lf(state, new, model, 0.1, grid[:1]) == -math.inf
+
 
 class TestAccumulateCubic:
     def test_constant_adds_nothing(self):
@@ -301,3 +311,96 @@ class TestEntropyResidualRewrite:
         got = entropy_residual_lf(states[0], states[1], model, lam, c_grid)
         want = _entropy_residual_lf_oracle(states[0], states[1], model, lam, c_grid)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class _CollectorOracle:
+    """The collector as it was before it reused the step's slopes: each
+    transition is judged by the public checks alone, the slopes recomputed."""
+
+    def __init__(self, model, coeff, cfg, initial):
+        self.model, self.coeff, self.cfg = model, coeff, cfg
+        self.report = DiagnosticsReport(
+            scheme=cfg.scheme.value, lam=cfg.lam, dx=initial.mesh.dx,
+            snapped_time=initial.time, cfl_level=cfg.cfl_level.value,
+            u_min=float(np.min(initial.values)), u_max=float(np.max(initial.values)),
+            kappa_used=cfg.lam * model.sup_fu, kappa_bound=cfl_bound(model, cfg.cfl_level))
+        lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
+        self.limiter = LimiterConfig(kind=LimiterKind.ZERO) if lf else cfg.limiter
+        self.c_grid = np.linspace(model.u_lo, model.u_hi, 11) if lf else None
+
+    def observe(self, prev, next, corrections):
+        rep, model, lam = self.report, self.model, self.cfg.lam
+        rep.steps += 1
+        rep.snapped_time = next.time
+        rep.u_min = min(rep.u_min, float(next.values.min()))
+        rep.u_max = max(rep.u_max, float(next.values.max()))
+        if corrections is not None and len(corrections):
+            rep.correction_max = max(rep.correction_max, float(np.abs(corrections).max()))
+            checked = correction_bound_check(corrections, self.cfg, model, prev.mesh.dx)
+            rep.correction_bound = checked[1] if checked else None
+        lhs, rhs, holds = onesided_check(prev, next, model, lam, k_sup=self.coeff.sup_norm,
+                                         k_bv=self.coeff.bv_norm)
+        rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
+        rep.onesided_holds = rep.onesided_holds and holds
+        accumulate_cubic(rep, prev, self.cfg.window_x)
+        # it raised on fewer than 3 values, where every slope the step takes is 0
+        sig = (slopes(prev.values, prev.mesh.dx, self.limiter) if len(prev.values) >= 3
+               else np.zeros(len(prev.values)))
+        nu = nu_coefficient(prev, sig, model, lam)
+        rep.quad_accumulator += prev.mesh.dx * float(np.sum(nu * np.diff(prev.values)**2))
+        if len(nu):
+            rep.nu_min = min(rep.nu_min, float(np.min(nu)))
+        if self.c_grid is not None:
+            rep.entropy_max_residual = max(
+                rep.entropy_max_residual,
+                entropy_residual_lf(prev, next, model, lam, self.c_grid))
+
+
+class _WithoutSlopes:
+    """Feeds a collector through the three-argument `observe`, so it recomputes the slopes."""
+
+    def __init__(self, collector):
+        self.collector = collector
+
+    def observe(self, prev, next, corrections):
+        self.collector.observe(prev, next, corrections)
+
+
+SCHEME_CASES = [
+    (Scheme.NESSYAHU_TADMOR, LimiterKind.MINMOD),
+    (Scheme.NESSYAHU_TADMOR, LimiterKind.MINMOD_MODIFIED),
+    (Scheme.LAX_FRIEDRICHS, LimiterKind.MINMOD),
+]
+
+
+class TestFusedCollector:
+    @given(st.sampled_from(SCHEME_CASES), st.sampled_from(BUILTINS),
+           st.sampled_from([None, 0.3]), st.integers(min_value=2, max_value=60),
+           st.integers(min_value=1, max_value=6), st.floats(min_value=0.05, max_value=1.0),
+           st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_report_equals_oracle_bitwise(self, case, builtin, window_x, n_cells, pairs,
+                                          cfl_share, own_kbar, seed):
+        scheme, kind = case
+        model, coeff = builtin()
+        rng = np.random.default_rng(seed)
+        limiter = LimiterConfig(kind=kind, k_tilde=float(rng.uniform(0.01, 2.0)))
+        lam = cfl_share * cfl_bound(model, CflLevel.MAX_PRINCIPLE) / model.sup_fu
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, window_x=window_x)
+        mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
+        kbar = cell_average_coefficient(mesh, coeff, Parity.BASE)
+        initial = StaggeredState(  # an initial state may bring a kbar of its own
+            mesh=mesh, values=rng.uniform(model.u_lo, model.u_hi, n_cells),
+            kbar=kbar[::-1].copy() if own_kbar else kbar,
+            parity=Parity.BASE, time=0.0, step_index=0)
+        oracle = _CollectorOracle(model, coeff, cfg, initial)
+        recomputing = DiagnosticsCollector(model, coeff, cfg, initial)
+        t_end = 2 * pairs * lam * mesh.dx
+        _, report = march(initial, model, coeff, cfg, t_end,
+                          observers=[oracle, _WithoutSlopes(recomputing)])
+        assert report.steps == 2 * pairs
+        want = json.dumps(oracle.report.to_json_dict())
+        assert json.dumps(report.to_json_dict()) == want
+        recomputing.report.kappa_used = report.kappa_used
+        recomputing.report.kappa_bound = report.kappa_bound
+        assert json.dumps(recomputing.report.to_json_dict()) == want

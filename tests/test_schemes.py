@@ -326,6 +326,12 @@ class TestMarch:
         with pytest.raises(ValueError):
             march(state, model, coeff, SchemeConfig(lam=0.1), 1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.1, math.nan, math.inf])
+    def test_config_refuses_lam_that_is_not_positive_and_finite(self, lam):
+        # nan slips past `lam <= 0` and the CFL comparison (`nan > bound` is False)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            SchemeConfig(lam=lam)
+
     def test_second_order_step_refuses_strict_level(self):
         model, coeff = builtin_burgers_const_k()
         mesh = Mesh.from_cells(0.0, 1.0, 10)
