@@ -26,7 +26,7 @@ import numpy as np
 
 from .flux_model import Coefficient, Convexity, FluxModel
 from .grid import Mesh, Parity, StaggeredState, _replicate
-from .limiter import LimiterKind, slopes
+from .limiter import LimiterKind, slopes  # noqa: F401  (bench/child.py wraps diagnostics.slopes)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .schemes import SchemeConfig
@@ -63,12 +63,11 @@ class DiagnosticsReport:
     correction_bound: float | None = None
 
     def to_json_dict(self) -> dict:
-        """The report under its JSON keys; an infinite (unset) extreme or bound is null."""
+        """The report under its JSON keys; a non-finite number (an unset extreme or bound,
+        or a blown-up accumulator) is null."""
         out = {key: getattr(self, "lam" if key == "lambda" else key) for key in _JSON_KEYS}
-        for key in ("u_min", "u_max", "onesided_worst_margin", "nu_min", "entropy_max_residual",
-                    "kappa_bound"):
-            out[key] = out[key] if math.isfinite(out[key]) else None
-        return out
+        return {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                for key, v in out.items()}
 
 
 def psi_constant(model: FluxModel, lam: float, k_sup: float) -> float:
@@ -98,10 +97,10 @@ def _decay_terms(model: FluxModel, lam: float, k_sup: float, k_bv: float) -> tup
     return lam * model.gamma1 / 500.0, psi_constant(model, lam, k_sup) * k_bv
 
 
-def _jump_decay(sq_prev, m_prev, next_values, model, decay, psi_bv) -> tuple[float, float]:
-    """(lhs, rhs) of the decay bound, given the old one-sided jumps and their square sum."""
+def _jump_decay(m_prev, next_values, model, decay, psi_bv) -> tuple[float, float]:
+    """(lhs, rhs) of the decay bound, given the old one-sided jumps."""
     lhs = float((_one_sided(next_values[1:] - next_values[:-1], model)**2).sum())
-    return lhs, float(sq_prev - decay * (m_prev**3).sum() + psi_bv)
+    return lhs, float((m_prev**2).sum() - decay * (m_prev**3).sum() + psi_bv)
 
 
 def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -117,8 +116,7 @@ def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
     k_bv = float(np.sum(np.abs(np.diff(prev.kbar)))) if k_bv is None else k_bv
     k_sup = float(np.max(np.abs(prev.kbar))) if k_sup is None else k_sup
     m_prev = _one_sided(np.diff(prev.values), model)
-    lhs, rhs = _jump_decay(float(np.sum(m_prev**2)), m_prev, next.values, model,
-                           *_decay_terms(model, lam, k_sup, k_bv))
+    lhs, rhs = _jump_decay(m_prev, next.values, model, *_decay_terms(model, lam, k_sup, k_bv))
     return lhs, rhs, lhs <= rhs + TOL
 
 
@@ -238,15 +236,7 @@ def correction_bound_check(a: np.ndarray, cfg: "SchemeConfig", model: FluxModel,
     return max_a, bound, max_a <= bound + TOL
 
 
-class Diagnostic:
-    """Observer fed every (prev, next) transition of a march."""
-
-    def observe(self, prev: StaggeredState, next: StaggeredState,
-                corrections: np.ndarray | None) -> None:
-        raise NotImplementedError
-
-
-class DiagnosticsCollector(Diagnostic):
+class DiagnosticsCollector:
     """Folds the check suite over one march into a DiagnosticsReport; the cell
     entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
     Each step differences `prev` once; what is fixed for the run is computed once.
@@ -266,7 +256,6 @@ class DiagnosticsCollector(Diagnostic):
         self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
         self._fixed: dict[Parity, tuple] = {}
-        self._carried, self._carried_sq = None, 0.0  # last `next` and its one-sided square sum
 
     def _constants(self, state: StaggeredState) -> tuple:
         """kbar, its midpoints, the window mask and, for LF, zero slopes and the Kruzkov
@@ -282,8 +271,9 @@ class DiagnosticsCollector(Diagnostic):
                 np.zeros(len(k)) if lf else None, (k_in, *table) if lf else None)
         return fixed
 
-    def observe(self, prev, next, corrections, sig=None):
-        """Fold one transition; `sig` are the slopes the step took on `prev`'s cells."""
+    def observe(self, prev, next, corrections, sig):
+        """Fold one consecutive transition; `sig` are the slopes the step took on `prev`'s
+        cells, None for a Lax-Friedrichs step (whose slopes are all 0)."""
         rep = self.report
         rep.steps += 1
         rep.snapped_time = next.time
@@ -296,21 +286,17 @@ class DiagnosticsCollector(Diagnostic):
             return
         _, kt, mask, zero_slopes, kruzkov = self._constants(prev)
         dx, du = prev.mesh.dx, prev.values[1:] - prev.values[:-1]
-        m_prev = _one_sided(du, self.model)
-        sq_prev = self._carried_sq if prev is self._carried else float((m_prev**2).sum())
-        lhs, rhs = _jump_decay(sq_prev, m_prev, next.values, self.model, self._decay, self._psi_bv)
-        self._carried, self._carried_sq = next, lhs
+        lhs, rhs = _jump_decay(_one_sided(du, self.model), next.values, self.model,
+                               self._decay, self._psi_bv)
         rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
         rep.onesided_holds = rep.onesided_holds and lhs <= rhs + TOL
         rep.cubic_accumulator += _cubic(du, dx, mask)
-        if sig is None:  # not handed over: take them as the step does, on ghost-padded values
-            sig = zero_slopes if zero_slopes is not None else slopes(
-                _replicate(prev.values, 2), dx, self.cfg.limiter)[2:-2]
-        nu = _nu(prev.values, du, kt, sig, self.model, self.cfg.lam)
+        nu = _nu(prev.values, du, kt, zero_slopes if sig is None else sig, self.model,
+                 self.cfg.lam)
         rep.quad_accumulator += dx * float((nu * du**2).sum())
         if len(nu):
             rep.nu_min = min(rep.nu_min, float(nu.min()))
         if kruzkov:
-            (u,) = _transition_arrays(prev, next, prev.values)
+            u = prev.values if prev.parity is Parity.BASE else _replicate(prev.values, 1)
             rep.entropy_max_residual = max(rep.entropy_max_residual, _entropy_worst(
                 u, next.values, self.model, self.cfg.lam, *kruzkov))

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import Diagnostic, DiagnosticsReport
+from .diagnostics import DiagnosticsReport
 from .flux_model import Coefficient, FluxModel, make_model
 from .grid import Mesh, Parity, StaggeredState, initial_state
 from .limiter import LimiterConfig
@@ -114,7 +114,7 @@ def example_2() -> ExperimentSpec:
 EXAMPLES = {1: example_1, 2: example_2}
 
 
-class SnapshotObserver(Diagnostic):
+class SnapshotObserver:
     """Captures the states reached at the requested step indices."""
 
     def __init__(self, wanted: set[int]):

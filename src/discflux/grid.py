@@ -90,7 +90,7 @@ def _cell_averages(edges: np.ndarray, jumps: Sequence[float], pieces: tuple,
                    quad_points: int) -> np.ndarray:
     """Means over the cells between consecutive `edges`.
 
-    Each cell is split at the `jumps` strictly inside it, in the order given.
+    Each cell is split at the `jumps` strictly inside it, in increasing order.
     `pieces` is (breaks, funcs, const_values) as in Coefficient: a sub-interval
     takes the piece its midpoint falls in; constant pieces are exact, the others
     use the composite midpoint rule with `quad_points` nodes.  Sub-interval
@@ -98,7 +98,7 @@ def _cell_averages(edges: np.ndarray, jumps: Sequence[float], pieces: tuple,
     """
     if quad_points < 1:
         raise ValueError("quad_points must be >= 1")
-    inner = [x for x in jumps if edges[0] < x < edges[-1] and x not in edges]
+    inner = sorted(x for x in jumps if edges[0] < x < edges[-1] and x not in edges)
     at = np.searchsorted(edges, inner)
     pts = np.insert(edges, at, inner)
     owner = np.insert(np.arange(len(edges) - 1), at, at - 1)

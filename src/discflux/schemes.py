@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import Diagnostic, DiagnosticsCollector, DiagnosticsReport
+from .diagnostics import DiagnosticsCollector, DiagnosticsReport
 from .flux_model import Coefficient, FluxModel
 from .grid import (Mesh, Parity, StaggeredState, _replicate, cell_average_coefficient,
                    extend_absorbing)
@@ -168,6 +168,7 @@ class _Stepper:
 def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: float,
             cfl_level: CflLevel = CflLevel.MAX_PRINCIPLE) -> StaggeredState:
     """One first-order staggered step onto the opposite-parity grid."""
+    SchemeConfig(lam=lam)  # refuses a lam that is not positive and finite
     _check_cfl(model, lam, cfl_level)
     return _Stepper(model, coeff, state.mesh, lam, None).step(state)[0]
 
@@ -216,8 +217,11 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
 
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
           cfg: SchemeConfig, t_end: float,
-          observers: Sequence[Diagnostic] = ()) -> tuple[StaggeredState, DiagnosticsReport]:
+          observers: Sequence = ()) -> tuple[StaggeredState, DiagnosticsReport]:
     """Advance to the even-step snap of t_end, feeding observers each transition.
+
+    An observer is any object with a method `observe(prev, next, corrections)`, called
+    after every step; `corrections` is None for the first-order scheme.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on

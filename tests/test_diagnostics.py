@@ -15,7 +15,7 @@ from discflux import (LimiterConfig, LimiterKind, Mesh, Parity,
                       correction_bound_check, entropy_residual_lf, example_1,
                       lf_step, march, nt_step, nu_coefficient, onesided_check,
                       psi_constant, Scheme, slopes)
-from discflux.diagnostics import DiagnosticsCollector, DiagnosticsReport
+from discflux.diagnostics import DiagnosticsReport
 
 
 def burgers_state(values, x_min=0.0, x_max=None):
@@ -264,6 +264,16 @@ class TestReportJson:
         assert payload["lambda"] == 0.05
         assert payload["u_min"] is None  # no states observed yet
 
+    def test_non_finite_numbers_are_null(self):
+        report = DiagnosticsReport(scheme="nessyahu-tadmor", lam=3.0, dx=0.04,
+                                   cubic_accumulator=math.nan, quad_accumulator=math.inf,
+                                   correction_max=-math.inf)
+        payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert payload["cubic_accumulator"] is None
+        assert payload["quad_accumulator"] is None
+        assert payload["correction_max"] is None
+        assert payload["lambda"] == 3.0 and payload["steps"] == 0
+
 
 def _entropy_residual_lf_oracle(prev, next, model, lam, c_grid):
     """The residual as first written: four flux evaluations per constant on
@@ -356,16 +366,6 @@ class _CollectorOracle:
                 entropy_residual_lf(prev, next, model, lam, self.c_grid))
 
 
-class _WithoutSlopes:
-    """Feeds a collector through the three-argument `observe`, so it recomputes the slopes."""
-
-    def __init__(self, collector):
-        self.collector = collector
-
-    def observe(self, prev, next, corrections):
-        self.collector.observe(prev, next, corrections)
-
-
 SCHEME_CASES = [
     (Scheme.NESSYAHU_TADMOR, LimiterKind.MINMOD),
     (Scheme.NESSYAHU_TADMOR, LimiterKind.MINMOD_MODIFIED),
@@ -394,13 +394,7 @@ class TestFusedCollector:
             kbar=kbar[::-1].copy() if own_kbar else kbar,
             parity=Parity.BASE, time=0.0, step_index=0)
         oracle = _CollectorOracle(model, coeff, cfg, initial)
-        recomputing = DiagnosticsCollector(model, coeff, cfg, initial)
         t_end = 2 * pairs * lam * mesh.dx
-        _, report = march(initial, model, coeff, cfg, t_end,
-                          observers=[oracle, _WithoutSlopes(recomputing)])
+        _, report = march(initial, model, coeff, cfg, t_end, observers=[oracle])
         assert report.steps == 2 * pairs
-        want = json.dumps(oracle.report.to_json_dict())
-        assert json.dumps(report.to_json_dict()) == want
-        recomputing.report.kappa_used = report.kappa_used
-        recomputing.report.kappa_bound = report.kappa_bound
-        assert json.dumps(recomputing.report.to_json_dict()) == want
+        assert json.dumps(report.to_json_dict()) == json.dumps(oracle.report.to_json_dict())

@@ -1,10 +1,11 @@
-"""Diagnostics reports pinned byte for byte.
+"""Diagnostics reports and verify margins pinned byte for byte.
 
 The benchmark compares the keys of each `diagnostics*.json`, not its values.
 The files under `golden/` hold the reports of the canned experiments (both
 schemes) and of an 8000-cell run with the modified limiter, each written as
 `discflux` writes `diagnostics.json`, so any change to a diagnostic value,
-even in its last bit, fails here.
+even in its last bit, fails here.  The worst margin of each `verify` suite is
+pinned as its `float.hex()` value.
 """
 
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from discflux import Scheme, example_1, example_2, run_experiment
 from discflux.cli import _write_report, main
+from discflux.verify import SUITES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,3 +32,19 @@ def test_example_report(tmp_path, example, tag, scheme):
 def test_fine_run_report(tmp_path):
     assert main(["run", str(GOLDEN / "fine_run.cfg"), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "diagnostics.json").read_bytes() == (GOLDEN / "fine_run.json").read_bytes()
+
+
+VERIFY_MARGINS = {
+    "identity": "0x1.19719812dea11p-40",
+    "degeneration": "0x1.203af9ee75616p-50",
+    "maxprinciple": "0x1.99999999ab318p-4",
+    "onesided": "0x1.2b3ce271eab40p-13",
+    "nu": "0x0.0p+0",
+    "entropy": "0x1.196d9812dea11p-40",
+    "correction": "0x1.4f8b782490520p-16",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_MARGINS))
+def test_verify_margin(name):
+    assert SUITES[name]().worst_margin.hex() == VERIFY_MARGINS[name]

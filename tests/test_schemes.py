@@ -88,6 +88,13 @@ class TestLfStep:
         out = lf_step(state, model, coeff, lam=0.17)
         assert out.values[0] == 0.5
 
+    @pytest.mark.parametrize("lam", [math.nan, 0.0, -0.1, math.inf])
+    def test_refuses_lam_that_is_not_positive_and_finite(self, lam):
+        model, coeff = flat_k_model(lambda u: u * (1 - u), lambda u: 1 - 2 * u)
+        state = base_state([0.2, 0.4, 0.6], coeff)
+        with pytest.raises(ValueError, match="lam"):
+            lf_step(state, model, coeff, lam=lam)
+
     def test_hand_value(self):
         model, coeff = flat_k_model(lambda u: u * (1 - u), lambda u: 1 - 2 * u)
         state = base_state([0.2, 0.4], coeff)
