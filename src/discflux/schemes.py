@@ -36,6 +36,7 @@ from .limiter import LimiterConfig, slopes
 log = logging.getLogger(__name__)
 
 CFL_TOL = 1e-12
+MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 would take hours
 
 
 class Scheme(Enum):
@@ -208,10 +209,12 @@ def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coe
 
 
 def snap_steps(t_start: float, t_end: float, dt: float) -> int:
-    """Largest even step count whose end time does not exceed t_end."""
+    """Largest even step count whose end time does not exceed t_end, at most MAX_STEPS."""
     if t_end < t_start:
         raise ValueError("t_end must not precede the state's current time")
-    n = int(math.floor((t_end - t_start) / dt + 1e-9))
+    if not (steps := (t_end - t_start) / dt) <= MAX_STEPS:  # NaN and inf included
+        raise ValueError(f"(t_end - t_start) / dt = {steps!r} exceeds MAX_STEPS = {MAX_STEPS}")
+    n = int(math.floor(steps + 1e-9))
     return n - (n % 2)
 
 

@@ -158,13 +158,15 @@ class TestInputOutsideTheTheory:
         ("u0 = constant", "u0 = constant\nwindow_x = nan"),
         ("domain.x_max = 1", "domain.x_max = inf"),
         ("t_end = 0.2", "t_end = inf"),
+        ("t_end = 0.2", "t_end = 1e300"),      # finite, but about 1e303 steps: it never ended
         ("u0 = constant", "u0 = constant\nreference.dx = 0"),
         ("u0 = constant", "u0 = constant\nlimiter.kind = minmod-modified\nlimiter.k_tilde = nan"),
         ("dx = 0.04\nlambda = 0.05", "dx = 0\ndt = 0.002"),
     ], ids=["above-u_hi", "nan", "inf", "dx-does-not-tile", "modelfoo", "u0foo",
             "k_left-for-two-flux", "k_tidle", "x_mx", "reference-foo", "u0-left-for-constant",
             "alpha-for-minmod", "k_tilde-for-minmod", "diagnostics-flase", "window_x-nan",
-            "x_max-inf", "t_end-inf", "reference-dx-0", "k_tilde-nan", "dx-0-with-dt"])
+            "x_max-inf", "t_end-inf", "t_end-1e300", "reference-dx-0", "k_tilde-nan",
+            "dx-0-with-dt"])
     def test_run_refuses_with_exit_1(self, tmp_path, capsys, old, new):
         cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace(old, new))
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -181,6 +183,12 @@ class TestInputOutsideTheTheory:
         cfg = write_config(tmp_path, TWO_FLUX_CONFIG)
         assert main(["study", cfg, "--halvings", halvings, "--out", str(tmp_path / "s")]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_study_refuses_more_than_max_steps(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace("t_end = 0.2", "t_end = 1e300"))
+        assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
+        assert "MAX_STEPS" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("extra", ["reference.dx = 0.01\n", "limiter.kind = minmod\n",

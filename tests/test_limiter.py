@@ -127,3 +127,43 @@ class TestPairwiseMinmod:
             if cfg.kind is LimiterKind.MINMOD_MODIFIED:
                 args.append(float(np.sign(fwd)) * (cfg.k_tilde * dx**cfg.alpha))
             assert sig[j].tobytes() == np.float64(minmod(args)).tobytes(), (j, args)
+
+
+def _pairwise_slopes(values, dx, cfg):
+    """`slopes` as it was before it took one difference: three columns, each folded
+    into the magnitudes and both sign masks."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros_like(values)
+    if cfg.kind is LimiterKind.ZERO:
+        return out
+    fwd = values[2:] - values[1:-1]
+    bwd = values[1:-1] - values[:-2]
+    ctr = 0.5 * (values[2:] - values[:-2])
+    cols = [ctr, bwd]
+    if cfg.kind is LimiterKind.MINMOD_MODIFIED:
+        cols.append(np.sign(fwd) * (cfg.k_tilde * dx**cfg.alpha))
+    mags, pos, neg = np.abs(fwd), fwd > 0, fwd < 0
+    for col in cols:
+        np.minimum(mags, np.abs(col), out=mags)
+        pos &= col > 0
+        neg &= col < 0
+    out[1:-1] = np.where(pos, mags, 0.0) - np.where(neg, mags, 0.0)
+    return out
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+edgy = st.one_of(st.sampled_from(SPECIAL), st.integers(-3, 3).map(float), finite,
+                 st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestSlopesFromOneDifference:
+    @given(st.lists(edgy, min_size=3, max_size=40), st.sampled_from(list(LimiterKind)),
+           st.one_of(st.sampled_from([1e-300, 1.0, 1e300]),
+                     st.floats(min_value=1e-300, max_value=1e300)),
+           st.one_of(st.sampled_from([1e-300, 5e-324]), st.floats(min_value=1e-4, max_value=1.0)))
+    @settings(max_examples=500)
+    def test_equals_pairwise_form_bitwise(self, values, kind, k_tilde, dx):
+        cfg = LimiterConfig(kind=kind, k_tilde=k_tilde)
+        with np.errstate(all="ignore"):  # inf - inf, 1e308 - -1e308 and the like
+            got, want = slopes(np.asarray(values), dx, cfg), _pairwise_slopes(values, dx, cfg)
+        assert got.tobytes() == want.tobytes(), (got, want)

@@ -294,6 +294,20 @@ class TestMarch:
         assert snap_steps(0.0, 2.0, 0.008) == 250
         assert snap_steps(0.0, 0.8, 0.04 / 30) == 600
 
+    def test_step_count_is_bounded(self):
+        assert snap_steps(0.0, float(schemes.MAX_STEPS), 1.0) == schemes.MAX_STEPS
+        for t_end in (schemes.MAX_STEPS + 2.0, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="MAX_STEPS"):
+                snap_steps(0.0, t_end, 1.0)
+
+    @pytest.mark.parametrize("t_end", [1e300, math.inf])
+    def test_march_refuses_too_many_steps(self, t_end):
+        # t_end = 1e300 took about 1e303 steps; math.inf raised OverflowError
+        model, coeff = builtin_burgers_const_k()
+        state = initial_state(Mesh.from_cells(0.0, 1.0, 10), coeff, lambda x: np.full_like(x, 0.5))
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            march(state, model, coeff, SchemeConfig(lam=0.1), t_end)
+
     def test_snap_recorded_in_report(self):
         model, coeff = builtin_burgers_const_k()
         mesh = Mesh.from_cells(0.0, 1.0, 10)
