@@ -104,10 +104,11 @@ def _decay_terms(model: FluxModel, lam: float, k_sup: float, k_bv: float) -> tup
     return lam * model.gamma1 / 500.0, psi_constant(model, lam, k_sup) * k_bv
 
 
-def _jump_decay(m_prev, next_values, model, decay, psi_bv) -> tuple[float, float]:
-    """(lhs, rhs) of the decay bound, given the old one-sided jumps."""
-    lhs = float((_one_sided(next_values[1:] - next_values[:-1], model)**2).sum())
-    return lhs, float((m_prev**2).sum() - decay * _cube(m_prev).sum() + psi_bv)
+def _jumps(values: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndarray, float]:
+    """The jumps of `values`, their one-sided parts and the sum of those squared."""
+    du = values[1:] - values[:-1]
+    m = _one_sided(du, model)
+    return du, m, float((m**2).sum())
 
 
 def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -122,8 +123,10 @@ def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
     """
     k_bv = float(np.sum(np.abs(np.diff(prev.kbar)))) if k_bv is None else k_bv
     k_sup = float(np.max(np.abs(prev.kbar))) if k_sup is None else k_sup
-    m_prev = _one_sided(np.diff(prev.values), model)
-    lhs, rhs = _jump_decay(m_prev, next.values, model, *_decay_terms(model, lam, k_sup, k_bv))
+    _, m_prev, m2_prev = _jumps(prev.values, model)
+    lhs = _jumps(next.values, model)[2]
+    decay, psi_bv = _decay_terms(model, lam, k_sup, k_bv)
+    rhs = float(m2_prev - decay * _cube(m_prev).sum() + psi_bv)
     return lhs, rhs, lhs <= rhs + TOL
 
 
@@ -132,15 +135,17 @@ def _midpoints(a: np.ndarray) -> np.ndarray:
 
 
 def _nu(u, du, kt, sig, model: FluxModel, lam: float) -> np.ndarray:
-    """nu from the values, their jumps, the midpoint kbar and the slopes."""
+    """nu from the values, their jumps, the midpoint kbar and the slopes (None: all 0)."""
     ut = _midpoints(u)
     beta = lam * np.asarray(model.d_u(kt, ut), dtype=float)
-    nonzero = du != 0.0
-    safe = np.where(nonzero, du, 1.0)
-    r = np.where(nonzero, (sig[1:] - sig[:-1]) / safe, 0.0)
-    s = np.where(nonzero, (sig[:-1] + sig[1:]) / (2.0 * safe), 0.0)
     one = 1.0 - 4.0 * beta**2
-    bracket = 1.0 - (one / 16.0) * r**2 - beta * r - s
+    if sig is None:  # r = s = 0: the bracket is 1, or NaN where one or beta is not finite
+        bracket = 1.0 - one * 0.0 - beta * 0.0
+    else:
+        nonzero = du != 0.0
+        r = np.divide(sig[1:] - sig[:-1], du, out=np.zeros_like(du), where=nonzero)
+        s = np.divide(sig[:-1] + sig[1:], 2.0 * du, out=np.zeros_like(du), where=nonzero)
+        bracket = 1.0 - (one / 16.0) * r**2 - beta * r - s
     fuu = model.curvature_sign * np.asarray(model.d_uu(kt, ut), dtype=float)
     return 0.125 * one * bracket * fuu
 
@@ -265,10 +270,11 @@ class DiagnosticsCollector:
         self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
         self._fixed: dict[Parity, tuple] = {}
+        self._carry: tuple = (None, None)  # the last `next` values and their _jumps
 
     def _constants(self, state: StaggeredState) -> tuple:
-        """kbar, its midpoints, the window mask and, for LF, zero slopes and the Kruzkov
-        table of the state's parity; rebuilt only for a state that brings its own kbar."""
+        """kbar, its midpoints, the window mask and, for LF, the Kruzkov table of the
+        state's parity; rebuilt only for a state that brings its own kbar."""
         fixed = self._fixed.get(state.parity)
         if fixed is None or fixed[0] is not state.kbar:
             k, lf = state.kbar, self._c_grid is not None
@@ -277,7 +283,7 @@ class DiagnosticsCollector:
             self._fixed[state.parity] = fixed = (
                 k, _midpoints(np.asarray(k, dtype=float)),
                 _window_mask(state.mesh, state.parity, self.cfg.window_x),
-                np.zeros(len(k)) if lf else None, (k_in, *table) if lf else None)
+                (k_in, *table) if lf else None)
         return fixed
 
     def observe(self, prev, next, corrections, sig):
@@ -293,15 +299,16 @@ class DiagnosticsCollector:
             rep.correction_bound = self._correction_bound
         if not self.cfg.collect_diagnostics:
             return
-        _, kt, mask, zero_slopes, kruzkov = self._constants(prev)
-        dx, du = prev.mesh.dx, prev.values[1:] - prev.values[:-1]
-        lhs, rhs = _jump_decay(_one_sided(du, self.model), next.values, self.model,
-                               self._decay, self._psi_bv)
+        _, kt, mask, kruzkov = self._constants(prev)
+        carried, jumps = self._carry
+        du, m_prev, m2_prev = jumps if prev.values is carried else _jumps(prev.values, self.model)
+        self._carry = next.values, _jumps(next.values, self.model)
+        dx, lhs = prev.mesh.dx, self._carry[1][2]
+        rhs = float(m2_prev - self._decay * _cube(m_prev).sum() + self._psi_bv)
         rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
         rep.onesided_holds = rep.onesided_holds and lhs <= rhs + TOL
         rep.cubic_accumulator += _cubic(du, dx, mask)
-        nu = _nu(prev.values, du, kt, zero_slopes if sig is None else sig, self.model,
-                 self.cfg.lam)
+        nu = _nu(prev.values, du, kt, sig, self.model, self.cfg.lam)
         rep.quad_accumulator += dx * float((nu * du**2).sum())
         if len(nu):
             rep.nu_min = min(rep.nu_min, float(nu.min()))

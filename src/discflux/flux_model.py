@@ -32,8 +32,9 @@ class Convexity(Enum):
 class FluxModel:
     """Flux f(k, u) with derivatives and box bounds.
 
-    All callables are vectorized over numpy arrays.  Instances are
-    immutable and safe to share across threads.
+    All callables act elementwise on numpy arrays: entry i of a result depends
+    on k[i] and u[i] alone, which the steps rely on to take f(k, u) without the
+    ghost cells.  Instances are immutable and safe to share across threads.
     """
 
     name: str

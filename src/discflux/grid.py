@@ -32,8 +32,9 @@ class Mesh:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 1 or self.dx <= 0:
-            raise ValueError("mesh needs n_cells >= 1 and dx > 0")
+        finite = np.isfinite((self.x_min, self.x_max, self.dx)).all()
+        if self.n_cells < 1 or self.dx <= 0 or not finite:
+            raise ValueError("mesh needs n_cells >= 1 and finite x_min, x_max and dx > 0")
         closure = self.x_min + self.n_cells * self.dx
         if abs(closure - self.x_max) > 1e-12 * max(1.0, abs(self.x_max), abs(self.x_min)):
             raise ValueError("x_min + n_cells*dx must equal x_max")

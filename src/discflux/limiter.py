@@ -52,22 +52,25 @@ def slopes(values: np.ndarray, dx: float, cfg: LimiterConfig) -> np.ndarray:
 
     Interior slopes are minmod(u[j+1]-u[j], (u[j+1]-u[j-1])/2, u[j]-u[j-1]);
     callers supply ghost cells when boundary slopes matter.  Only the one-sided
-    signs are tested: where they agree strictly, the central difference (their exact
-    sum, at least 2**-1073 in size, rounded monotonely) and the cap (or 0) agree too.
+    differences are taken: where they share a strict sign, u[j+1]-u[j-1] rounds to at
+    least twice the smaller one, and halving is monotone, so the central one never decides.
     """
     values = np.asarray(values, dtype=float)
     if len(values) < 3:
         raise ValueError("need at least 3 values for interior slopes")
-    out = np.zeros_like(values)
+    if not 0 < dx < math.inf:
+        raise ValueError("dx must be positive and finite")
+    out = np.zeros(len(values))
     if cfg.kind is LimiterKind.ZERO:
         return out
     d = values[1:] - values[:-1]  # fwd = d[1:], bwd = d[:-1]
-    ctr = 0.5 * (values[2:] - values[:-2])
     a = np.abs(d)
-    mags = np.minimum(np.minimum(a[1:], a[:-1]), np.abs(ctr))
+    mags = np.minimum(a[1:], a[:-1])
     if cfg.kind is LimiterKind.MINMOD_MODIFIED:
         np.minimum(mags, cfg.k_tilde * dx**cfg.alpha, out=mags)
-    # Nonzero only where fwd and bwd share a strict sign; a zero argument forces +0.0.
-    pos, neg = d > 0, d < 0
-    out[1:-1] = np.where(pos[1:] & pos[:-1], mags, 0.0) - np.where(neg[1:] & neg[:-1], mags, 0.0)
+    # Nonzero only where fwd and bwd share a strict sign (signs sum to +-2); else +0.0.
+    sd, inner = np.sign(d), out[1:-1]
+    t = sd[1:] + sd[:-1]
+    np.copyto(inner, mags, where=t == 2.0)
+    np.subtract(inner, mags, out=inner, where=t == -2.0)
     return out

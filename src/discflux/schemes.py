@@ -111,27 +111,27 @@ class _Stepper:
     """The step kernel of one march; `limiter` None selects the first-order scheme.
 
     Built once per run: both averaged-coefficient arrays (read-only, so every
-    state can share them), their ghost-padded copies, and one ghost-padded
-    buffer each step copies the values into.  Outputs are always fresh arrays.
+    state can share them), their two-ghost padded copies, one padded buffer the
+    second-order step copies the values into, and one first-order difference
+    buffer.  Outputs are always fresh arrays: observers may keep them.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
                  limiter: LimiterConfig | None):
         self.model, self.lam, self.limiter = model, lam, limiter
-        self.ghost = 1 if limiter is None else 2
         self.kbar = {p: cell_average_coefficient(mesh, coeff, p) for p in Parity}
         for k in self.kbar.values():
             k.flags.writeable = False
-        self.kpad = {p: _replicate(k, self.ghost) for p, k in self.kbar.items()}
-        self.buf = np.empty(mesh.n_cells + 2 * self.ghost)
+        self.kpad = {p: _replicate(k, 2) for p, k in self.kbar.items()}
+        self.buf, self.diff = np.empty(mesh.n_cells + 4), np.empty(mesh.n_cells)
 
     def _extend(self, state: StaggeredState) -> tuple[np.ndarray, np.ndarray]:
-        """Absorbing ghost padding of values and kbar, as `extend_absorbing` gives."""
+        """Two ghost cells of absorbing padding on values and kbar, as `extend_absorbing` gives."""
         if state.kbar is not self.kbar[state.parity]:  # a state that brings its own kbar
-            return extend_absorbing(state, self.ghost)
-        g, u = self.ghost, state.values
-        ev = self.buf[:len(u) + 2 * g]
-        ev[:g], ev[g:-g], ev[-g:] = u[0], u, u[-1]
+            return extend_absorbing(state, 2)
+        u = state.values
+        ev = self.buf[:len(u) + 4]
+        ev[:2], ev[2:-2], ev[-2:] = u[0], u, u[-1]
         return ev, self.kpad[state.parity]
 
     def advance(self, state: StaggeredState, v: np.ndarray) -> StaggeredState:
@@ -141,29 +141,34 @@ class _Stepper:
         return StaggeredState(state.mesh, v[1:-1] if to_half else v, self.kbar[parity], parity,
                               state.time + self.lam * state.mesh.dx, state.step_index + 1)
 
-    def ingredients(self, state: StaggeredState):
-        """Extended values, slopes, mid and current fluxes, and correction terms."""
-        ev, ek = self._extend(state)
-        sig = slopes(ev, state.mesh.dx, self.limiter)
-        mid = mid_time_values(ev, ek, sig, self.model, self.lam)
-        f_mid = np.asarray(self.model.eval(ek, mid), dtype=float)
-        f_now = np.asarray(self.model.eval(ek, ev), dtype=float)
-        a = self.lam * (f_mid - f_now) + sig / 8.0
-        return ev, sig, f_mid, f_now, a
-
     def step(self, state: StaggeredState):
         """One step of the held scheme, with the correction values a_j and the slopes
         on `state`'s cells of the second-order one (None, None for the first-order one)."""
         if self.limiter is None:
-            ev, ek = self._extend(state)
-            fl = self.model.eval(ek, ev)
-            v = 0.5 * (ev[:-1] + ev[1:]) - self.lam * (fl[1:] - fl[:-1])
+            # Every staggered pair of the one-ghost padding, the outer two only when kept
+            # (Half to Base).  f is taken on the cells alone: a ghost repeats its edge
+            # cell's (k, u), and `eval` acts elementwise.
+            u, lam = state.values, self.lam
+            f = self.model.eval(state.kbar, u)
+            v = np.empty(len(u) + 1)
+            inner, diff = v[1:-1], self.diff[:len(u) - 1]
+            np.multiply(np.add(u[:-1], u[1:], out=inner), 0.5, out=inner)
+            np.multiply(np.subtract(f[1:], f[:-1], out=diff), lam, out=diff)
+            inner -= diff
+            for i in (0, -1) if state.parity is Parity.HALF else ():  # NaN and inf as padded
+                ui, fi = float(u[i]), float(f[i])
+                v[i] = 0.5 * (ui + ui) - lam * (fi - fi)
             return self.advance(state, v), None, None
-        ev, sig, f_mid, _, a = self.ingredients(state)
+        ev, ek = self._extend(state)
+        sig = slopes(ev, state.mesh.dx, self.limiter)
+        f_mid = np.asarray(self.model.eval(ek, mid_time_values(ev, ek, sig, self.model, self.lam)),
+                           dtype=float)
         v = (0.5 * (ev[1:-2] + ev[2:-1])
              - 0.125 * (sig[2:-1] - sig[1:-2])
              - self.lam * (f_mid[2:-1] - f_mid[1:-2]))
-        return self.advance(state, v), a[2:-2], sig[2:-2]
+        f_now = np.asarray(self.model.eval(state.kbar, state.values), dtype=float)
+        a = self.lam * (f_mid[2:-2] - f_now) + sig[2:-2] / 8.0
+        return self.advance(state, v), a, sig[2:-2]
 
 
 def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: float,
@@ -171,6 +176,8 @@ def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: fl
     """One first-order staggered step onto the opposite-parity grid."""
     SchemeConfig(lam=lam)  # refuses a lam that is not positive and finite
     _check_cfl(model, lam, cfl_level)
+    if len(state.values) == 0:
+        raise ValueError("cannot step an empty state")
     return _Stepper(model, coeff, state.mesh, lam, None).step(state)[0]
 
 
@@ -202,7 +209,11 @@ def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coe
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
     stepper = _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter)
-    ev, _, _, f_now, a = stepper.ingredients(state)
+    ev, ek = stepper._extend(state)
+    sig = slopes(ev, state.mesh.dx, cfg.limiter)
+    f_mid = np.asarray(model.eval(ek, mid_time_values(ev, ek, sig, model, cfg.lam)), dtype=float)
+    f_now = np.asarray(model.eval(ek, ev), dtype=float)
+    a = cfg.lam * (f_mid - f_now) + sig / 8.0
     ubar = 0.5 * (ev[1:-2] + ev[2:-1]) - cfg.lam * (f_now[2:-1] - f_now[1:-2])
     v = ubar - (a[2:-1] - a[1:-2])
     return stepper.advance(state, v)

@@ -374,6 +374,49 @@ SCHEME_CASES = [
 ]
 
 
+def _nu_oracle(u, du, kt, sig, model, lam):
+    """`_nu` as it was before it took a slope-free form: r and s through a safe
+    denominator and two selections, zero slopes passed as an array."""
+    ut = 0.5 * (u[:-1] + u[1:])
+    beta = lam * np.asarray(model.d_u(kt, ut), dtype=float)
+    nonzero = du != 0.0
+    safe = np.where(nonzero, du, 1.0)
+    r = np.where(nonzero, (sig[1:] - sig[:-1]) / safe, 0.0)
+    s = np.where(nonzero, (sig[:-1] + sig[1:]) / (2.0 * safe), 0.0)
+    one = 1.0 - 4.0 * beta**2
+    bracket = 1.0 - (one / 16.0) * r**2 - beta * r - s
+    fuu = model.curvature_sign * np.asarray(model.d_uu(kt, ut), dtype=float)
+    return 0.125 * one * bracket * fuu
+
+
+NU_SPECIAL = [0.0, -0.0, 5e-324, 1e-160, 0.5, 1e154, 1e308, -1e308, math.inf, -math.inf,
+              math.nan]
+
+
+class TestNuWithoutSlopes:
+    # a huge lam or huge values make beta = lam*f_u, or 1 - 4*beta**2, overflow to inf
+    @given(st.sampled_from(BUILTINS),
+           st.lists(st.one_of(st.sampled_from(NU_SPECIAL), st.floats(0.0, 1.0)),
+                    min_size=2, max_size=40),
+           st.one_of(st.sampled_from([1e-300, 0.01, 1e154, 1e300]), st.floats(1e-6, 1e308)),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_zero_slope_form_bitwise(self, builtin, values, lam, seed):
+        model, _ = builtin()
+        u = np.asarray(values)
+        rng = np.random.default_rng(seed)
+        kt = rng.uniform(model.k_lo, model.k_hi, len(u) - 1)
+        sig = rng.uniform(-1.0, 1.0, len(u)) * rng.choice([0.0, 1.0, 1e300], len(u))
+        with np.errstate(all="ignore"):
+            du = u[1:] - u[:-1]
+            got = diagnostics._nu(u, du, kt, None, model, lam)
+            want = _nu_oracle(u, du, kt, np.zeros(len(u)), model, lam)
+            got_sig = diagnostics._nu(u, du, kt, sig, model, lam)
+            want_sig = _nu_oracle(u, du, kt, sig, model, lam)
+        assert got.tobytes() == want.tobytes()
+        assert got_sig.tobytes() == want_sig.tobytes()
+
+
 class TestFusedCollector:
     @given(st.sampled_from(SCHEME_CASES), st.sampled_from(BUILTINS),
            st.sampled_from([None, 0.3]), st.integers(min_value=2, max_value=60),

@@ -26,6 +26,14 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(0.0, 1.0, 0.1, 5)
 
+    @pytest.mark.parametrize("x_min,x_max,dx,n_cells", [
+        (0.0, 1.0, float("nan"), 10), (float("nan"), 1.0, 0.1, 10), (0.0, float("nan"), 0.1, 10),
+        (0.0, float("inf"), float("inf"), 1), (float("-inf"), 1.0, 0.1, 10),
+        (0.0, 1.0, -0.1, 10), (0.0, 1.0, 0.0, 10)])
+    def test_non_finite_or_non_positive_spacing_refused(self, x_min, x_max, dx, n_cells):
+        with pytest.raises(ValueError):
+            Mesh(x_min, x_max, dx, n_cells)
+
     def test_centers(self):
         mesh = Mesh.from_cells(0.0, 1.0, 4)
         assert mesh.centers(Parity.BASE) == pytest.approx([0.125, 0.375, 0.625, 0.875])

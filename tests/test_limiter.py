@@ -56,6 +56,13 @@ class TestSlopes:
         with pytest.raises(ValueError):
             slopes(np.array([0.0, 1.0]), 0.1, PLAIN)
 
+    @pytest.mark.parametrize("kind", [LimiterKind.ZERO, LimiterKind.MINMOD_MODIFIED])
+    @pytest.mark.parametrize("dx", [-1.0, 0.0, -0.0, -5e-324, float("nan"), float("inf"),
+                                    float("-inf")])
+    def test_spacing_not_positive_and_finite_refused(self, kind, dx):
+        with pytest.raises(ValueError, match="dx"):
+            slopes(np.array([0.0, 1.0, 2.0]), dx, LimiterConfig(kind=kind))
+
     @given(sequences)
     @settings(max_examples=200)
     def test_slope_to_jump_ratio_in_unit_interval(self, values):
