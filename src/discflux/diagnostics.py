@@ -251,68 +251,54 @@ def correction_bound_check(a: np.ndarray, cfg: "SchemeConfig", model: FluxModel,
 
 
 class DiagnosticsCollector:
-    """Folds the check suite over one march into a DiagnosticsReport; the cell
-    entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
-    Each step differences `prev` once; what is fixed for the run is computed once.
+    """Folds the full check suite over the steps of one march, fed as arrays, into `report`;
+    the cell entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
+    Each step's values are differenced once; what is fixed for the run is computed once.
     """
 
-    def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig",
-                 initial: StaggeredState):
+    def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
+                 report: DiagnosticsReport):
         from .schemes import Scheme  # local import keeps module load acyclic
 
-        self.model, self.cfg = model, cfg
-        self.report = DiagnosticsReport(
-            scheme=cfg.scheme.value, lam=cfg.lam, dx=initial.mesh.dx, snapped_time=initial.time,
-            cfl_level=cfg.cfl_level.value, u_min=float(np.min(initial.values)),
-            u_max=float(np.max(initial.values)))
-        self._correction_bound = _correction_bound(cfg, model, initial.mesh.dx)
+        self.model, self.cfg, self.mesh, self.report = model, cfg, mesh, report
         lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
         self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
         self._fixed: dict[Parity, tuple] = {}
-        self._carry: tuple = (None, None)  # the last `next` values and their _jumps
+        self._carry: tuple = (None, None)  # the last stepped values and their _jumps
 
-    def _constants(self, state: StaggeredState) -> tuple:
-        """kbar, its midpoints, the window mask and, for LF, the Kruzkov table of the
-        state's parity; rebuilt only for a state that brings its own kbar."""
-        fixed = self._fixed.get(state.parity)
-        if fixed is None or fixed[0] is not state.kbar:
-            k, lf = state.kbar, self._c_grid is not None
-            k_in = k if state.parity is Parity.BASE else _replicate(k, 1)
+    def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
+        """kbar, its midpoints, the window mask and, for LF, the Kruzkov table of
+        `parity`; rebuilt only for a state that brings its own kbar."""
+        fixed = self._fixed.get(parity)
+        if fixed is None or fixed[0] is not kbar:
+            lf = self._c_grid is not None
+            k_in = kbar if parity is Parity.BASE else _replicate(kbar, 1)
             table = _kruzkov_table(k_in, self.model, self.cfg.lam, self._c_grid) if lf else None
-            self._fixed[state.parity] = fixed = (
-                k, _midpoints(np.asarray(k, dtype=float)),
-                _window_mask(state.mesh, state.parity, self.cfg.window_x),
+            self._fixed[parity] = fixed = (
+                kbar, _midpoints(np.asarray(kbar, dtype=float)),
+                _window_mask(self.mesh, parity, self.cfg.window_x),
                 (k_in, *table) if lf else None)
         return fixed
 
-    def observe(self, prev, next, corrections, sig):
-        """Fold one consecutive transition; `sig` are the slopes the step took on `prev`'s
-        cells, None for a Lax-Friedrichs step (whose slopes are all 0)."""
+    def observe(self, u, kbar, parity, v, sig):
+        """Fold the step from `u` (with `kbar`, on `parity`'s grid) to `v`; `sig` are the
+        slopes it took on `u`'s cells, None for a Lax-Friedrichs step (all 0)."""
         rep = self.report
-        rep.steps += 1
-        rep.snapped_time = next.time
-        rep.u_min = min(rep.u_min, float(next.values.min()))
-        rep.u_max = max(rep.u_max, float(next.values.max()))
-        if corrections is not None and len(corrections):
-            rep.correction_max = max(rep.correction_max, float(np.abs(corrections).max()))
-            rep.correction_bound = self._correction_bound
-        if not self.cfg.collect_diagnostics:
-            return
-        _, kt, mask, kruzkov = self._constants(prev)
+        _, kt, mask, kruzkov = self._constants(kbar, parity)
         carried, jumps = self._carry
-        du, m_prev, m2_prev = jumps if prev.values is carried else _jumps(prev.values, self.model)
-        self._carry = next.values, _jumps(next.values, self.model)
-        dx, lhs = prev.mesh.dx, self._carry[1][2]
+        du, m_prev, m2_prev = jumps if u is carried else _jumps(u, self.model)
+        self._carry = v, _jumps(v, self.model)
+        dx, lhs = self.mesh.dx, self._carry[1][2]
         rhs = float(m2_prev - self._decay * _cube(m_prev).sum() + self._psi_bv)
         rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
         rep.onesided_holds = rep.onesided_holds and lhs <= rhs + TOL
         rep.cubic_accumulator += _cubic(du, dx, mask)
-        nu = _nu(prev.values, du, kt, sig, self.model, self.cfg.lam)
+        nu = _nu(u, du, kt, sig, self.model, self.cfg.lam)
         rep.quad_accumulator += dx * float((nu * du**2).sum())
         if len(nu):
             rep.nu_min = min(rep.nu_min, float(nu.min()))
         if kruzkov:
-            u = prev.values if prev.parity is Parity.BASE else _replicate(prev.values, 1)
+            u_in = u if parity is Parity.BASE else _replicate(u, 1)
             rep.entropy_max_residual = max(rep.entropy_max_residual, _entropy_worst(
-                u, next.values, self.model, self.cfg.lam, *kruzkov))
+                u_in, v, self.model, self.cfg.lam, *kruzkov))

@@ -114,18 +114,6 @@ def example_2() -> ExperimentSpec:
 EXAMPLES = {1: example_1, 2: example_2}
 
 
-class SnapshotObserver:
-    """Captures the states reached at the requested step indices."""
-
-    def __init__(self, wanted: set[int]):
-        self.wanted = wanted
-        self.states: dict[int, StaggeredState] = {}
-
-    def observe(self, prev, next, corrections):
-        if next.step_index in self.wanted:
-            self.states[next.step_index] = next
-
-
 @dataclass
 class ExperimentRun:
     spec: ExperimentSpec
@@ -157,10 +145,10 @@ def run_experiment(spec: ExperimentSpec, scheme: Scheme, dx: float | None = None
                        window_x=spec.window_x)
     times = spec.output_times if times is None else times
     steps = {t: snap_steps(0.0, t, cfg.lam * mesh.dx) for t in times}
-    snap = SnapshotObserver(set(steps.values()))
+    snapshots = dict.fromkeys(steps.values())
     t_final = max(times) if times else 0.0
-    final, report = march(state0, model, coeff, cfg, t_final, observers=(snap,))
-    states = {t: snap.states[n] if n else state0 for t, n in steps.items()}
+    final, report = march(state0, model, coeff, cfg, t_final, snapshots=snapshots)
+    states = {t: snapshots[n] for t, n in steps.items()}
     return ExperimentRun(spec=spec, scheme=scheme, states=states, final=final, report=report)
 
 

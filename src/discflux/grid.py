@@ -170,14 +170,10 @@ def initial_state(mesh: Mesh, coeff: Coefficient, u0: Callable,
     )
 
 
-def state_csv_text(state: StaggeredState) -> str:
-    """Solution dump: header x,u then one full-precision row per cell center."""
-    xs = state.mesh.centers(state.parity)
-    lines = ["x,u"]
-    lines += [f"{x:.16e},{u:.16e}" for x, u in zip(xs, state.values)]
-    return "\n".join(lines) + "\n"
-
-
 def write_state_csv(state: StaggeredState, path) -> None:
+    """Solution dump: header x,u then one full-precision row per cell center, written row
+    by row so that the file's text is never held whole (it sets a fine run's peak memory)."""
+    xs = state.mesh.centers(state.parity)
     with open(path, "w") as fh:
-        fh.write(state_csv_text(state))
+        fh.write("x,u\n")
+        fh.writelines(f"{x:.16e},{u:.16e}\n" for x, u in zip(xs, state.values))

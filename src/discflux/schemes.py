@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsCollector, DiagnosticsReport
+from .diagnostics import DiagnosticsCollector, DiagnosticsReport, _correction_bound
 from .flux_model import Coefficient, FluxModel
 from .grid import (Mesh, Parity, StaggeredState, _replicate, cell_average_coefficient,
                    extend_absorbing)
@@ -108,7 +108,7 @@ def _check_cfl(model: FluxModel, lam: float, level: CflLevel) -> tuple[float, fl
 
 
 class _Stepper:
-    """The step kernel of one march; `limiter` None selects the first-order scheme.
+    """The step kernel of one march, on arrays; `limiter` None selects the first-order scheme.
 
     Built once per run: both averaged-coefficient arrays (read-only, so every
     state can share them), their two-ghost padded copies, one padded buffer the
@@ -118,57 +118,52 @@ class _Stepper:
 
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
                  limiter: LimiterConfig | None):
-        self.model, self.lam, self.limiter = model, lam, limiter
+        self.model, self.mesh, self.lam, self.limiter = model, mesh, lam, limiter
         self.kbar = {p: cell_average_coefficient(mesh, coeff, p) for p in Parity}
         for k in self.kbar.values():
             k.flags.writeable = False
-        self.kpad = {p: _replicate(k, 2) for p, k in self.kbar.items()}
+        self._base, self._half = ((k, _replicate(k, 2)) for k in self.kbar.values())
         self.buf, self.diff = np.empty(mesh.n_cells + 4), np.empty(mesh.n_cells)
 
-    def _extend(self, state: StaggeredState) -> tuple[np.ndarray, np.ndarray]:
-        """Two ghost cells of absorbing padding on values and kbar, as `extend_absorbing` gives."""
-        if state.kbar is not self.kbar[state.parity]:  # a state that brings its own kbar
-            return extend_absorbing(state, 2)
-        u = state.values
-        ev = self.buf[:len(u) + 4]
-        ev[:2], ev[2:-2], ev[-2:] = u[0], u, u[-1]
-        return ev, self.kpad[state.parity]
-
-    def advance(self, state: StaggeredState, v: np.ndarray) -> StaggeredState:
-        """Wrap stepped values into a natural-width state on the flipped parity."""
-        to_half = state.parity is Parity.BASE  # drop the staggered values outside the half grid
-        parity = Parity.HALF if to_half else Parity.BASE
-        return StaggeredState(state.mesh, v[1:-1] if to_half else v, self.kbar[parity], parity,
-                              state.time + self.lam * state.mesh.dx, state.step_index + 1)
-
-    def step(self, state: StaggeredState):
-        """One step of the held scheme, with the correction values a_j and the slopes
-        on `state`'s cells of the second-order one (None, None for the first-order one)."""
+    def step(self, u: np.ndarray, kbar: np.ndarray, parity: Parity):
+        """One step of the held scheme from values `u` with coefficient `kbar` on `parity`'s
+        grid: the new values on the natural grid of the other parity, with the correction
+        values a_j and the slopes on `u`'s cells of the second-order one (None, None for the
+        first-order one)."""
+        to_half = parity is Parity.BASE  # the staggered values outside the half grid are dropped
         if self.limiter is None:
             # Every staggered pair of the one-ghost padding, the outer two only when kept
             # (Half to Base).  f is taken on the cells alone: a ghost repeats its edge
             # cell's (k, u), and `eval` acts elementwise.
-            u, lam = state.values, self.lam
-            f = self.model.eval(state.kbar, u)
-            v = np.empty(len(u) + 1)
-            inner, diff = v[1:-1], self.diff[:len(u) - 1]
+            lam, f = self.lam, self.model.eval(kbar, u)
+            v = np.empty(len(u) - 1 if to_half else len(u) + 1)
+            inner, diff = v if to_half else v[1:-1], self.diff[:len(u) - 1]
             np.multiply(np.add(u[:-1], u[1:], out=inner), 0.5, out=inner)
             np.multiply(np.subtract(f[1:], f[:-1], out=diff), lam, out=diff)
             inner -= diff
-            for i in (0, -1) if state.parity is Parity.HALF else ():  # NaN and inf as padded
+            for i in () if to_half else (0, -1):  # NaN and inf as padded
                 ui, fi = float(u[i]), float(f[i])
                 v[i] = 0.5 * (ui + ui) - lam * (fi - fi)
-            return self.advance(state, v), None, None
-        ev, ek = self._extend(state)
-        sig = slopes(ev, state.mesh.dx, self.limiter)
+            return v, None, None
+        own, kpad = self._base if to_half else self._half
+        ev = self.buf[:len(u) + 4]
+        ev[:2], ev[2:-2], ev[-2:] = u[0], u, u[-1]
+        ek = kpad if kbar is own else _replicate(kbar, 2)  # a state may bring its own kbar
+        sig = slopes(ev, self.mesh.dx, self.limiter)
         f_mid = np.asarray(self.model.eval(ek, mid_time_values(ev, ek, sig, self.model, self.lam)),
                            dtype=float)
         v = (0.5 * (ev[1:-2] + ev[2:-1])
              - 0.125 * (sig[2:-1] - sig[1:-2])
              - self.lam * (f_mid[2:-1] - f_mid[1:-2]))
-        f_now = np.asarray(self.model.eval(state.kbar, state.values), dtype=float)
+        f_now = np.asarray(self.model.eval(kbar, u), dtype=float)
         a = self.lam * (f_mid[2:-2] - f_now) + sig[2:-2] / 8.0
-        return self.advance(state, v), a, sig[2:-2]
+        return v[1:-1] if to_half else v, a, sig[2:-2]
+
+    def advance(self, state: StaggeredState, v: np.ndarray) -> StaggeredState:
+        """Wrap values stepped from `state` into a state on the flipped parity."""
+        parity = Parity.HALF if state.parity is Parity.BASE else Parity.BASE
+        return StaggeredState(state.mesh, v, self.kbar[parity], parity,
+                              state.time + self.lam * state.mesh.dx, state.step_index + 1)
 
 
 def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: float,
@@ -178,7 +173,8 @@ def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: fl
     _check_cfl(model, lam, cfl_level)
     if len(state.values) == 0:
         raise ValueError("cannot step an empty state")
-    return _Stepper(model, coeff, state.mesh, lam, None).step(state)[0]
+    stepper = _Stepper(model, coeff, state.mesh, lam, None)
+    return stepper.advance(state, stepper.step(state.values, state.kbar, state.parity)[0])
 
 
 def mid_time_values(u: np.ndarray, k: np.ndarray, sig: np.ndarray, model: FluxModel,
@@ -197,7 +193,9 @@ def nt_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
     exactly, and the corrections vanish.
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
-    return _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter).step(state)[:2]
+    stepper = _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter)
+    v, a, _ = stepper.step(state.values, state.kbar, state.parity)
+    return stepper.advance(state, v), a
 
 
 def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
@@ -209,14 +207,14 @@ def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coe
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
     stepper = _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter)
-    ev, ek = stepper._extend(state)
+    ev, ek = extend_absorbing(state, 2)
     sig = slopes(ev, state.mesh.dx, cfg.limiter)
     f_mid = np.asarray(model.eval(ek, mid_time_values(ev, ek, sig, model, cfg.lam)), dtype=float)
     f_now = np.asarray(model.eval(ek, ev), dtype=float)
     a = cfg.lam * (f_mid - f_now) + sig / 8.0
     ubar = 0.5 * (ev[1:-2] + ev[2:-1]) - cfg.lam * (f_now[2:-1] - f_now[1:-2])
     v = ubar - (a[2:-1] - a[1:-2])
-    return stepper.advance(state, v)
+    return stepper.advance(state, v[1:-1] if state.parity is Parity.BASE else v)
 
 
 def snap_steps(t_start: float, t_end: float, dt: float) -> int:
@@ -230,16 +228,19 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
 
 
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
-          cfg: SchemeConfig, t_end: float,
-          observers: Sequence = ()) -> tuple[StaggeredState, DiagnosticsReport]:
-    """Advance to the even-step snap of t_end, feeding observers each transition.
+          cfg: SchemeConfig, t_end: float, observers: Sequence = (),
+          snapshots: dict | None = None) -> tuple[StaggeredState, DiagnosticsReport]:
+    """Advance to the even-step snap of t_end; return the final state and the report.
 
-    An observer is any object with a method `observe(prev, next, corrections)`, called
-    after every step; `corrections` is None for the first-order scheme.
+    The loop carries arrays and builds a state only where one is read: the final
+    state, the state at each step index that is a key of `snapshots` (march sets
+    its value), and every state when `observers` are passed.  An observer has a
+    method `observe(prev, next, corrections)`, called after every step;
+    `corrections` is None for the first-order scheme.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
-    Base parity.
+    Base parity.  The report's `u_min`/`u_max` are NaN once any state holds a NaN.
     """
     if initial.mesh.n_cells < 2:
         raise ValueError("marching needs at least 2 cells")
@@ -248,19 +249,45 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     kappa_used, kappa = _check_cfl(model, cfg.lam, cfg.cfl_level)
     if cfg.cfl_level is CflLevel.MANUAL:
         log.warning("manual CFL level: lam*sup|f_u| = %.6g is not checked", kappa_used)
-    collector = DiagnosticsCollector(model, coeff, cfg, initial)
-    collector.report.kappa_used = kappa_used
-    collector.report.kappa_bound = kappa
-
-    dt = cfg.lam * initial.mesh.dx
+    mesh, dt = initial.mesh, cfg.lam * initial.mesh.dx
     n_steps = snap_steps(initial.time, t_end, dt)
     second_order = cfg.scheme is Scheme.NESSYAHU_TADMOR
-    stepper = _Stepper(model, coeff, initial.mesh, cfg.lam, cfg.limiter if second_order else None)
-    state = initial
-    for _ in range(n_steps):
-        new, corrections, sig = stepper.step(state)
-        collector.observe(state, new, corrections, sig)
-        for obs in observers:
-            obs.observe(state, new, corrections)
-        state = new
-    return state, collector.report
+    stepper = _Stepper(model, coeff, mesh, cfg.lam, cfg.limiter if second_order else None)
+    report = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
+                               cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
+                               kappa_bound=kappa)
+    collector = (DiagnosticsCollector(model, coeff, cfg, mesh, report)
+                 if cfg.collect_diagnostics else None)
+    snapshots = {} if snapshots is None else snapshots
+    if initial.step_index in snapshots:
+        snapshots[initial.step_index] = initial
+    (base, k_base), (half, k_half) = stepper.kbar.items()
+    step, lowest, highest = stepper.step, np.minimum.reduce, np.maximum.reduce
+    u, kbar, parity, time, state = initial.values, initial.kbar, base, initial.time, initial
+    u_min, u_max, correction_max = lowest(u), highest(u), 0.0
+    for index in range(initial.step_index + 1, initial.step_index + n_steps + 1):
+        v, corrections, sig = step(u, kbar, parity)
+        lo, hi = lowest(v), highest(v)
+        u_min = lo if lo < u_min or lo != lo else u_min  # a NaN sticks
+        u_max = hi if hi > u_max or hi != hi else u_max
+        if corrections is not None:
+            correction_max = max(correction_max, float(highest(np.abs(corrections))))
+        if collector is not None:
+            collector.observe(u, kbar, parity, v, sig)
+        parity, kbar = (half, k_half) if parity is base else (base, k_base)
+        time += dt
+        if observers or index in snapshots:
+            new = StaggeredState(mesh, v, kbar, parity, time, index)
+            for obs in observers:
+                obs.observe(state, new, corrections)
+            if index in snapshots:
+                snapshots[index] = new
+            state = new
+        u = v
+    report.u_min, report.u_max = float(u_min), float(u_max)
+    report.snapped_time, report.correction_max = time, correction_max
+    if second_order and n_steps:
+        report.correction_bound = _correction_bound(cfg, model, mesh.dx)
+    if (end := initial.step_index + n_steps) != state.step_index:
+        state = StaggeredState(mesh, u, kbar, parity, time, end)
+    return state, report

@@ -1,11 +1,16 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from discflux import (ExperimentSpec, InitialData, Mesh, Parity, Scheme,
-                      StaggeredState, cfl_bound, CflLevel, example_1, example_2,
-                      l1_error, refinement_study, run_experiment)
+from discflux import (ExperimentSpec, InitialData, LimiterConfig, LimiterKind, Mesh, Parity,
+                      Scheme, SchemeConfig, StaggeredState, cfl_bound, CflLevel, example_1,
+                      example_2, l1_error, lf_step, march, nt_step, refinement_study,
+                      run_experiment, snap_steps)
 
 
 class TestExample1:
@@ -168,3 +173,81 @@ class TestAccuracyOrdering:
                 run = run_experiment(spec, scheme, times=(t,), collect_diagnostics=False)
                 errs[scheme] = l1_error(run.states[t], reference.states[t])
             assert errs[Scheme.NESSYAHU_TADMOR] < errs[Scheme.LAX_FRIEDRICHS]
+
+
+class SnapshotObserver:
+    """The observer that captured `run_experiment`'s states before `march` took
+    `snapshots`, kept as an oracle: the states reached at the requested step indices."""
+
+    def __init__(self, wanted: set[int]):
+        self.wanted = wanted
+        self.states: dict[int, StaggeredState] = {}
+
+    def observe(self, prev, next, corrections):
+        if next.step_index in self.wanted:
+            self.states[next.step_index] = next
+
+
+def _run_with_observer(spec, scheme, dx, times, collect_diagnostics):
+    """`run_experiment` as it was when a SnapshotObserver drove its march."""
+    model, coeff = spec.build()
+    mesh = spec.mesh(dx)
+    state0 = spec.initial(mesh, coeff)
+    limiter = spec.limiter
+    if spec.k_tilde_auto:
+        limiter = dataclasses.replace(limiter, k_tilde=2.0 * model.c_u0 * mesh.dx**-limiter.alpha)
+    cfg = SchemeConfig(scheme=scheme, lam=spec.lam, limiter=limiter, cfl_level=spec.cfl_level,
+                       collect_diagnostics=collect_diagnostics, window_x=spec.window_x)
+    steps = {t: snap_steps(0.0, t, cfg.lam * mesh.dx) for t in times}
+    snap = SnapshotObserver(set(steps.values()))
+    t_final = max(times) if times else 0.0
+    final, report = march(state0, model, coeff, cfg, t_final, observers=(snap,))
+    chained = [state0]  # the same states from the public steps, which march does not call
+    for _ in range(report.steps):
+        chained.append(nt_step(chained[-1], model, coeff, cfg)[0]
+                       if scheme is Scheme.NESSYAHU_TADMOR
+                       else lf_step(chained[-1], model, coeff, cfg.lam, cfg.cfl_level))
+    return ({t: snap.states[n] if n else state0 for t, n in steps.items()}, final, report,
+            {t: chained[n] for t, n in steps.items()})
+
+
+class OwnKbarSpec(ExperimentSpec):
+    """A spec whose initial state brings its own kbar (the run's, reversed)."""
+
+    def initial(self, mesh, coeff):
+        state = super().initial(mesh, coeff)
+        return dataclasses.replace(state, kbar=state.kbar[::-1].copy())
+
+
+def _state_bytes(state):
+    return (state.mesh, state.parity, state.step_index, np.float64(state.time).tobytes(),
+            state.values.tobytes(), np.asarray(state.kbar).tobytes())
+
+
+class TestSnapshotsEqualTheObserver:
+    @given(st.sampled_from([example_1, example_2]), st.sampled_from(list(Scheme)),
+           st.sampled_from(list(LimiterKind)), st.booleans(), st.booleans(), st.booleans(),
+           st.integers(min_value=2, max_value=40),
+           st.lists(st.one_of(st.just(0.0), st.tuples(st.integers(0, 12), st.floats(0.0, 0.99))),
+                    min_size=1, max_size=6),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_states_and_report_bitwise(self, example, scheme, kind, k_tilde_auto, diagnostics,
+                                       own_kbar, n_cells, drawn, left, right):
+        base = example()
+        spec = (OwnKbarSpec if own_kbar else ExperimentSpec)(**{
+            **{f.name: getattr(base, f.name) for f in dataclasses.fields(base)},
+            "u0": InitialData.step(left, right, at=0.1),
+            "limiter": LimiterConfig(kind=kind, k_tilde=0.7), "k_tilde_auto": k_tilde_auto})
+        dx = (spec.x_max - spec.x_min) / n_cells
+        dt = spec.lam * dx
+        # 0.0, repeated times, and times that snap to one even step (k and k + 1)
+        times = tuple(0.0 if t == 0.0 else (t[0] + t[1]) * dt for t in drawn)
+        run = run_experiment(spec, scheme, dx=dx, times=times, collect_diagnostics=diagnostics)
+        states, final, report, chained = _run_with_observer(spec, scheme, dx, times, diagnostics)
+        assert run.states.keys() == states.keys()
+        for t, state in states.items():
+            assert _state_bytes(run.states[t]) == _state_bytes(state)
+            assert _state_bytes(run.states[t]) == _state_bytes(chained[t])
+        assert _state_bytes(run.final) == _state_bytes(final)
+        assert json.dumps(run.report.to_json_dict()) == json.dumps(report.to_json_dict())

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from discflux import (Coefficient, Mesh, Parity, StaggeredState,
                       builtin_multiplicative, cell_average_coefficient,
-                      cell_average_initial, extend_absorbing, initial_state)
-from discflux.grid import state_csv_text
+                      cell_average_initial, extend_absorbing, initial_state,
+                      write_state_csv)
 
 
 @pytest.fixture
@@ -258,12 +258,13 @@ class TestStaggeredState:
 
 
 class TestCsvDump:
-    def test_header_and_full_precision(self):
+    def test_header_and_full_precision(self, tmp_path):
         mesh = Mesh.from_cells(0.0, 1.0, 2)
         state = StaggeredState(mesh=mesh, values=np.array([1 / 3, 2 / 3]),
                                kbar=np.ones(2), parity=Parity.BASE,
                                time=0.0, step_index=0)
-        text = state_csv_text(state)
+        write_state_csv(state, tmp_path / "u.csv")
+        text = (tmp_path / "u.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "x,u"
         assert len(lines) == 3

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discflux.schemes as schemes
-from discflux import (CflError, CflLevel, Coefficient, Convexity, FluxModel,
-                      LimiterConfig, LimiterKind, Mesh, Parity, Scheme,
+from discflux import (CflError, CflLevel, Coefficient, Convexity, ExperimentSpec, FluxModel,
+                      InitialData, LimiterConfig, LimiterKind, Mesh, Parity, Scheme,
                       SchemeConfig, StaggeredState, builtin_burgers_const_k,
                       builtin_multiplicative, builtin_two_flux_rational,
                       cell_average_coefficient, cfl_bound, extend_absorbing,
                       initial_state, lf_step, march, mid_time_values, nt_step,
-                      predictor_corrector_step, snap_steps)
+                      predictor_corrector_step, run_experiment, snap_steps)
 
 
 def flat_k_model(flux, d_u, d_uu=None, sup_fu=1.0, gamma=(1.0, 1.0),
@@ -463,6 +465,81 @@ class TestStepKernel:
             lf_step(half, model, coeff, 0.1)
 
 
+class _NoOp:
+    def observe(self, prev, next, corrections):
+        pass
+
+
+def _report_json(report):
+    return json.dumps(report.to_json_dict())
+
+
+class TestMarchBuildsStatesOnlyWhereRead:
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    @pytest.mark.parametrize("wanted", [(), (0, 6, 60), (2, 4, 4, 7, 200)])
+    def test_constructs_the_kept_states_and_the_final_one(self, monkeypatch, scheme, limiter,
+                                                          diagnostics, wanted):
+        model, coeff, state, cfg = _kernel_run(40, scheme, limiter)
+        cfg = dataclasses.replace(cfg, collect_diagnostics=diagnostics)
+        built = []
+        real = StaggeredState.__post_init__
+        monkeypatch.setattr(StaggeredState, "__post_init__",
+                            lambda self: built.append(self.step_index) or real(self))
+        snapshots = dict.fromkeys(wanted)
+        final, report = march(state, model, coeff, cfg, 0.1, snapshots=snapshots)
+        assert report.steps == 60 and final.step_index == 60
+        kept = {n for n in wanted if 0 < n < report.steps}
+        assert sorted(built) == sorted(kept | {report.steps})
+        assert all(snapshots[n].step_index == n for n in wanted if n <= report.steps)
+        assert snapshots.get(0, state) is state and snapshots.get(60, final) is final
+        assert snapshots.get(200, None) is None  # past the end: left unset
+        built.clear()
+        march(state, model, coeff, cfg, 0.1, observers=[_NoOp()])
+        assert built == list(range(1, 61))  # with an observer, every state
+
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    def test_a_no_op_observer_changes_nothing(self, scheme, limiter, diagnostics):
+        model, coeff, state, cfg = _kernel_run(41, scheme, limiter)
+        cfg = dataclasses.replace(cfg, collect_diagnostics=diagnostics)
+        plain, plain_report = march(state, model, coeff, cfg, 0.1)
+        observed, observed_report = march(state, model, coeff, cfg, 0.1, observers=[_NoOp()])
+        assert observed.values.tobytes() == plain.values.tobytes()
+        assert (observed.time, observed.step_index) == (plain.time, plain.step_index)
+        assert _report_json(observed_report) == _report_json(plain_report)
+
+
+class TestNanExtremesStick:
+    def test_manual_cfl_blow_up_reports_null_extremes(self):
+        # every state from step 10 on holds a NaN; Python's min and max kept step 8's
+        # extremes (u_max 1.873e241) because they keep the left operand against NaN
+        spec = ExperimentSpec(name="blow-up", model_name="multiplicative",
+                              model_params={"k_left": 3.0, "k_right": 1.0}, dx=0.04, lam=3.0,
+                              u0=InitialData.step(0.9, 0.1), cfl_level=CflLevel.MANUAL,
+                              output_times=(0.96, 2.0))
+        with np.errstate(all="ignore"):
+            run = run_experiment(spec, Scheme.NESSYAHU_TADMOR)
+        assert run.report.steps == 16 and np.isnan(run.final.values).any()
+        assert np.isfinite(run.states[0.96].values).all()
+        assert math.isnan(run.report.u_min) and math.isnan(run.report.u_max)
+        payload = json.loads(json.dumps(run.report.to_json_dict(), allow_nan=False))
+        assert payload["u_min"] is None and payload["u_max"] is None
+
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    def test_a_nan_after_the_initial_state_sticks(self, scheme, limiter):
+        # the flux is NaN above u = 0.55, so the first step leaves NaNs in finite data
+        model, coeff = flat_k_model(lambda u: np.where(u > 0.55, math.nan, u * (1 - u)),
+                                    lambda u: 1 - 2 * u)
+        state = initial_state(Mesh.from_cells(-1.0, 1.0, 40), coeff,
+                              lambda x: 0.5 + 0.4 * np.sin(3.0 * x))
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=0.1, collect_diagnostics=False)
+        with np.errstate(invalid="ignore"):
+            final, report = march(state, model, coeff, cfg, 4 * cfg.lam * state.mesh.dx)
+        assert np.isfinite(state.values).all() and np.isnan(final.values).any()
+        assert math.isnan(report.u_min) and math.isnan(report.u_max)
+
+
 def _padded_lf_values(state, model, lam):
     """The first-order step as it was before it dropped the ghost cells: pad values and
     kbar with one ghost each side, take f on all of them, update every staggered pair,
@@ -511,12 +588,13 @@ class TestFirstOrderStepWithoutGhosts:
         step = 0 if parity is Parity.BASE else 1
         state = StaggeredState(mesh, values, kbar, parity, step * lam * mesh.dx, step)
         with np.errstate(all="ignore"):  # inf - inf, 1e308 + 1e308 and the like
-            new, corrections, sig = stepper.step(state)
+            v, corrections, sig = stepper.step(values, kbar, parity)
             want = _padded_lf_values(state, model, lam)
         assert corrections is None and sig is None
-        assert _bits(new.values) == _bits(want)
+        assert _bits(v) == _bits(want)
+        new = stepper.advance(state, v)  # refuses values off the new parity's natural width
         assert new.kbar is stepper.kbar[new.parity] and new.parity is not parity
-        kept = new.values.copy()
-        with np.errstate(all="ignore"):
-            stepper.step(state)  # outputs are fresh arrays: a later step leaves them alone
-        assert new.values.tobytes() == kept.tobytes()
+        kept = v.copy()
+        with np.errstate(all="ignore"):  # outputs are fresh arrays: a later step leaves them alone
+            stepper.step(values, kbar, parity)
+        assert v.tobytes() == kept.tobytes()

@@ -1,13 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import discflux.verify as verify
 
 from discflux import (CflLevel, LimiterConfig, LimiterKind, Mesh, Parity, Scheme,
                       SchemeConfig, StaggeredState, builtin_burgers_const_k,
                       cell_average_coefficient, correction_bound_check, nt_step,
                       nu_coefficient, onesided_check, slopes)
-from discflux.diagnostics import TOL
+from discflux.diagnostics import TOL, DiagnosticsReport
 from discflux.verify import (_burgers_setup, _random_states, suite_correction, suite_nu,
                              suite_onesided)
 
@@ -79,3 +82,24 @@ class TestMarchingSuitesEqualTheirStepLoops:
         got = suite_correction(dxs=(1e-2, 1e-3), n_steps=n_steps)
         assert _bits(got.worst_margin) == _bits(_correction_oracle((1e-2, 1e-3), n_steps))
         assert got.passed
+
+
+class TestMaxPrincipleOnNanExtremes:
+    # Python's min keeps its left operand against NaN, so `min(worst, margin)` skipped a run
+    # whose report held a NaN extreme and the suite passed
+    @pytest.mark.parametrize("blown", [0, 3])
+    @pytest.mark.parametrize("extreme", ["u_min", "u_max"])
+    def test_a_nan_extreme_fails(self, monkeypatch, blown, extreme):
+        runs = []
+
+        def run_experiment(spec, scheme, **kwargs):
+            report = DiagnosticsReport(u_min=0.2, u_max=0.8)
+            if len(runs) == blown:
+                setattr(report, extreme, math.nan)
+            runs.append(report)
+            return SimpleNamespace(report=report)
+
+        monkeypatch.setattr(verify, "run_experiment", run_experiment)
+        result = verify.suite_maxprinciple()
+        assert len(runs) == 4
+        assert not result.passed and math.isnan(result.worst_margin)
