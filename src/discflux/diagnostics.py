@@ -297,7 +297,8 @@ class DiagnosticsCollector:
         nu = _nu(u, du, kt, sig, self.model, self.cfg.lam)
         rep.quad_accumulator += dx * float((nu * du**2).sum())
         if len(nu):
-            rep.nu_min = min(rep.nu_min, float(nu.min()))
+            low = float(nu.min())
+            rep.nu_min = low if low < rep.nu_min or low != low else rep.nu_min  # a NaN sticks
         if kruzkov:
             u_in = u if parity is Parity.BASE else _replicate(u, 1)
             rep.entropy_max_residual = max(rep.entropy_max_residual, _entropy_worst(

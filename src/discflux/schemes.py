@@ -12,9 +12,10 @@ first-order step plus differenced correction terms
 
     a = lam*(f(k, m) - f(k, u)) + s/8,
 
-which `predictor_corrector_step` evaluates directly.  Absorbing boundaries
-are realized by ghost replication; each step lands exactly on the natural
-grid of the new parity (n values on Base, n-1 on Half).
+which `predictor_corrector_step` evaluates directly.  Boundaries absorb: a
+ghost cell would repeat its edge cell with slope 0, so the steps take every
+pair from the cell values alone and pad nothing.  Each step lands exactly on
+the natural grid of the new parity (n values on Base, n-1 on Half).
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsCollector, DiagnosticsReport, _correction_bound
 from .flux_model import Coefficient, FluxModel
-from .grid import (Mesh, Parity, StaggeredState, _replicate, cell_average_coefficient,
-                   extend_absorbing)
+from .grid import Mesh, Parity, StaggeredState, cell_average_coefficient, extend_absorbing
 from .limiter import LimiterConfig, slopes
 
 log = logging.getLogger(__name__)
@@ -111,9 +111,9 @@ class _Stepper:
     """The step kernel of one march, on arrays; `limiter` None selects the first-order scheme.
 
     Built once per run: both averaged-coefficient arrays (read-only, so every
-    state can share them), their two-ghost padded copies, one padded buffer the
-    second-order step copies the values into, and one first-order difference
-    buffer.  Outputs are always fresh arrays: observers may keep them.
+    state can share them) and one difference buffer.  Both schemes step the n
+    cell values without ghost cells.  Outputs are always fresh arrays: observers
+    may keep them.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
@@ -122,42 +122,34 @@ class _Stepper:
         self.kbar = {p: cell_average_coefficient(mesh, coeff, p) for p in Parity}
         for k in self.kbar.values():
             k.flags.writeable = False
-        self._base, self._half = ((k, _replicate(k, 2)) for k in self.kbar.values())
-        self.buf, self.diff = np.empty(mesh.n_cells + 4), np.empty(mesh.n_cells)
+        self.diff = np.empty(mesh.n_cells)
 
     def step(self, u: np.ndarray, kbar: np.ndarray, parity: Parity):
         """One step of the held scheme from values `u` with coefficient `kbar` on `parity`'s
         grid: the new values on the natural grid of the other parity, with the correction
         values a_j and the slopes on `u`'s cells of the second-order one (None, None for the
         first-order one)."""
-        to_half = parity is Parity.BASE  # the staggered values outside the half grid are dropped
-        if self.limiter is None:
-            # Every staggered pair of the one-ghost padding, the outer two only when kept
-            # (Half to Base).  f is taken on the cells alone: a ghost repeats its edge
-            # cell's (k, u), and `eval` acts elementwise.
-            lam, f = self.lam, self.model.eval(kbar, u)
-            v = np.empty(len(u) - 1 if to_half else len(u) + 1)
-            inner, diff = v if to_half else v[1:-1], self.diff[:len(u) - 1]
-            np.multiply(np.add(u[:-1], u[1:], out=inner), 0.5, out=inner)
-            np.multiply(np.subtract(f[1:], f[:-1], out=diff), lam, out=diff)
-            inner -= diff
-            for i in () if to_half else (0, -1):  # NaN and inf as padded
-                ui, fi = float(u[i]), float(f[i])
-                v[i] = 0.5 * (ui + ui) - lam * (fi - fi)
-            return v, None, None
-        own, kpad = self._base if to_half else self._half
-        ev = self.buf[:len(u) + 4]
-        ev[:2], ev[2:-2], ev[-2:] = u[0], u, u[-1]
-        ek = kpad if kbar is own else _replicate(kbar, 2)  # a state may bring its own kbar
-        sig = slopes(ev, self.mesh.dx, self.limiter)
-        f_mid = np.asarray(self.model.eval(ek, mid_time_values(ev, ek, sig, self.model, self.lam)),
-                           dtype=float)
-        v = (0.5 * (ev[1:-2] + ev[2:-1])
-             - 0.125 * (sig[2:-1] - sig[1:-2])
-             - self.lam * (f_mid[2:-1] - f_mid[1:-2]))
-        f_now = np.asarray(self.model.eval(kbar, u), dtype=float)
-        a = self.lam * (f_mid[2:-2] - f_now) + sig[2:-2] / 8.0
-        return v[1:-1] if to_half else v, a, sig[2:-2]
+        lam, model, to_half = self.lam, self.model, parity is Parity.BASE
+        f, sig, a = np.asarray(model.eval(kbar, u), dtype=float), None, None
+        if self.limiter is not None:  # f at the mid-time values; fewer than 3 take slope 0
+            sig = slopes(u, self.mesh.dx, self.limiter) if len(u) > 2 else np.zeros(len(u))
+            mid = mid_time_values(u, kbar, sig, model, lam)
+            f_now, f = f, np.asarray(model.eval(kbar, mid), dtype=float)
+            a = lam * (f - f_now) + sig / 8.0
+        # Every staggered pair of the absorbing padding, the outer two only when kept (Half to
+        # Base).  A ghost repeats its edge cell's (k, u) and takes slope 0, so f is taken on
+        # the cells alone (`eval` acts elementwise) and an outer pair's slope term
+        # x - 0.125*(0.0 - 0.0) is x.
+        v = np.empty(len(u) - 1 if to_half else len(u) + 1)
+        inner, diff = v if to_half else v[1:-1], self.diff[:len(u) - 1]
+        np.multiply(np.add(u[:-1], u[1:], out=inner), 0.5, out=inner)
+        if sig is not None:
+            inner -= np.multiply(np.subtract(sig[1:], sig[:-1], out=diff), 0.125, out=diff)
+        inner -= np.multiply(np.subtract(f[1:], f[:-1], out=diff), lam, out=diff)
+        for i in () if to_half else (0, -1):  # NaN and inf as padded
+            ui, fi = float(u[i]), float(f[i])
+            v[i] = 0.5 * (ui + ui) - lam * (fi - fi)
+        return v, a, sig
 
     def advance(self, state: StaggeredState, v: np.ndarray) -> StaggeredState:
         """Wrap values stepped from `state` into a state on the flipped parity."""
@@ -193,6 +185,8 @@ def nt_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
     exactly, and the corrections vanish.
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
+    if len(state.values) == 0:
+        raise ValueError("cannot step an empty state")
     stepper = _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter)
     v, a, _ = stepper.step(state.values, state.kbar, state.parity)
     return stepper.advance(state, v), a
@@ -240,7 +234,8 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
-    Base parity.  The report's `u_min`/`u_max` are NaN once any state holds a NaN.
+    Base parity.  The report's `u_min`/`u_max` and `correction_max` are NaN once
+    any state or correction holds a NaN.
     """
     if initial.mesh.n_cells < 2:
         raise ValueError("marching needs at least 2 cells")
@@ -271,7 +266,8 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         u_min = lo if lo < u_min or lo != lo else u_min  # a NaN sticks
         u_max = hi if hi > u_max or hi != hi else u_max
         if corrections is not None:
-            correction_max = max(correction_max, float(highest(np.abs(corrections))))
+            a_max = highest(np.abs(corrections))
+            correction_max = a_max if a_max > correction_max or a_max != a_max else correction_max
         if collector is not None:
             collector.observe(u, kbar, parity, v, sig)
         parity, kbar = (half, k_half) if parity is base else (base, k_base)
@@ -285,7 +281,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
             state = new
         u = v
     report.u_min, report.u_max = float(u_min), float(u_max)
-    report.snapped_time, report.correction_max = time, correction_max
+    report.snapped_time, report.correction_max = time, float(correction_max)
     if second_order and n_steps:
         report.correction_bound = _correction_bound(cfg, model, mesh.dx)
     if (end := initial.step_index + n_steps) != state.step_index:

@@ -8,7 +8,6 @@ an even count, as `march` does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +48,12 @@ def suite_identity(n_states: int = 50) -> SuiteResult:
     model, coeff = builtin_multiplicative(3.0, 1.0)
     mesh = Mesh.from_cells(-1.0, 1.0, 50)
     cfg = SchemeConfig(scheme=Scheme.NESSYAHU_TADMOR, lam=1.0 / 30.0)
-    worst = 0.0
+    deviations = []
     for state in _random_states(n_states, mesh, coeff):
         direct, _ = nt_step(state, model, coeff, cfg)
         rearranged = predictor_corrector_step(state, model, coeff, cfg)
-        worst = max(worst, float(np.max(np.abs(direct.values - rearranged.values))))
+        deviations.append(np.max(np.abs(direct.values - rearranged.values)))
+    worst = float(np.max(deviations))  # a NaN deviation fails: np.max keeps it
     return SuiteResult("identity", worst <= TOL, TOL - worst,
                        f"max cellwise deviation {worst:.3e} over {n_states} states")
 
@@ -64,12 +64,12 @@ def suite_degeneration(n_states: int = 50) -> SuiteResult:
     mesh = Mesh.from_cells(-1.0, 1.0, 50)
     cfg = SchemeConfig(scheme=Scheme.NESSYAHU_TADMOR, lam=1.0 / 30.0,
                        limiter=LimiterConfig(kind=LimiterKind.ZERO))
-    worst = 0.0
+    deviations = []
     for state in _random_states(n_states, mesh, coeff):
         with_zero, corr = nt_step(state, model, coeff, cfg)
         first_order = lf_step(state, model, coeff, cfg.lam)
-        worst = max(worst, float(np.max(np.abs(with_zero.values - first_order.values))))
-        worst = max(worst, float(np.max(np.abs(corr))))
+        deviations += [np.max(np.abs(with_zero.values - first_order.values)), np.max(np.abs(corr))]
+    worst = float(np.max(deviations))
     return SuiteResult("degeneration", worst <= 1e-15, 1e-15 - worst,
                        f"max deviation {worst:.3e} over {n_states} states")
 
@@ -101,8 +101,8 @@ def suite_onesided(n_states: int = 10, n_steps: int = 100) -> SuiteResult:
     """One-sided jump decay for constant-coefficient convex flux, per step."""
     model, coeff, cfg, mesh = _burgers_setup(CflLevel.ONE_SIDED)
     t_end = n_steps * cfg.lam * mesh.dx
-    worst = min(march(state, model, coeff, cfg, t_end)[1].onesided_worst_margin
-                for state in _random_states(n_states, mesh, coeff, seed=20240818))
+    worst = float(np.min([march(state, model, coeff, cfg, t_end)[1].onesided_worst_margin
+                          for state in _random_states(n_states, mesh, coeff, seed=20240818)]))
     return SuiteResult("onesided", worst >= -TOL, worst,
                        f"{n_states} states x {n_steps} steps, lam={cfg.lam:.6g}")
 
@@ -111,8 +111,8 @@ def suite_nu(n_states: int = 10, n_steps: int = 100) -> SuiteResult:
     """Curvature coefficient nonnegativity under the strictest CFL level."""
     model, coeff, cfg, mesh = _burgers_setup(CflLevel.CUBIC_ESTIMATE)
     t_end = n_steps * cfg.lam * mesh.dx
-    worst = min(march(state, model, coeff, cfg, t_end)[1].nu_min
-                for state in _random_states(n_states, mesh, coeff, seed=20240819))
+    worst = float(np.min([march(state, model, coeff, cfg, t_end)[1].nu_min
+                          for state in _random_states(n_states, mesh, coeff, seed=20240819)]))
     return SuiteResult("nu", worst >= -TOL, worst,
                        f"{n_states} states x {n_steps} steps, lam={cfg.lam:.6g}")
 
@@ -131,7 +131,7 @@ def suite_correction(dxs=(1e-2, 1e-3, 1e-4), n_steps: int = 20) -> SuiteResult:
     lim = LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED, k_tilde=1.0, alpha=0.75)
     cfg = SchemeConfig(scheme=Scheme.NESSYAHU_TADMOR, lam=0.2, limiter=lim,
                        collect_diagnostics=False)
-    worst = math.inf
+    margins = []
     for dx in dxs:
         mesh = Mesh.from_cells(0.0, 1.0, round(1.0 / dx))
         kbar = cell_average_coefficient(mesh, coeff, Parity.BASE)
@@ -139,7 +139,8 @@ def suite_correction(dxs=(1e-2, 1e-3, 1e-4), n_steps: int = 20) -> SuiteResult:
         state = StaggeredState(mesh=mesh, values=values, kbar=kbar,
                                parity=Parity.BASE, time=0.0, step_index=0)
         _, report = march(state, model, coeff, cfg, n_steps * cfg.lam * mesh.dx)
-        worst = min(worst, report.correction_bound + TOL - report.correction_max)
+        margins.append(report.correction_bound + TOL - report.correction_max)
+    worst = float(np.min(margins))  # a NaN margin fails, as in suite_maxprinciple
     return SuiteResult("correction", worst >= 0.0, worst,
                        f"dx in {list(dxs)}, {n_steps} steps each")
 

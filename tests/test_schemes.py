@@ -14,7 +14,7 @@ from discflux import (CflError, CflLevel, Coefficient, Convexity, ExperimentSpec
                       builtin_multiplicative, builtin_two_flux_rational,
                       cell_average_coefficient, cfl_bound, extend_absorbing,
                       initial_state, lf_step, march, mid_time_values, nt_step,
-                      predictor_corrector_step, run_experiment, snap_steps)
+                      predictor_corrector_step, run_experiment, slopes, snap_steps)
 
 
 def flat_k_model(flux, d_u, d_uu=None, sup_fu=1.0, gamma=(1.0, 1.0),
@@ -464,6 +464,16 @@ class TestStepKernel:
         with pytest.raises(ValueError):
             lf_step(half, model, coeff, 0.1)
 
+    @pytest.mark.parametrize("step", [
+        lambda s, m, c, cfg: lf_step(s, m, c, cfg.lam), nt_step, predictor_corrector_step])
+    def test_an_empty_state_is_refused(self, step):
+        model, coeff = builtin_burgers_const_k()
+        state = initial_state(Mesh.from_cells(0.0, 1.0, 1), coeff, lambda x: np.full_like(x, 0.5))
+        half, _ = nt_step(state, model, coeff, SchemeConfig(lam=0.1))
+        assert half.parity is Parity.HALF and len(half.values) == 0
+        with pytest.raises(ValueError, match="empty state"):
+            step(half, model, coeff, SchemeConfig(lam=0.1))
+
 
 class _NoOp:
     def observe(self, prev, next, corrections):
@@ -525,6 +535,19 @@ class TestNanExtremesStick:
         assert math.isnan(run.report.u_min) and math.isnan(run.report.u_max)
         payload = json.loads(json.dumps(run.report.to_json_dict(), allow_nan=False))
         assert payload["u_min"] is None and payload["u_max"] is None
+
+    def test_manual_cfl_blow_up_reports_null_correction_max_and_nu_min(self):
+        # Python's max and min kept step 8's correction_max (1.78e191) and nu_min (-5.06e242)
+        spec = ExperimentSpec(name="blow-up", model_name="multiplicative",
+                              model_params={"k_left": 3.0, "k_right": 1.0}, dx=0.04, lam=3.0,
+                              u0=InitialData.step(0.9, 0.1), cfl_level=CflLevel.MANUAL,
+                              output_times=(2.0,))
+        with np.errstate(all="ignore"):
+            report = run_experiment(spec, Scheme.NESSYAHU_TADMOR).report
+        assert report.steps == 16
+        assert math.isnan(report.correction_max) and math.isnan(report.nu_min)
+        payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert payload["correction_max"] is None and payload["nu_min"] is None
 
     @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
     def test_a_nan_after_the_initial_state_sticks(self, scheme, limiter):
@@ -598,3 +621,58 @@ class TestFirstOrderStepWithoutGhosts:
         with np.errstate(all="ignore"):  # outputs are fresh arrays: a later step leaves them alone
             stepper.step(values, kbar, parity)
         assert v.tobytes() == kept.tobytes()
+
+
+def _padded_nt_step(state, model, lam, limiter):
+    """The second-order step as it was before it dropped the ghost cells: pad values and
+    kbar with two ghosts each side, take slopes and f at the mid-time values on all of them,
+    update every staggered pair, and keep the outer two pairs only on the way to Base.
+    Returns the values, and the corrections and slopes on the state's cells."""
+    ev, ek = extend_absorbing(state, 2)
+    sig = slopes(ev, state.mesh.dx, limiter)
+    f_mid = np.asarray(model.eval(ek, mid_time_values(ev, ek, sig, model, lam)), dtype=float)
+    v = (0.5 * (ev[1:-2] + ev[2:-1])
+         - 0.125 * (sig[2:-1] - sig[1:-2])
+         - lam * (f_mid[2:-1] - f_mid[1:-2]))
+    f_now = np.asarray(model.eval(state.kbar, state.values), dtype=float)
+    a = lam * (f_mid[2:-2] - f_now) + sig[2:-2] / 8.0
+    return v[1:-1] if state.parity is Parity.BASE else v, a, sig[2:-2]
+
+
+# a flux finite on all of R, so that an edge value whose u + u overflows keeps a finite flux
+NT_MODELS = LF_MODELS + [lambda: flat_k_model(np.tanh, lambda u: 1 / np.cosh(u)**2)]
+NT_LIMITERS = [LimiterConfig(kind=LimiterKind.ZERO), LimiterConfig(),
+               LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED),
+               LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED, k_tilde=1e-300, alpha=0.7)]
+
+
+class TestSecondOrderStepWithoutGhosts:
+    @given(st.sampled_from(NT_MODELS), st.sampled_from(NT_LIMITERS),
+           st.sampled_from([Parity.BASE, Parity.HALF]),
+           st.integers(min_value=1, max_value=60), st.booleans(),
+           st.one_of(st.sampled_from([1e-300, 1 / 30, 1e300]),
+                     st.floats(min_value=1e-300, max_value=1e300)),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_padded_formula_bitwise(self, builtin, limiter, parity, n_cells, own_kbar,
+                                           lam, data):
+        if parity is Parity.HALF and n_cells < 2:
+            n_cells = 2  # a Half state on one cell is empty, and stepping it is refused
+        model, coeff = builtin()
+        mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
+        stepper = schemes._Stepper(model, coeff, mesh, lam, limiter)
+        n = mesh.n_values(parity)
+        values = np.array(data.draw(st.lists(special_or_normal, min_size=n, max_size=n)))
+        kbar = (np.array(data.draw(st.lists(special_or_normal, min_size=n, max_size=n)))
+                if own_kbar else stepper.kbar[parity])
+        step = 0 if parity is Parity.BASE else 1
+        state = StaggeredState(mesh, values, kbar, parity, step * lam * mesh.dx, step)
+        with np.errstate(all="ignore"):  # inf - inf, 1e308 + 1e308 and the like
+            got = stepper.step(values, kbar, parity)
+            want = _padded_nt_step(state, model, lam, limiter)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        stepper.advance(state, got[0])  # refuses values off the new parity's natural width
+        kept = [x.copy() for x in got]
+        with np.errstate(all="ignore"):  # outputs are fresh arrays: a later step leaves them alone
+            stepper.step(values, kbar, parity)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in kept]

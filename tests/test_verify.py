@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -102,4 +103,45 @@ class TestMaxPrincipleOnNanExtremes:
         monkeypatch.setattr(verify, "run_experiment", run_experiment)
         result = verify.suite_maxprinciple()
         assert len(runs) == 4
+        assert not result.passed and math.isnan(result.worst_margin)
+
+
+class TestMarchingSuitesOnNanMargins:
+    # Python's min keeps its left operand against NaN, so a march whose report held a NaN
+    # margin was skipped (after the first march, or always from the correction suite's
+    # starting inf) and the suite passed
+    @pytest.mark.parametrize("blown", [0, 2])
+    @pytest.mark.parametrize("suite, field", [(suite_onesided, "onesided_worst_margin"),
+                                              (suite_nu, "nu_min"),
+                                              (suite_correction, "correction_max")])
+    def test_a_nan_margin_fails(self, monkeypatch, suite, field, blown):
+        marches = []
+
+        def march(state, model, coeff, cfg, t_end):
+            report = DiagnosticsReport(onesided_worst_margin=0.5, nu_min=0.5,
+                                       correction_max=0.0, correction_bound=1.0)
+            if len(marches) == blown:
+                setattr(report, field, math.nan)
+            marches.append(report)
+            return state, report
+
+        monkeypatch.setattr(verify, "march", march)
+        result = suite()
+        assert len(marches) > blown
+        assert not result.passed and math.isnan(result.worst_margin)
+
+
+class TestStepSuitesOnNanDeviations:
+    # Python's max keeps its left operand against NaN, so a NaN deviation was skipped and
+    # the suite passed with a deviation of 0
+    @pytest.mark.parametrize("suite", [verify.suite_identity, verify.suite_degeneration])
+    def test_a_nan_second_order_step_fails(self, monkeypatch, suite):
+        real = verify.nt_step
+
+        def nt_step(state, *args):
+            new, corr = real(state, *args)
+            return dataclasses.replace(new, values=np.full_like(new.values, math.nan)), corr
+
+        monkeypatch.setattr(verify, "nt_step", nt_step)
+        result = suite(n_states=2)
         assert not result.passed and math.isnan(result.worst_margin)
