@@ -125,12 +125,13 @@ class ExperimentRun:
 
 def run_experiment(spec: ExperimentSpec, scheme: Scheme, dx: float | None = None,
                    times: tuple[float, ...] | None = None,
-                   collect_diagnostics: bool = True) -> ExperimentRun:
+                   collect_diagnostics: bool = True, *, report: bool = True) -> ExperimentRun:
     """March one scheme through all requested output times in a single run.
 
     Each time maps to the state at its even-step snap (the initial state when
     that is step 0).  Initial averages outside [u_lo, u_hi], NaN included, are
     refused with ValueError: the estimates hold only inside the model box.
+    `report` False says that nothing reads the run's report (see `march`).
     """
     model, coeff = spec.build()
     mesh = spec.mesh(dx)
@@ -147,9 +148,9 @@ def run_experiment(spec: ExperimentSpec, scheme: Scheme, dx: float | None = None
     steps = {t: snap_steps(0.0, t, cfg.lam * mesh.dx) for t in times}
     snapshots = dict.fromkeys(steps.values())
     t_final = max(times) if times else 0.0
-    final, report = march(state0, model, coeff, cfg, t_final, snapshots=snapshots)
+    final, rep = march(state0, model, coeff, cfg, t_final, snapshots=snapshots, report=report)
     states = {t: snapshots[n] for t, n in steps.items()}
-    return ExperimentRun(spec=spec, scheme=scheme, states=states, final=final, report=report)
+    return ExperimentRun(spec=spec, scheme=scheme, states=states, final=final, report=rep)
 
 
 def l1_error(coarse: StaggeredState, reference: StaggeredState) -> float:
@@ -199,10 +200,11 @@ class ErrorTable:
             fh.write(self.to_csv_text())
 
 
-def reference_run(spec: ExperimentSpec, times: tuple[float, ...] | None = None) -> ExperimentRun:
+def reference_run(spec: ExperimentSpec, times: tuple[float, ...] | None = None, *,
+                  report: bool = True) -> ExperimentRun:
     """Fine-grid first-order reference solution (diagnostics off for speed)."""
     return run_experiment(spec, Scheme.LAX_FRIEDRICHS, dx=spec.reference_dx,
-                          times=times, collect_diagnostics=False)
+                          times=times, collect_diagnostics=False, report=report)
 
 
 def refinement_study(spec: ExperimentSpec, scheme: Scheme, halvings: int,
@@ -212,18 +214,19 @@ def refinement_study(spec: ExperimentSpec, scheme: Scheme, halvings: int,
 
     Runs the scheme at dx, dx/2, ..., dx/2^(halvings-1) against the
     first-order fine reference; the reference mesh must nest every level.
-    Orders are log2(e_i / e_{i+1}); the finest row is left blank.
+    Orders are log2(e_i / e_{i+1}); the finest row is left blank.  Only the
+    states are read, so no march it runs fills a report.
     """
     if halvings < 2:
         raise ValueError("halvings must be >= 2")
     t = spec.output_times[0] if time is None else time
     if reference is None:
-        reference = reference_run(spec, times=(t,))
+        reference = reference_run(spec, times=(t,), report=False)
     ref_state = reference.states[t]
     runs = []
     for i in range(halvings):
         run = run_experiment(spec, scheme, dx=spec.dx / 2**i, times=(t,),
-                             collect_diagnostics=False)
+                             collect_diagnostics=False, report=False)
         state = run.states[t]
         runs.append((spec.dx / 2**i, state.time, l1_error(state, ref_state)))
     table = ErrorTable()

@@ -107,40 +107,59 @@ def _check_cfl(model: FluxModel, lam: float, level: CflLevel) -> tuple[float, fl
     return kappa_used, kappa
 
 
+class _Averages(dict):
+    """The averaged coefficient of each parity, computed on its first read and read-only, so
+    that every state can share it and a single step averages only the parity it lands on."""
+
+    def __init__(self, mesh: Mesh, coeff: Coefficient):
+        super().__init__()
+        self.mesh, self.coeff = mesh, coeff
+
+    def __missing__(self, parity: Parity) -> np.ndarray:
+        k = self[parity] = cell_average_coefficient(self.mesh, self.coeff, parity)
+        k.flags.writeable = False
+        return k
+
+
 class _Stepper:
     """The step kernel of one march, on arrays; `limiter` None selects the first-order scheme.
 
-    Built once per run: both averaged-coefficient arrays (read-only, so every
-    state can share them) and one difference buffer.  Both schemes step the n
-    cell values without ghost cells.  Outputs are always fresh arrays: observers
-    may keep them.
+    Built once per run: the averaged-coefficient arrays (`_Averages`) and one difference
+    buffer.  Both schemes step the n cell values without ghost cells.  With `corrections`
+    False the second-order step skips f(k, u) and the corrections a_j, which nothing but the
+    report and observers reads, and returns None for them.  The new values go into `out`
+    when it is given (it must not alias the input), else into a fresh array, which the
+    caller may keep.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
-                 limiter: LimiterConfig | None):
+                 limiter: LimiterConfig | None, *, corrections: bool = True):
         self.model, self.mesh, self.lam, self.limiter = model, mesh, lam, limiter
-        self.kbar = {p: cell_average_coefficient(mesh, coeff, p) for p in Parity}
-        for k in self.kbar.values():
-            k.flags.writeable = False
+        self.corrections = corrections
+        self.kbar = _Averages(mesh, coeff)
         self.diff = np.empty(mesh.n_cells)
 
-    def step(self, u: np.ndarray, kbar: np.ndarray, parity: Parity):
+    def step(self, u: np.ndarray, kbar: np.ndarray, parity: Parity,
+             out: np.ndarray | None = None):
         """One step of the held scheme from values `u` with coefficient `kbar` on `parity`'s
         grid: the new values on the natural grid of the other parity, with the correction
         values a_j and the slopes on `u`'s cells of the second-order one (None, None for the
         first-order one)."""
         lam, model, to_half = self.lam, self.model, parity is Parity.BASE
-        f, sig, a = np.asarray(model.eval(kbar, u), dtype=float), None, None
-        if self.limiter is not None:  # f at the mid-time values; fewer than 3 take slope 0
+        sig = a = None
+        if self.limiter is None:
+            f = np.asarray(model.eval(kbar, u), dtype=float)
+        else:  # f at the mid-time values; fewer than 3 take slope 0
             sig = slopes(u, self.mesh.dx, self.limiter) if len(u) > 2 else np.zeros(len(u))
             mid = mid_time_values(u, kbar, sig, model, lam)
-            f_now, f = f, np.asarray(model.eval(kbar, mid), dtype=float)
-            a = lam * (f - f_now) + sig / 8.0
+            f = np.asarray(model.eval(kbar, mid), dtype=float)
+            if self.corrections:
+                a = lam * (f - np.asarray(model.eval(kbar, u), dtype=float)) + sig / 8.0
         # Every staggered pair of the absorbing padding, the outer two only when kept (Half to
         # Base).  A ghost repeats its edge cell's (k, u) and takes slope 0, so f is taken on
         # the cells alone (`eval` acts elementwise) and an outer pair's slope term
         # x - 0.125*(0.0 - 0.0) is x.
-        v = np.empty(len(u) - 1 if to_half else len(u) + 1)
+        v = np.empty(len(u) - 1 if to_half else len(u) + 1) if out is None else out
         inner, diff = v if to_half else v[1:-1], self.diff[:len(u) - 1]
         np.multiply(np.add(u[:-1], u[1:], out=inner), 0.5, out=inner)
         if sig is not None:
@@ -223,67 +242,91 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
 
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
           cfg: SchemeConfig, t_end: float, observers: Sequence = (),
-          snapshots: dict | None = None) -> tuple[StaggeredState, DiagnosticsReport]:
+          snapshots: dict | None = None, *,
+          report: bool = True) -> tuple[StaggeredState, DiagnosticsReport]:
     """Advance to the even-step snap of t_end; return the final state and the report.
 
     The loop carries arrays and builds a state only where one is read: the final
     state, the state at each step index that is a key of `snapshots` (march sets
     its value), and every state when `observers` are passed.  An observer has a
     method `observe(prev, next, corrections)`, called after every step;
-    `corrections` is None for the first-order scheme.
+    `corrections` is None for the first-order scheme.  Without observers the steps
+    write into two arrays the march owns, one per parity: a kept state holds a copy,
+    the final state keeps its array, and the initial values are never written.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
     Base parity.  The report's `u_min`/`u_max` and `correction_max` are NaN once
     any state or correction holds a NaN.
+
+    `report` False says that nothing reads the report's folded fields: the march takes
+    no extremes or correction maximum, and the NT step skips its corrections unless
+    observers are passed.  `u_min`, `u_max` and `correction_max` then keep their
+    never-observed defaults, the run facts (scheme, `lam`, `dx`, `steps`,
+    `snapped_time`, the CFL fields) are still set, and `cfg.collect_diagnostics` is
+    refused with ValueError.
     """
     if initial.mesh.n_cells < 2:
         raise ValueError("marching needs at least 2 cells")
     if initial.parity is not Parity.BASE:
         raise ValueError("march starts from Base-parity states")
+    if not report and cfg.collect_diagnostics:
+        raise ValueError("collect_diagnostics fills the report, so it needs report=True")
     kappa_used, kappa = _check_cfl(model, cfg.lam, cfg.cfl_level)
     if cfg.cfl_level is CflLevel.MANUAL:
         log.warning("manual CFL level: lam*sup|f_u| = %.6g is not checked", kappa_used)
     mesh, dt = initial.mesh, cfg.lam * initial.mesh.dx
     n_steps = snap_steps(initial.time, t_end, dt)
     second_order = cfg.scheme is Scheme.NESSYAHU_TADMOR
-    stepper = _Stepper(model, coeff, mesh, cfg.lam, cfg.limiter if second_order else None)
-    report = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
-                               cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
-                               kappa_bound=kappa)
-    collector = (DiagnosticsCollector(model, coeff, cfg, mesh, report)
+    stepper = _Stepper(model, coeff, mesh, cfg.lam, cfg.limiter if second_order else None,
+                       corrections=report or bool(observers))
+    rep = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
+                            cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
+                            kappa_bound=kappa)
+    collector = (DiagnosticsCollector(model, coeff, cfg, mesh, rep)
                  if cfg.collect_diagnostics else None)
     snapshots = {} if snapshots is None else snapshots
     if initial.step_index in snapshots:
         snapshots[initial.step_index] = initial
-    (base, k_base), (half, k_half) = stepper.kbar.items()
+    base, half = Parity.BASE, Parity.HALF
+    k_base, k_half = stepper.kbar[base], stepper.kbar[half]
     step, lowest, highest = stepper.step, np.minimum.reduce, np.maximum.reduce
     u, kbar, parity, time, state = initial.values, initial.kbar, base, initial.time, initial
-    u_min, u_max, correction_max = lowest(u), highest(u), 0.0
-    for index in range(initial.step_index + 1, initial.step_index + n_steps + 1):
-        v, corrections, sig = step(u, kbar, parity)
-        lo, hi = lowest(v), highest(v)
-        u_min = lo if lo < u_min or lo != lo else u_min  # a NaN sticks
-        u_max = hi if hi > u_max or hi != hi else u_max
-        if corrections is not None:
-            a_max = highest(np.abs(corrections))
-            correction_max = a_max if a_max > correction_max or a_max != a_max else correction_max
+    end = initial.step_index + n_steps
+    # a step from Base writes into the (n-1)-value array and one from Half into the n-value one
+    out, spare = (None, None) if observers else (np.empty(mesh.n_cells - 1),
+                                                 np.empty(mesh.n_cells))
+    if report:
+        u_min, u_max, correction_max = lowest(u), highest(u), 0.0
+    for index in range(initial.step_index + 1, end + 1):
+        v, corrections, sig = step(u, kbar, parity, out)
+        if report:
+            lo, hi = lowest(v), highest(v)
+            u_min = lo if lo < u_min or lo != lo else u_min  # a NaN sticks
+            u_max = hi if hi > u_max or hi != hi else u_max
+            if corrections is not None:
+                a_max = highest(np.abs(corrections))
+                correction_max = (a_max if a_max > correction_max or a_max != a_max
+                                  else correction_max)
         if collector is not None:
             collector.observe(u, kbar, parity, v, sig)
         parity, kbar = (half, k_half) if parity is base else (base, k_base)
         time += dt
         if observers or index in snapshots:
-            new = StaggeredState(mesh, v, kbar, parity, time, index)
+            kept = v if out is None or index == end else v.copy()
+            new = StaggeredState(mesh, kept, kbar, parity, time, index)
             for obs in observers:
                 obs.observe(state, new, corrections)
             if index in snapshots:
                 snapshots[index] = new
             state = new
-        u = v
-    report.u_min, report.u_max = float(u_min), float(u_max)
-    report.snapped_time, report.correction_max = time, float(correction_max)
+        u, out, spare = v, spare, out
+    if report:
+        rep.u_min, rep.u_max = float(u_min), float(u_max)
+        rep.correction_max = float(correction_max)
+    rep.snapped_time = time
     if second_order and n_steps:
-        report.correction_bound = _correction_bound(cfg, model, mesh.dx)
-    if (end := initial.step_index + n_steps) != state.step_index:
+        rep.correction_bound = _correction_bound(cfg, model, mesh.dx)
+    if end != state.step_index:
         state = StaggeredState(mesh, u, kbar, parity, time, end)
-    return state, report
+    return state, rep

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discflux.experiments as experiments
 from discflux import (ExperimentSpec, InitialData, LimiterConfig, LimiterKind, Mesh, Parity,
                       Scheme, SchemeConfig, StaggeredState, cfl_bound, CflLevel, example_1,
                       example_2, l1_error, lf_step, march, nt_step, refinement_study,
                       run_experiment, snap_steps)
+from discflux import ErrorRow, ErrorTable, reference_run
 
 
 class TestExample1:
@@ -159,6 +161,38 @@ class TestRefinementStudy:
             table = refinement_study(spec, scheme, halvings=2, reference=ex2_reference)
             errs = [row.l1_error for row in table.rows]
             assert errs[0] > errs[1] > 0
+
+
+class TestRefinementStudyReadsNoReport:
+    @pytest.mark.parametrize("given_reference", [False, True])
+    def test_every_march_runs_without_report(self, monkeypatch, given_reference):
+        spec = dataclasses.replace(example_1(), reference_dx=0.01)
+        reference = reference_run(spec, times=(0.8,)) if given_reference else None
+        switches = []
+        real = experiments.march
+
+        def march(*args, **kwargs):
+            switches.append(kwargs.get("report", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "march", march)
+        table = refinement_study(spec, Scheme.NESSYAHU_TADMOR, 2, reference=reference)
+        assert switches == [False] * (2 if given_reference else 3)
+        assert table.to_csv_text() == _study_with_reports(spec, reference).to_csv_text()
+
+
+def _study_with_reports(spec, reference):
+    """`refinement_study` of 2 halvings as it was when every march filled its report."""
+    reference = reference or reference_run(spec, times=(0.8,))
+    rows = []
+    for i in range(2):
+        state = run_experiment(spec, Scheme.NESSYAHU_TADMOR, dx=spec.dx / 2**i, times=(0.8,),
+                               collect_diagnostics=False).states[0.8]
+        rows.append((spec.dx / 2**i, state.time, l1_error(state, reference.states[0.8])))
+    orders = [math.log2(rows[0][2] / rows[1][2]), None]
+    return ErrorTable([ErrorRow(dx=dx, scheme=Scheme.NESSYAHU_TADMOR.value, time=at,
+                                l1_error=err, observed_order=order)
+                       for (dx, at, err), order in zip(rows, orders)])
 
 
 class TestAccuracyOrdering:

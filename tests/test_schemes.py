@@ -676,3 +676,144 @@ class TestSecondOrderStepWithoutGhosts:
         with np.errstate(all="ignore"):  # outputs are fresh arrays: a later step leaves them alone
             stepper.step(values, kbar, parity)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in kept]
+
+
+class TestPublicStepsAverageOneParity:
+    @pytest.mark.parametrize("step", [
+        lambda s, m, c, cfg: lf_step(s, m, c, cfg.lam),
+        lambda s, m, c, cfg: nt_step(s, m, c, cfg)[0], predictor_corrector_step])
+    def test_one_averaging_per_step(self, monkeypatch, step):
+        model, coeff, state, cfg = _kernel_run(40)
+        calls = []
+        real = schemes.cell_average_coefficient
+        monkeypatch.setattr(schemes, "cell_average_coefficient",
+                            lambda mesh, c, parity: calls.append(parity) or real(mesh, c, parity))
+        half = step(state, model, coeff, cfg)
+        back = step(half, model, coeff, cfg)
+        assert calls == [Parity.HALF, Parity.BASE]  # one per step, the parity it lands on
+        for new in (half, back):
+            assert new.kbar.tobytes() == real(state.mesh, coeff, new.parity).tobytes()
+
+
+class _CountingEval:
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def __call__(self, k, u):
+        self.calls += 1
+        return self.model.eval(k, u)
+
+
+def _facts(report):
+    return (report.scheme, report.lam, report.dx, report.steps, report.snapped_time,
+            report.cfl_level, report.kappa_used, report.kappa_bound, report.correction_bound)
+
+
+class TestMarchWithoutReport:
+    @given(st.sampled_from(list(Scheme)), st.sampled_from(list(LimiterKind)),
+           st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=12),
+           st.lists(st.integers(min_value=0, max_value=14), max_size=5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_fewer_evaluations(self, scheme, kind, n_cells, n_steps, wanted, data):
+        model, coeff = builtin_multiplicative(3.0, 1.0)
+        counter = _CountingEval(model)
+        model = dataclasses.replace(model, eval=counter)
+        mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
+        values = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_cells,
+                                             max_size=n_cells)))
+        state = StaggeredState(mesh, values, cell_average_coefficient(mesh, coeff, Parity.BASE),
+                               Parity.BASE, 0.0, 0)
+        cfg = SchemeConfig(scheme=scheme, limiter=LimiterConfig(kind=kind), lam=1 / 30,
+                           collect_diagnostics=False)
+        t_end = n_steps * cfg.lam * mesh.dx
+        runs = {}
+        for report in (True, False):
+            snapshots = dict.fromkeys(wanted)
+            counter.calls = 0
+            final, rep = march(state, model, coeff, cfg, t_end, snapshots=snapshots,
+                               report=report)
+            runs[report] = final, rep, snapshots, counter.calls
+        (final, rep, snaps, evals), (light, light_rep, light_snaps, light_evals) = runs.values()
+        steps = rep.steps
+        assert light.values.tobytes() == final.values.tobytes()
+        assert (light.step_index, light.time, light.parity) == (final.step_index, final.time,
+                                                                 final.parity)
+        assert light_snaps.keys() == snaps.keys()
+        for n, snap in snaps.items():
+            assert (snap is None) == (light_snaps[n] is None)
+            if snap is not None:
+                assert light_snaps[n].values.tobytes() == snap.values.tobytes()
+                assert light_snaps[n].step_index == snap.step_index == n
+        assert _facts(light_rep) == _facts(rep)
+        assert (light_rep.u_min, light_rep.u_max, light_rep.correction_max) == (
+            math.inf, -math.inf, 0.0)  # never observed
+        second_order = scheme is Scheme.NESSYAHU_TADMOR
+        assert evals == (2 if second_order else 1) * steps
+        assert light_evals == steps
+        # observers receive the corrections, so with one the step still builds them
+        log, light_log = _CorrectionLog(), _CorrectionLog()
+        march(state, model, coeff, cfg, t_end, observers=[log])
+        counter.calls = 0
+        observed, _ = march(state, model, coeff, cfg, t_end, observers=[light_log], report=False)
+        assert counter.calls == evals
+        assert light_log.a == log.a and observed.values.tobytes() == final.values.tobytes()
+        with pytest.raises(ValueError, match="collect_diagnostics"):
+            march(state, model, coeff, dataclasses.replace(cfg, collect_diagnostics=True),
+                  t_end, report=False)
+
+    def test_run_experiment_refuses_diagnostics_without_report(self):
+        spec = ExperimentSpec(name="c", model_name="multiplicative",
+                              model_params={"k_left": 3.0, "k_right": 1.0}, dx=0.1,
+                              u0=InitialData.step(0.8, 0.3), output_times=(0.1,))
+        with pytest.raises(ValueError, match="collect_diagnostics"):
+            run_experiment(spec, Scheme.NESSYAHU_TADMOR, report=False)
+        light = run_experiment(spec, Scheme.NESSYAHU_TADMOR, collect_diagnostics=False,
+                               report=False)
+        full = run_experiment(spec, Scheme.NESSYAHU_TADMOR, collect_diagnostics=False)
+        assert light.states[0.1].values.tobytes() == full.states[0.1].values.tobytes()
+        assert _facts(light.report) == _facts(full.report)
+
+
+class _Keeper:
+    def __init__(self):
+        self.values = []
+
+    def observe(self, prev, next, corrections):
+        self.values.append(next.values)
+
+
+class TestMarchOwnedBuffers:
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    def test_snapshots_equal_separate_marches(self, scheme, limiter, diagnostics):
+        model, coeff, state, cfg = _kernel_run(40, scheme, limiter)
+        cfg = dataclasses.replace(cfg, collect_diagnostics=diagnostics)
+        state.values.flags.writeable = False  # any write into the initial values raises
+        initial = state.values.copy()
+        dt = cfg.lam * state.mesh.dx
+        wanted = [3, 4, 5, 6, 7, 8, 20]
+        snapshots = dict.fromkeys(wanted)
+        final, report = march(state, model, coeff, cfg, 20 * dt, snapshots=snapshots)
+        assert report.steps == 20 and snapshots[20] is final
+        for n in wanted:
+            separate, _ = march(state, model, coeff, cfg, (n - n % 2) * dt)
+            if n % 2:
+                separate = (nt_step(separate, model, coeff, cfg)[0]
+                            if scheme is Scheme.NESSYAHU_TADMOR
+                            else lf_step(separate, model, coeff, cfg.lam))
+            assert separate.step_index == n
+            assert snapshots[n].values.tobytes() == separate.values.tobytes()
+        assert state.values.tobytes() == initial.tobytes()
+
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    def test_observers_get_fresh_arrays(self, scheme, limiter):
+        model, coeff, state, cfg = _kernel_run(40, scheme, limiter)
+        state.values.flags.writeable = False
+        keeper = _Keeper()
+        final, report = march(state, model, coeff, cfg, 0.1, observers=[keeper])
+        arrays = [state.values, *keeper.values]
+        assert len(arrays) == report.steps + 1
+        assert len({id(a) for a in arrays}) == len(arrays)
+        assert keeper.values[-1] is final.values
+        plain, _ = march(state, model, coeff, cfg, 0.1)
+        assert plain.values.tobytes() == final.values.tobytes()

@@ -131,6 +131,26 @@ class TestMarchingSuitesOnNanMargins:
         assert not result.passed and math.isnan(result.worst_margin)
 
 
+class TestEntropySuiteOnNanResidual:
+    # Python's max keeps its left operand against NaN, so a NaN residual from the second
+    # example was skipped and the suite passed
+    @pytest.mark.parametrize("blown", [0, 1])
+    def test_a_nan_residual_fails(self, monkeypatch, blown):
+        runs = []
+
+        def run_experiment(spec, scheme, **kwargs):
+            report = DiagnosticsReport(entropy_max_residual=1e-15)
+            if len(runs) == blown:
+                report.entropy_max_residual = math.nan
+            runs.append(report)
+            return SimpleNamespace(report=report)
+
+        monkeypatch.setattr(verify, "run_experiment", run_experiment)
+        result = verify.suite_entropy()
+        assert len(runs) == 2
+        assert not result.passed and math.isnan(result.worst_margin)
+
+
 class TestStepSuitesOnNanDeviations:
     # Python's max keeps its left operand against NaN, so a NaN deviation was skipped and
     # the suite passed with a deviation of 0
