@@ -159,7 +159,7 @@ def l1_error(coarse: StaggeredState, reference: StaggeredState) -> float:
     The coarse solution is treated as piecewise constant; the error is
     dx_ref * sum |u_ref - u_coarse(cell containing x_ref)| over reference
     cells.  Grids must be nested and both states on Base parity, at times
-    within one coarse time step of each other.
+    within one coarse cell width dx of each other.
     """
     cm, rm = coarse.mesh, reference.mesh
     if coarse.parity is not Parity.BASE or reference.parity is not Parity.BASE:

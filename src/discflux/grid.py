@@ -4,8 +4,10 @@ The solution alternates between two grids: Base-parity states hold one
 average per mesh cell [x_min + j*dx, x_min + (j+1)*dx); Half-parity states
 hold averages over the shifted cells whose centers are the interior base
 interfaces.  A Base state on an n-cell mesh has n entries, a Half state
-has n - 1.  Absorbing (zero-gradient) boundaries are realized by ghost
-replication of the edge entries.
+has n - 1.  Boundaries absorb (zero gradient): a ghost cell would repeat
+its edge entry, and the steps take that into account without padding.  Only
+`predictor_corrector_step`, the reference of the `identity` suite, pads,
+through `extend_absorbing`.
 """
 
 from __future__ import annotations

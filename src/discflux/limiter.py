@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -34,17 +33,6 @@ class LimiterConfig:
             raise ValueError("k_tilde must be positive and finite")
         if self.kind is LimiterKind.MINMOD_MODIFIED and not (2.0 / 3.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie strictly in (2/3, 1) for the modified limiter")
-
-
-def minmod(args: Sequence[float]) -> float:
-    """Smallest-magnitude argument if all share a strict sign, else 0."""
-    if len(args) == 0:
-        raise ValueError("minmod needs at least one argument")
-    if all(a > 0 for a in args):
-        return min(args)
-    if all(a < 0 for a in args):
-        return max(args)
-    return 0.0
 
 
 def slopes(values: np.ndarray, dx: float, cfg: LimiterConfig) -> np.ndarray:

@@ -24,7 +24,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -126,10 +125,10 @@ class _Stepper:
 
     Built once per run: the averaged-coefficient arrays (`_Averages`) and one difference
     buffer.  Both schemes step the n cell values without ghost cells.  With `corrections`
-    False the second-order step skips f(k, u) and the corrections a_j, which nothing but the
-    report and observers reads, and returns None for them.  The new values go into `out`
-    when it is given (it must not alias the input), else into a fresh array, which the
-    caller may keep.
+    False the second-order step skips f(k, u) and the corrections a_j, which only the
+    report reads, and returns None for them.  The new values go into `out` when it is
+    given (`march` passes its two buffers; `out` must not alias the input), else into a
+    fresh array, as the public single steps take it.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
@@ -241,18 +240,15 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
 
 
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
-          cfg: SchemeConfig, t_end: float, observers: Sequence = (),
-          snapshots: dict | None = None, *,
+          cfg: SchemeConfig, t_end: float, *, snapshots: dict | None = None,
           report: bool = True) -> tuple[StaggeredState, DiagnosticsReport]:
     """Advance to the even-step snap of t_end; return the final state and the report.
 
     The loop carries arrays and builds a state only where one is read: the final
-    state, the state at each step index that is a key of `snapshots` (march sets
-    its value), and every state when `observers` are passed.  An observer has a
-    method `observe(prev, next, corrections)`, called after every step;
-    `corrections` is None for the first-order scheme.  Without observers the steps
-    write into two arrays the march owns, one per parity: a kept state holds a copy,
-    the final state keeps its array, and the initial values are never written.
+    state and the state at each step index that is a key of `snapshots` (march sets
+    its value).  The steps write into two arrays the march owns, one per parity: a
+    kept state holds a copy, the final state keeps its array, and the initial values
+    are never written.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
@@ -260,11 +256,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     any state or correction holds a NaN.
 
     `report` False says that nothing reads the report's folded fields: the march takes
-    no extremes or correction maximum, and the NT step skips its corrections unless
-    observers are passed.  `u_min`, `u_max` and `correction_max` then keep their
-    never-observed defaults, the run facts (scheme, `lam`, `dx`, `steps`,
-    `snapped_time`, the CFL fields) are still set, and `cfg.collect_diagnostics` is
-    refused with ValueError.
+    no extremes or correction maximum, and the NT step skips its corrections.  `u_min`,
+    `u_max` and `correction_max` then keep their never-observed defaults, the run facts
+    (scheme, `lam`, `dx`, `steps`, `snapped_time`, the CFL fields) are still set, and
+    `cfg.collect_diagnostics` is refused with ValueError.
     """
     if initial.mesh.n_cells < 2:
         raise ValueError("marching needs at least 2 cells")
@@ -279,7 +274,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     n_steps = snap_steps(initial.time, t_end, dt)
     second_order = cfg.scheme is Scheme.NESSYAHU_TADMOR
     stepper = _Stepper(model, coeff, mesh, cfg.lam, cfg.limiter if second_order else None,
-                       corrections=report or bool(observers))
+                       corrections=report)
     rep = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
                             cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
                             kappa_bound=kappa)
@@ -291,11 +286,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     base, half = Parity.BASE, Parity.HALF
     k_base, k_half = stepper.kbar[base], stepper.kbar[half]
     step, lowest, highest = stepper.step, np.minimum.reduce, np.maximum.reduce
-    u, kbar, parity, time, state = initial.values, initial.kbar, base, initial.time, initial
+    u, kbar, parity, time = initial.values, initial.kbar, base, initial.time
     end = initial.step_index + n_steps
     # a step from Base writes into the (n-1)-value array and one from Half into the n-value one
-    out, spare = (None, None) if observers else (np.empty(mesh.n_cells - 1),
-                                                 np.empty(mesh.n_cells))
+    out, spare = np.empty(mesh.n_cells - 1), np.empty(mesh.n_cells)
     if report:
         u_min, u_max, correction_max = lowest(u), highest(u), 0.0
     for index in range(initial.step_index + 1, end + 1):
@@ -312,14 +306,9 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
             collector.observe(u, kbar, parity, v, sig)
         parity, kbar = (half, k_half) if parity is base else (base, k_base)
         time += dt
-        if observers or index in snapshots:
-            kept = v if out is None or index == end else v.copy()
-            new = StaggeredState(mesh, kept, kbar, parity, time, index)
-            for obs in observers:
-                obs.observe(state, new, corrections)
-            if index in snapshots:
-                snapshots[index] = new
-            state = new
+        if index in snapshots:
+            kept = v if index == end else v.copy()
+            snapshots[index] = StaggeredState(mesh, kept, kbar, parity, time, index)
         u, out, spare = v, spare, out
     if report:
         rep.u_min, rep.u_max = float(u_min), float(u_max)
@@ -327,6 +316,6 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     rep.snapped_time = time
     if second_order and n_steps:
         rep.correction_bound = _correction_bound(cfg, model, mesh.dx)
-    if end != state.step_index:
-        state = StaggeredState(mesh, u, kbar, parity, time, end)
-    return state, rep
+    if end in snapshots:  # the initial state itself when no step is taken
+        return snapshots[end], rep
+    return (StaggeredState(mesh, u, kbar, parity, time, end) if n_steps else initial), rep

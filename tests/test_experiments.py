@@ -209,21 +209,9 @@ class TestAccuracyOrdering:
             assert errs[Scheme.NESSYAHU_TADMOR] < errs[Scheme.LAX_FRIEDRICHS]
 
 
-class SnapshotObserver:
-    """The observer that captured `run_experiment`'s states before `march` took
-    `snapshots`, kept as an oracle: the states reached at the requested step indices."""
-
-    def __init__(self, wanted: set[int]):
-        self.wanted = wanted
-        self.states: dict[int, StaggeredState] = {}
-
-    def observe(self, prev, next, corrections):
-        if next.step_index in self.wanted:
-            self.states[next.step_index] = next
-
-
-def _run_with_observer(spec, scheme, dx, times, collect_diagnostics):
-    """`run_experiment` as it was when a SnapshotObserver drove its march."""
+def _run_by_hand(spec, scheme, dx, times, collect_diagnostics):
+    """`run_experiment` by hand: a plain march to the last time for the final state and
+    the report, and the states at the requested times from chained public steps."""
     model, coeff = spec.build()
     mesh = spec.mesh(dx)
     state0 = spec.initial(mesh, coeff)
@@ -233,16 +221,14 @@ def _run_with_observer(spec, scheme, dx, times, collect_diagnostics):
     cfg = SchemeConfig(scheme=scheme, lam=spec.lam, limiter=limiter, cfl_level=spec.cfl_level,
                        collect_diagnostics=collect_diagnostics, window_x=spec.window_x)
     steps = {t: snap_steps(0.0, t, cfg.lam * mesh.dx) for t in times}
-    snap = SnapshotObserver(set(steps.values()))
     t_final = max(times) if times else 0.0
-    final, report = march(state0, model, coeff, cfg, t_final, observers=(snap,))
-    chained = [state0]  # the same states from the public steps, which march does not call
+    final, report = march(state0, model, coeff, cfg, t_final)
+    chained = [state0]  # the public steps, which march does not call
     for _ in range(report.steps):
         chained.append(nt_step(chained[-1], model, coeff, cfg)[0]
                        if scheme is Scheme.NESSYAHU_TADMOR
                        else lf_step(chained[-1], model, coeff, cfg.lam, cfg.cfl_level))
-    return ({t: snap.states[n] if n else state0 for t, n in steps.items()}, final, report,
-            {t: chained[n] for t, n in steps.items()})
+    return {t: chained[n] for t, n in steps.items()}, final, report
 
 
 class OwnKbarSpec(ExperimentSpec):
@@ -258,7 +244,7 @@ def _state_bytes(state):
             state.values.tobytes(), np.asarray(state.kbar).tobytes())
 
 
-class TestSnapshotsEqualTheObserver:
+class TestSnapshotsEqualChainedSteps:
     @given(st.sampled_from([example_1, example_2]), st.sampled_from(list(Scheme)),
            st.sampled_from(list(LimiterKind)), st.booleans(), st.booleans(), st.booleans(),
            st.integers(min_value=2, max_value=40),
@@ -278,10 +264,9 @@ class TestSnapshotsEqualTheObserver:
         # 0.0, repeated times, and times that snap to one even step (k and k + 1)
         times = tuple(0.0 if t == 0.0 else (t[0] + t[1]) * dt for t in drawn)
         run = run_experiment(spec, scheme, dx=dx, times=times, collect_diagnostics=diagnostics)
-        states, final, report, chained = _run_with_observer(spec, scheme, dx, times, diagnostics)
+        states, final, report = _run_by_hand(spec, scheme, dx, times, diagnostics)
         assert run.states.keys() == states.keys()
         for t, state in states.items():
             assert _state_bytes(run.states[t]) == _state_bytes(state)
-            assert _state_bytes(run.states[t]) == _state_bytes(chained[t])
         assert _state_bytes(run.final) == _state_bytes(final)
         assert json.dumps(run.report.to_json_dict()) == json.dumps(report.to_json_dict())

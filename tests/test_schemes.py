@@ -377,14 +377,6 @@ class TestMarch:
         assert any("manual" in rec.message.lower() for rec in caplog.records)
 
 
-class _CorrectionLog:
-    def __init__(self):
-        self.a = []
-
-    def observe(self, prev, next, corrections):
-        self.a.append(None if corrections is None else corrections.tobytes())
-
-
 KERNEL_CASES = [
     (Scheme.LAX_FRIEDRICHS, LimiterConfig()),
     (Scheme.NESSYAHU_TADMOR, LimiterConfig()),
@@ -404,19 +396,26 @@ class TestStepKernel:
     @pytest.mark.parametrize("n_cells", [40, 41])
     def test_march_equals_chained_public_steps(self, scheme, limiter, n_cells):
         model, coeff, state, cfg = _kernel_run(n_cells, scheme, limiter)
-        log = _CorrectionLog()
-        final, report = march(state, model, coeff, cfg, 0.1, observers=[log])
-        assert report.steps >= 60 and not math.isinf(report.nu_min)
-        by_hand, corrections = state, []
-        for _ in range(report.steps):
+        steps = snap_steps(0.0, 0.1, cfg.lam * state.mesh.dx)
+        snapshots = dict.fromkeys(range(steps + 1))
+        final, report = march(state, model, coeff, cfg, 0.1, snapshots=snapshots)
+        assert report.steps == steps >= 60 and not math.isinf(report.nu_min)
+        chained, corrections = [state], []
+        for _ in range(steps):
             if scheme is Scheme.NESSYAHU_TADMOR:
-                by_hand, corr = nt_step(by_hand, model, coeff, cfg)
-                corrections.append(corr.tobytes())
+                by_hand, corr = nt_step(chained[-1], model, coeff, cfg)
+                corrections.append(np.abs(corr))
             else:
-                by_hand = lf_step(by_hand, model, coeff, cfg.lam)
-                corrections.append(None)
-        assert final.values.tobytes() == by_hand.values.tobytes()
-        assert log.a == corrections
+                by_hand = lf_step(chained[-1], model, coeff, cfg.lam)
+            chained.append(by_hand)
+        assert snapshots[steps] is final
+        for n, by_hand in enumerate(chained):
+            kept = snapshots[n]
+            assert (kept.step_index, kept.parity, kept.time) == (n, by_hand.parity, by_hand.time)
+            assert kept.values.tobytes() == by_hand.values.tobytes()
+            assert kept.kbar.tobytes() == by_hand.kbar.tobytes()
+        a_max = np.max(np.concatenate(corrections)) if corrections else 0.0
+        assert np.float64(report.correction_max).tobytes() == np.float64(a_max).tobytes()
 
     def test_first_step_uses_the_initial_states_own_kbar(self):
         model, coeff, state, cfg = _kernel_run(40)
@@ -475,15 +474,6 @@ class TestStepKernel:
             step(half, model, coeff, SchemeConfig(lam=0.1))
 
 
-class _NoOp:
-    def observe(self, prev, next, corrections):
-        pass
-
-
-def _report_json(report):
-    return json.dumps(report.to_json_dict())
-
-
 class TestMarchBuildsStatesOnlyWhereRead:
     @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
     @pytest.mark.parametrize("diagnostics", [True, False])
@@ -504,20 +494,8 @@ class TestMarchBuildsStatesOnlyWhereRead:
         assert all(snapshots[n].step_index == n for n in wanted if n <= report.steps)
         assert snapshots.get(0, state) is state and snapshots.get(60, final) is final
         assert snapshots.get(200, None) is None  # past the end: left unset
-        built.clear()
-        march(state, model, coeff, cfg, 0.1, observers=[_NoOp()])
-        assert built == list(range(1, 61))  # with an observer, every state
-
-    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
-    @pytest.mark.parametrize("diagnostics", [True, False])
-    def test_a_no_op_observer_changes_nothing(self, scheme, limiter, diagnostics):
-        model, coeff, state, cfg = _kernel_run(41, scheme, limiter)
-        cfg = dataclasses.replace(cfg, collect_diagnostics=diagnostics)
-        plain, plain_report = march(state, model, coeff, cfg, 0.1)
-        observed, observed_report = march(state, model, coeff, cfg, 0.1, observers=[_NoOp()])
-        assert observed.values.tobytes() == plain.values.tobytes()
-        assert (observed.time, observed.step_index) == (plain.time, plain.step_index)
-        assert _report_json(observed_report) == _report_json(plain_report)
+        with pytest.raises(TypeError):  # snapshots are keyword-only
+            march(state, model, coeff, cfg, 0.1, snapshots)
 
 
 class TestNanExtremesStick:
@@ -750,13 +728,6 @@ class TestMarchWithoutReport:
         second_order = scheme is Scheme.NESSYAHU_TADMOR
         assert evals == (2 if second_order else 1) * steps
         assert light_evals == steps
-        # observers receive the corrections, so with one the step still builds them
-        log, light_log = _CorrectionLog(), _CorrectionLog()
-        march(state, model, coeff, cfg, t_end, observers=[log])
-        counter.calls = 0
-        observed, _ = march(state, model, coeff, cfg, t_end, observers=[light_log], report=False)
-        assert counter.calls == evals
-        assert light_log.a == log.a and observed.values.tobytes() == final.values.tobytes()
         with pytest.raises(ValueError, match="collect_diagnostics"):
             march(state, model, coeff, dataclasses.replace(cfg, collect_diagnostics=True),
                   t_end, report=False)
@@ -772,14 +743,6 @@ class TestMarchWithoutReport:
         full = run_experiment(spec, Scheme.NESSYAHU_TADMOR, collect_diagnostics=False)
         assert light.states[0.1].values.tobytes() == full.states[0.1].values.tobytes()
         assert _facts(light.report) == _facts(full.report)
-
-
-class _Keeper:
-    def __init__(self):
-        self.values = []
-
-    def observe(self, prev, next, corrections):
-        self.values.append(next.values)
 
 
 class TestMarchOwnedBuffers:
@@ -804,16 +767,3 @@ class TestMarchOwnedBuffers:
             assert separate.step_index == n
             assert snapshots[n].values.tobytes() == separate.values.tobytes()
         assert state.values.tobytes() == initial.tobytes()
-
-    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
-    def test_observers_get_fresh_arrays(self, scheme, limiter):
-        model, coeff, state, cfg = _kernel_run(40, scheme, limiter)
-        state.values.flags.writeable = False
-        keeper = _Keeper()
-        final, report = march(state, model, coeff, cfg, 0.1, observers=[keeper])
-        arrays = [state.values, *keeper.values]
-        assert len(arrays) == report.steps + 1
-        assert len({id(a) for a in arrays}) == len(arrays)
-        assert keeper.values[-1] is final.values
-        plain, _ = march(state, model, coeff, cfg, 0.1)
-        assert plain.values.tobytes() == final.values.tobytes()
