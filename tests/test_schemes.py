@@ -474,6 +474,10 @@ class TestStepKernel:
             step(half, model, coeff, SchemeConfig(lam=0.1))
 
 
+def _report_json(report):
+    return json.dumps(report.to_json_dict())
+
+
 class TestMarchBuildsStatesOnlyWhereRead:
     @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
     @pytest.mark.parametrize("diagnostics", [True, False])
@@ -496,6 +500,18 @@ class TestMarchBuildsStatesOnlyWhereRead:
         assert snapshots.get(200, None) is None  # past the end: left unset
         with pytest.raises(TypeError):  # snapshots are keyword-only
             march(state, model, coeff, cfg, 0.1, snapshots)
+
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    def test_snapshots_change_nothing(self, scheme, limiter, diagnostics):
+        model, coeff, state, cfg = _kernel_run(41, scheme, limiter)
+        cfg = dataclasses.replace(cfg, collect_diagnostics=diagnostics)
+        plain, plain_report = march(state, model, coeff, cfg, 0.1)
+        snapshots = dict.fromkeys(range(plain_report.steps + 1))
+        kept, kept_report = march(state, model, coeff, cfg, 0.1, snapshots=snapshots)
+        assert kept.values.tobytes() == plain.values.tobytes()
+        assert (kept.time, kept.step_index) == (plain.time, plain.step_index)
+        assert _report_json(kept_report) == _report_json(plain_report)
 
 
 class TestNanExtremesStick:
@@ -767,3 +783,17 @@ class TestMarchOwnedBuffers:
             assert separate.step_index == n
             assert snapshots[n].values.tobytes() == separate.values.tobytes()
         assert state.values.tobytes() == initial.tobytes()
+
+    @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
+    def test_snapshots_get_fresh_arrays(self, scheme, limiter):
+        model, coeff, state, cfg = _kernel_run(40, scheme, limiter)
+        state.values.flags.writeable = False
+        steps = snap_steps(0.0, 0.1, cfg.lam * state.mesh.dx)
+        snapshots = dict.fromkeys(range(steps + 1))
+        final, report = march(state, model, coeff, cfg, 0.1, snapshots=snapshots)
+        arrays = [snapshots[n].values for n in range(report.steps + 1)]
+        assert arrays[0] is state.values and arrays[-1] is final.values
+        assert not any(np.shares_memory(a, b)  # a kept state never aliases a march buffer
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        plain, _ = march(state, model, coeff, cfg, 0.1)
+        assert plain.values.tobytes() == final.values.tobytes()
