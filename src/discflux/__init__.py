@@ -2,9 +2,8 @@
 spatially discontinuous flux coefficients, with built-in verification of
 the schemes' stability and entropy estimates."""
 
-from .diagnostics import (DiagnosticsCollector, DiagnosticsReport, accumulate_cubic,
-                          correction_bound_check, entropy_residual_lf, nu_coefficient,
-                          onesided_check, psi_constant)
+from .diagnostics import (DiagnosticsReport, accumulate_cubic, correction_bound_check,
+                          entropy_residual_lf, nu_coefficient, onesided_check, psi_constant)
 from .experiments import (ErrorRow, ErrorTable, ExperimentSpec, InitialData,
                           example_1, example_2, l1_error, reference_run,
                           refinement_study, run_experiment)

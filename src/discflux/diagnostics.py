@@ -13,13 +13,16 @@ Each check evaluates one inequality the schemes are expected to satisfy:
 * correction-term bound for the modified limiter.
 
 Tolerances are 1e-12 absolute on order-one quantities.  A collector folds
-the checks over the (previous, next) state pairs of one time march.
+the checks over the (previous, next) state pairs of one time march, a block of
+steps at a time.  The private pieces act on the last axis, so a block's states
+go through them as the rows of one array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 TOL = 1e-12
 ENTROPY_C_COUNT = 11  # Kruzkov constants spread evenly over [u_lo, u_hi]
+_BLOCK_VALUES = 2048  # a collector block holds max(1, _BLOCK_VALUES // n_cells) steps
 _JSON_KEYS = ("scheme", "lambda", "dx", "steps", "snapped_time", "u_min", "u_max",
               "onesided_holds", "onesided_worst_margin", "cubic_accumulator", "quad_accumulator",
               "nu_min", "entropy_max_residual", "correction_max", "correction_bound", "cfl_level",
@@ -104,11 +108,15 @@ def _decay_terms(model: FluxModel, lam: float, k_sup: float, k_bv: float) -> tup
     return lam * model.gamma1 / 500.0, psi_constant(model, lam, k_sup) * k_bv
 
 
-def _jumps(values: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndarray, float]:
-    """The jumps of `values`, their one-sided parts and the sum of those squared."""
-    du = values[1:] - values[:-1]
+def _jumps(values: np.ndarray) -> np.ndarray:
+    """The jumps between consecutive values along the last axis."""
+    return values[..., 1:] - values[..., :-1]
+
+
+def _one_sided_sums(du: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of jumps: the sum of the squared one-sided parts, and of their cubes."""
     m = _one_sided(du, model)
-    return du, m, float((m**2).sum())
+    return np.add.reduce(m**2, axis=-1), np.add.reduce(_cube(m), axis=-1)
 
 
 def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -123,19 +131,20 @@ def onesided_check(prev: StaggeredState, next: StaggeredState, model: FluxModel,
     """
     k_bv = float(np.sum(np.abs(np.diff(prev.kbar)))) if k_bv is None else k_bv
     k_sup = float(np.max(np.abs(prev.kbar))) if k_sup is None else k_sup
-    _, m_prev, m2_prev = _jumps(prev.values, model)
-    lhs = _jumps(next.values, model)[2]
+    m2_prev, cubes_prev = _one_sided_sums(_jumps(prev.values), model)
+    lhs = float(_one_sided_sums(_jumps(next.values), model)[0])
     decay, psi_bv = _decay_terms(model, lam, k_sup, k_bv)
-    rhs = float(m2_prev - decay * _cube(m_prev).sum() + psi_bv)
+    rhs = float(m2_prev - decay * cubes_prev + psi_bv)
     return lhs, rhs, lhs <= rhs + TOL
 
 
 def _midpoints(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a[:-1] + a[1:])
+    return 0.5 * (a[..., :-1] + a[..., 1:])
 
 
 def _nu(u, du, kt, sig, model: FluxModel, lam: float) -> np.ndarray:
-    """nu from the values, their jumps, the midpoint kbar and the slopes (None: all 0)."""
+    """nu from the values, their jumps, the midpoint kbar and the slopes (None: all 0),
+    row by row along the last axis."""
     ut = _midpoints(u)
     beta = lam * np.asarray(model.d_u(kt, ut), dtype=float)
     one = 1.0 - 4.0 * beta**2
@@ -143,8 +152,9 @@ def _nu(u, du, kt, sig, model: FluxModel, lam: float) -> np.ndarray:
         bracket = 1.0 - one * 0.0 - beta * 0.0
     else:
         nonzero = du != 0.0
-        r = np.divide(sig[1:] - sig[:-1], du, out=np.zeros_like(du), where=nonzero)
-        s = np.divide(sig[:-1] + sig[1:], 2.0 * du, out=np.zeros_like(du), where=nonzero)
+        r = np.divide(sig[..., 1:] - sig[..., :-1], du, out=np.zeros(du.shape), where=nonzero)
+        s = np.divide(sig[..., :-1] + sig[..., 1:], 2.0 * du, out=np.zeros(du.shape),
+                      where=nonzero)
         bracket = 1.0 - (one / 16.0) * r**2 - beta * r - s
     fuu = model.curvature_sign * np.asarray(model.d_uu(kt, ut), dtype=float)
     return 0.125 * one * bracket * fuu
@@ -183,15 +193,16 @@ def _kruzkov_table(k: np.ndarray, model: FluxModel, lam: float, c_grid: np.ndarr
     return c[:, None], f_c, lam * np.abs(f_c[:, 1:] - f_c[:, :-1])
 
 
-def _entropy_worst(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> float:
-    """Worst residual over all constants at once; a NaN row is skipped, as
-    Python's `max` skips it when folding one constant at a time."""
+def _entropy_maxima(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> np.ndarray:
+    """Each constant's worst residual of each row of `u` and `v`, all constants at once:
+    shape (*rows, len(c)).  NaN where a residual of the row is NaN."""
+    u, v = u[..., None, :], v[..., None, :]  # a constants axis before the cells
     d = u - c
     dist = np.abs(d)
     flux = np.sign(d) * (model.eval(k, u) - f_c)
-    res = (np.abs(v - c) - 0.5 * dist[:, 1:] - 0.5 * dist[:, :-1]
-           + lam * (flux[:, 1:] - flux[:, :-1]) - jump)
-    return max(-math.inf, *res.max(axis=1).tolist())
+    res = (np.abs(v - c) - 0.5 * dist[..., 1:] - 0.5 * dist[..., :-1]
+           + lam * (flux[..., 1:] - flux[..., :-1]) - jump)
+    return res.max(axis=-1)
 
 
 def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -206,25 +217,30 @@ def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxM
     are evaluated at once, one row each; left and right terms are slices.
     """
     u, k = _transition_arrays(prev, next, prev.values, prev.kbar)
-    return _entropy_worst(u, next.values, model, lam, k, *_kruzkov_table(k, model, lam, c_grid))
+    maxima = _entropy_maxima(u, next.values, model, lam, k,
+                             *_kruzkov_table(k, model, lam, c_grid))
+    return max(-math.inf, *maxima.tolist())  # a NaN constant is skipped
 
 
 def _window_mask(mesh: Mesh, parity: Parity, window_x: float | None) -> np.ndarray | None:
     return None if window_x is None else np.abs(mesh.interface_positions(parity)) <= window_x
 
 
-def _cubic(du: np.ndarray, dx: float, mask: np.ndarray | None) -> float:
-    """dx * sum of |du|^3 over the mask.  Zero jumps are not cubed: numpy's pow takes about
-    4x as long on an exact 0 as on a normal value, and most jumps of a fine run are 0."""
+def _cubic(du: np.ndarray, dx: float, mask: np.ndarray | None) -> np.ndarray:
+    """dx * sum of |du|^3 over the mask, per row.  Zero jumps are not cubed: numpy's pow
+    takes about 4x as long on an exact 0 as on a normal value, and most jumps of a fine run
+    are 0.  The masked rows are made contiguous: a row sum of the strided selection adds in
+    another order and differs in the last bits."""
     d = _cube(np.abs(du))
-    return dx * float((d if mask is None else d[mask]).sum())
+    return dx * np.add.reduce(d if mask is None else np.ascontiguousarray(d[..., mask]),
+                              axis=-1)
 
 
 def accumulate_cubic(report: DiagnosticsReport, state: StaggeredState,
                      window_x: float | None) -> DiagnosticsReport:
     """Add dx * sum of |jump|^3 over interfaces inside |x| <= window_x."""
     mask = _window_mask(state.mesh, state.parity, window_x)
-    report.cubic_accumulator += _cubic(np.diff(state.values), state.mesh.dx, mask)
+    report.cubic_accumulator += float(_cubic(_jumps(state.values), state.mesh.dx, mask))
     return report
 
 
@@ -253,7 +269,16 @@ def correction_bound_check(a: np.ndarray, cfg: "SchemeConfig", model: FluxModel,
 class DiagnosticsCollector:
     """Folds the full check suite over the steps of one march, fed as arrays, into `report`;
     the cell entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
-    Each step's values are differenced once; what is fixed for the run is computed once.
+
+    `march` is the only caller.  It feeds the steps in order, each starting from the values
+    the previous one produced, and the report is complete only once `report.steps` steps
+    have been observed: `observe` defers each step (a copy of its new values, since the
+    march reuses its arrays) and folds a block of max(1, 2048 // n_cells) steps at once,
+    each check running on the block's states as the rows of one array per parity.  A block
+    of one step is folded at once, on the march's own arrays.  The per-step figures enter
+    the report in step order, so the report does not depend on the block size.  The last
+    state of a block heads the next one; its one-sided sums carry over, and so do its jumps
+    when the next block holds a single step.  What is fixed for the run is computed once.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
@@ -264,42 +289,125 @@ class DiagnosticsCollector:
         lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
         self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
+        self._masks = {p: _window_mask(mesh, p, cfg.window_x) for p in Parity}
         self._fixed: dict[Parity, tuple] = {}
-        self._carry: tuple = (None, None)  # the last stepped values and their _jumps
+        self._carry: tuple | None = None  # the last folded state's one-sided sums and jumps
+        self._rows = max(1, _BLOCK_VALUES // mesh.n_cells)
+        if self._rows > 1:  # per parity, the block's states in order and the slopes on them
+            shape = {p: (self._rows // 2 + 1, mesh.n_values(p)) for p in Parity}
+            self._states = {p: np.empty(shape[p]) for p in Parity}
+            self._sig = None if lf else {p: np.empty(shape[p]) for p in Parity}
+            self._kbars: list[np.ndarray] = []
+            self._seen = 0
 
     def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
-        """kbar, its midpoints, the window mask and, for LF, the Kruzkov table of
-        `parity`; rebuilt only for a state that brings its own kbar."""
+        """The midpoints of kbar as a row and, for LF, the Kruzkov table of `parity`; rebuilt
+        only for a state that brings its own kbar."""
         fixed = self._fixed.get(parity)
         if fixed is None or fixed[0] is not kbar:
             lf = self._c_grid is not None
             k_in = kbar if parity is Parity.BASE else _replicate(kbar, 1)
             table = _kruzkov_table(k_in, self.model, self.cfg.lam, self._c_grid) if lf else None
-            self._fixed[parity] = fixed = (
-                kbar, _midpoints(np.asarray(kbar, dtype=float)),
-                _window_mask(self.mesh, parity, self.cfg.window_x),
-                (k_in, *table) if lf else None)
-        return fixed
+            self._fixed[parity] = fixed = (kbar, _midpoints(np.asarray(kbar, dtype=float))[None],
+                                           (k_in, *table) if lf else None)
+        return fixed[1:]
 
     def observe(self, u, kbar, parity, v, sig):
-        """Fold the step from `u` (with `kbar`, on `parity`'s grid) to `v`; `sig` are the
+        """Take the step from `u` (with `kbar`, on `parity`'s grid) to `v`; `sig` are the
         slopes it took on `u`'s cells, None for a Lax-Friedrichs step (all 0)."""
-        rep = self.report
-        _, kt, mask, kruzkov = self._constants(kbar, parity)
-        carried, jumps = self._carry
-        du, m_prev, m2_prev = jumps if u is carried else _jumps(u, self.model)
-        self._carry = v, _jumps(v, self.model)
-        dx, lhs = self.mesh.dx, self._carry[1][2]
-        rhs = float(m2_prev - self._decay * _cube(m_prev).sum() + self._psi_bv)
-        rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
-        rep.onesided_holds = rep.onesided_holds and lhs <= rhs + TOL
-        rep.cubic_accumulator += _cubic(du, dx, mask)
-        nu = _nu(u, du, kt, sig, self.model, self.cfg.lam)
-        rep.quad_accumulator += dx * float((nu * du**2).sum())
-        if len(nu):
-            low = float(nu.min())
-            rep.nu_min = low if low < rep.nu_min or low != low else rep.nu_min  # a NaN sticks
-        if kruzkov:
-            u_in = u if parity is Parity.BASE else _replicate(u, 1)
-            rep.entropy_max_residual = max(rep.entropy_max_residual, _entropy_worst(
-                u_in, v, self.model, self.cfg.lam, *kruzkov))
+        if self._rows == 1:
+            self._fold(parity, u[None], v[None], [kbar], None if sig is None else (sig[None], None))
+            return
+        kbars, t = self._kbars, len(self._kbars)
+        if t == 0:
+            self._first = parity
+            if self._carry is None:  # the march's first step: its initial state heads the block
+                self._states[parity][0] = u
+        kbars.append(kbar)
+        other = Parity.HALF if parity is Parity.BASE else Parity.BASE
+        row = (t + 1) // 2  # v's row; u's row is t // 2
+        self._states[other][row] = v
+        if sig is not None:
+            self._sig[parity][t // 2] = sig
+        self._seen += 1
+        if t + 1 == self._rows or self._seen == self.report.steps:
+            first, ka, kb = self._first, (t + 2) // 2, (t + 1) // 2
+            second = Parity.HALF if first is Parity.BASE else Parity.BASE
+            sig = None if sig is None else (self._sig[first][:ka], self._sig[second][:kb])
+            self._fold(first, self._states[first][:kb + 1], self._states[second][:ka], kbars,
+                       sig)
+            self._states[other][0] = self._states[other][row]  # it heads the next block
+            kbars.clear()
+
+    def _fold(self, first: Parity, a: np.ndarray, b: np.ndarray, kbars: list, sig):
+        """Fold the steps s0 -> s1 -> ... of one block into the report: `a` holds the states
+        on `first`'s grid (s0, s2, ...) as rows, `b` the others (s1, s3, ...), `kbars` the
+        coefficient each step started from, and `sig` the slopes taken on the rows of `a`
+        and of `b`, or None (Lax-Friedrichs)."""
+        rep, model = self.report, self.model
+        steps = len(kbars)
+        ka, kb = (steps + 1) // 2, steps // 2  # the steps from `a`'s rows and from `b`'s
+        # the one-sided sums of s0 ... s_steps in state order; s0's carry over from the
+        # previous block
+        m2, cubes = [0.0] * (steps + 1), [0.0] * (steps + 1)
+        head = self._carry is not None
+        if head:
+            m2[0], cubes[0], du_a = self._carry
+        if kb or not head:  # `a` holds more than a carried s0
+            du_a = _jumps(a)
+            squares, cubed = _one_sided_sums(du_a[head:], model)
+            m2[2 * head::2], cubes[2 * head::2] = squares.tolist(), cubed.tolist()
+        du_b = _jumps(b)
+        squares, cubed = _one_sided_sums(du_b, model)
+        m2[1::2], cubes[1::2] = squares.tolist(), cubed.tolist()
+        self._carry = m2[-1], cubes[-1], (du_b if steps % 2 else du_a)[-1:]
+        sig_a, sig_b = (None, None) if sig is None else sig
+        cubic, quad, low, maxima = self._step_terms(first, a[:ka], du_a[:ka], b, sig_a,
+                                                    kbars[0::2])
+        if kb:  # the steps alternate between the two grids: interleave their terms
+            second = Parity.HALF if first is Parity.BASE else Parity.BASE
+            odd = self._step_terms(second, b[:kb], du_b[:kb], a[1:], sig_b, kbars[1::2])
+            cubic, quad, low, maxima = (_interleave(x, y) for x, y in
+                                        zip((cubic, quad, low, maxima), odd))
+        decay, psi_bv = self._decay, self._psi_bv
+        worst, holds = rep.onesided_worst_margin, rep.onesided_holds
+        for lhs, m2_prev, cubes_prev in zip(m2[1:], m2, cubes):
+            rhs = m2_prev - decay * cubes_prev + psi_bv
+            worst = min(worst, rhs - lhs)
+            holds = holds and lhs <= rhs + TOL
+        rep.onesided_worst_margin, rep.onesided_holds = worst, holds
+        nu_min, total_c, total_q = rep.nu_min, rep.cubic_accumulator, rep.quad_accumulator
+        for c, q, x in zip(cubic, quad, low):
+            total_c += c
+            total_q += q
+            nu_min = x if x < nu_min or x != x else nu_min  # a NaN sticks
+        rep.nu_min, rep.cubic_accumulator, rep.quad_accumulator = nu_min, total_c, total_q
+        if maxima:  # a NaN residual is skipped
+            rep.entropy_max_residual = max(rep.entropy_max_residual,
+                                           *chain.from_iterable(maxima))
+
+    def _step_terms(self, parity: Parity, u, du, v, sig, kbars: list) -> tuple:
+        """Lists with one entry per step from a row of `u` (jumps `du`, slopes `sig`) on
+        `parity`'s grid to the row of `v`: the cubic and the quadratic terms, the least nu
+        (inf where there is no jump) and, for LF, each Kruzkov constant's worst residual
+        (else empty)."""
+        model, lam, dx = self.model, self.cfg.lam, self.mesh.dx
+        quad, low, maxima, start = [], [], [], 0
+        for _, run in groupby(kbars, key=id):  # rows that share a kbar
+            rows = slice(start, start + len(list(run)))
+            kt, kruzkov = self._constants(kbars[start], parity)
+            nu = _nu(u[rows], du[rows], kt, None if sig is None else sig[rows], model, lam)
+            quad += (dx * np.add.reduce(nu * du[rows]**2, axis=-1)).tolist()
+            low += (np.minimum.reduce(nu, axis=-1).tolist() if nu.shape[-1]
+                    else [math.inf] * len(nu))
+            if kruzkov:
+                u_in = u[rows] if parity is Parity.BASE else _replicate(u[rows], 1)
+                maxima += _entropy_maxima(u_in, v[rows], model, lam, *kruzkov).tolist()
+            start = rows.stop
+        return _cubic(du, dx, self._masks[parity]).tolist(), quad, low, maxima
+
+
+def _interleave(even: list, odd: list) -> list:
+    out = [None] * (len(even) + len(odd))
+    out[0::2], out[1::2] = even, odd
+    return out

@@ -156,7 +156,9 @@ def extend_absorbing(state: StaggeredState, ghost: int) -> tuple[np.ndarray, np.
 
 
 def _replicate(arr: np.ndarray, ghost: int) -> np.ndarray:
-    return np.concatenate([arr[:1].repeat(ghost), arr, arr[-1:].repeat(ghost)])
+    """Pad the last axis with `ghost` copies of its edge entries on each side."""
+    return np.concatenate([arr[..., :1].repeat(ghost, axis=-1), arr,
+                           arr[..., -1:].repeat(ghost, axis=-1)], axis=-1)
 
 
 def initial_state(mesh: Mesh, coeff: Coefficient, u0: Callable,

@@ -253,7 +253,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
     Base parity.  The report's `u_min`/`u_max` and `correction_max` are NaN once
-    any state or correction holds a NaN.
+    any state or correction holds a NaN.  `march` folds these itself, after each step;
+    with `cfg.collect_diagnostics` it also feeds every step to a `DiagnosticsCollector`,
+    which folds the other checks a block of steps at a time and has folded them all
+    once the last step is fed.
 
     `report` False says that nothing reads the report's folded fields: the march takes
     no extremes or correction maximum, and the NT step skips its corrections.  `u_min`,

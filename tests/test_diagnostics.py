@@ -430,14 +430,27 @@ class TestNuWithoutSlopes:
         assert got_sig.tobytes() == want_sig.tobytes()
 
 
+def _march_in_blocks(rows, initial, *args):
+    """`march` with collector blocks of `rows` steps (None: the default block size)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(diagnostics, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+        return march(initial, *args)
+
+
+# blocks of 1, 2 or 3 steps make a march of up to 40 steps cross many block edges, at both
+# parities; the default block holds at least 34 steps at these sizes
+BLOCK_ROWS = st.sampled_from([None, 1, 2, 3])
+
+
 class TestFusedCollector:
     @given(st.sampled_from(SCHEME_CASES), st.sampled_from(BUILTINS),
            st.sampled_from([None, 0.3]), st.integers(min_value=2, max_value=60),
-           st.integers(min_value=1, max_value=6), st.floats(min_value=0.05, max_value=1.0),
-           st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+           st.integers(min_value=1, max_value=20), st.floats(min_value=0.05, max_value=1.0),
+           st.booleans(), BLOCK_ROWS, st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_report_equals_oracle_bitwise(self, case, builtin, window_x, n_cells, pairs,
-                                          cfl_share, own_kbar, seed):
+                                          cfl_share, own_kbar, rows, seed):
         scheme, kind = case
         model, coeff = builtin()
         rng = np.random.default_rng(seed)
@@ -451,8 +464,28 @@ class TestFusedCollector:
             kbar=kbar[::-1].copy() if own_kbar else kbar,
             parity=Parity.BASE, time=0.0, step_index=0)
         t_end = 2 * pairs * lam * mesh.dx
-        _, report = march(initial, model, coeff, cfg, t_end)
+        _, report = _march_in_blocks(rows, initial, model, coeff, cfg, t_end)
         assert report.steps == 2 * pairs
+        oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
+        assert json.dumps(report.to_json_dict()) == json.dumps(oracle.to_json_dict())
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_folds_once_per_block(self, rows, scheme):
+        model, coeff = builtin_multiplicative(3.0, 1.0)
+        mesh = Mesh.from_cells(-1.0, 1.0, 30)
+        initial = StaggeredState(mesh=mesh, values=np.linspace(0.9, 0.1, 30),
+                                 kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
+                                 parity=Parity.BASE, time=0.0, step_index=0)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, window_x=0.3)
+        folds = []
+        fold = diagnostics.DiagnosticsCollector._fold
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics.DiagnosticsCollector, "_fold",
+                       lambda self, *args: folds.append(len(args[3])) or fold(self, *args))
+            _, report = _march_in_blocks(rows, initial, model, coeff, cfg, 14 * 0.05 * mesh.dx)
+        assert report.steps == 14 and sum(folds) == 14
+        assert folds == [rows] * (14 // rows) + ([14 % rows] if 14 % rows else [])
         oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
         assert json.dumps(report.to_json_dict()) == json.dumps(oracle.to_json_dict())
 
@@ -479,11 +512,11 @@ class TestCollectorOnPiecewiseConstantStates:
     @given(st.sampled_from([builtin_burgers_const_k, lambda: builtin_multiplicative(3.0, 1.0)]),
            st.sampled_from(SCHEME_CASES), st.sampled_from([None, 0.3]),
            st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=6),
-           st.integers(min_value=8, max_value=60), st.integers(min_value=1, max_value=6),
-           st.integers(min_value=0, max_value=2**32 - 1))
+           st.integers(min_value=8, max_value=60), st.integers(min_value=1, max_value=20),
+           BLOCK_ROWS, st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_report_equals_oracle_bitwise(self, builtin, case, window_x, levels, n_cells,
-                                          pairs, seed):
+                                          pairs, rows, seed):
         scheme, kind = case
         model, coeff = builtin()
         rng = np.random.default_rng(seed)
@@ -498,11 +531,11 @@ class TestCollectorOnPiecewiseConstantStates:
                                  kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
                                  parity=Parity.BASE, time=0.0, step_index=0)
         t_end = 2 * pairs * lam * mesh.dx
-        _, report = march(initial, model, coeff, cfg, t_end)
+        _, report = _march_in_blocks(rows, initial, model, coeff, cfg, t_end)
         assert report.steps == 2 * pairs
         oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
         assert json.dumps(report.to_json_dict()) == json.dumps(oracle.to_json_dict())
         with pytest.MonkeyPatch.context() as mp:  # the oracle shares `_cube`: undo the skip
             mp.setattr(diagnostics, "_cube", lambda a: a**3)
-            _, with_pow = march(initial, model, coeff, cfg, t_end)
+            _, with_pow = _march_in_blocks(rows, initial, model, coeff, cfg, t_end)
         assert json.dumps(report.to_json_dict()) == json.dumps(with_pow.to_json_dict())
