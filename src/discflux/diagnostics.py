@@ -373,7 +373,8 @@ class DiagnosticsCollector:
         worst, holds = rep.onesided_worst_margin, rep.onesided_holds
         for lhs, m2_prev, cubes_prev in zip(m2[1:], m2, cubes):
             rhs = m2_prev - decay * cubes_prev + psi_bv
-            worst = min(worst, rhs - lhs)
+            margin = rhs - lhs
+            worst = margin if margin < worst or margin != margin else worst  # a NaN sticks
             holds = holds and lhs <= rhs + TOL
         rep.onesided_worst_margin, rep.onesided_holds = worst, holds
         nu_min, total_c, total_q = rep.nu_min, rep.cubic_accumulator, rep.quad_accumulator
@@ -382,9 +383,10 @@ class DiagnosticsCollector:
             total_q += q
             nu_min = x if x < nu_min or x != x else nu_min  # a NaN sticks
         rep.nu_min, rep.cubic_accumulator, rep.quad_accumulator = nu_min, total_c, total_q
-        if maxima:  # a NaN residual is skipped
-            rep.entropy_max_residual = max(rep.entropy_max_residual,
-                                           *chain.from_iterable(maxima))
+        residual = rep.entropy_max_residual
+        for x in chain.from_iterable(maxima):
+            residual = x if x > residual or x != x else residual  # a NaN sticks
+        rep.entropy_max_residual = residual
 
     def _step_terms(self, parity: Parity, u, du, v, sig, kbars: list) -> tuple:
         """Lists with one entry per step from a row of `u` (jumps `du`, slopes `sig`) on

@@ -197,6 +197,13 @@ def _two_flux_right(u):
     return 2.0 * u * (1.0 - u) / (2.0 - u)
 
 
+def _two_flux(k, u):
+    """k*_two_flux_right(u) + (1-k)*_two_flux_left(u), the same operations with the shared
+    numerator 2u(1-u) taken once."""
+    g = 2.0 * u * (1.0 - u)
+    return k * (g / (2.0 - u)) + (1.0 - k) * (g / (1.0 + u))
+
+
 def builtin_two_flux_rational() -> tuple[FluxModel, Coefficient]:
     """Two-flux model: 2u(1-u)/(1+u) for x < 0, 2u(1-u)/(2-u) for x >= 0.
 
@@ -218,7 +225,7 @@ def builtin_two_flux_rational() -> tuple[FluxModel, Coefficient]:
 
     model = FluxModel(
         name="two-flux-rational",
-        eval=lambda k, u: k * _two_flux_right(u) + (1.0 - k) * _two_flux_left(u),
+        eval=_two_flux,
         d_u=lambda k, u: k * dr(u) + (1.0 - k) * dl(u),
         d_k=lambda k, u: _two_flux_right(u) - _two_flux_left(u),
         d_uu=lambda k, u: k * ddr(u) + (1.0 - k) * ddl(u),

@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 
 CFL_TOL = 1e-12
 MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 would take hours
+_BLOCK_VALUES = 16384  # a march block holds max(1, _BLOCK_VALUES // n_cells) rows (128 KB)
 
 
 class Scheme(Enum):
@@ -239,6 +240,15 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
     return n - (n % 2)
 
 
+def _step_order(reduce, blocks: tuple, rows: int) -> list:
+    """`reduce` of each of the first `rows` rows of the blocks of the steps from Base and from
+    Half, in step order (the steps alternate, Base first); empty without blocks."""
+    if not blocks:
+        return []
+    from_base, from_half = (reduce(b[:rows], axis=-1).tolist() for b in blocks)
+    return [x for pair in zip(from_base, from_half) for x in pair]
+
+
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
           cfg: SchemeConfig, t_end: float, *, snapshots: dict | None = None,
           report: bool = True) -> tuple[StaggeredState, DiagnosticsReport]:
@@ -246,17 +256,20 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
 
     The loop carries arrays and builds a state only where one is read: the final
     state and the state at each step index that is a key of `snapshots` (march sets
-    its value).  The steps write into two arrays the march owns, one per parity: a
-    kept state holds a copy, the final state keeps its array, and the initial values
+    its value).  Each step writes its values into the next row of a block the march
+    owns, one per parity, of max(1, 16384 // n_cells) rows (one row without a report):
+    a kept state holds a copy, the final state keeps its row, and the initial values
     are never written.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
     Base parity.  The report's `u_min`/`u_max` and `correction_max` are NaN once
-    any state or correction holds a NaN.  `march` folds these itself, after each step;
-    with `cfg.collect_diagnostics` it also feeds every step to a `DiagnosticsCollector`,
-    which folds the other checks a block of steps at a time and has folded them all
-    once the last step is fed.
+    any state or correction holds a NaN.  `march` folds these itself, once per filled
+    block and after the last step: a reduction per row (the NT corrections' magnitudes
+    go into blocks of their own), then the row values in step order, so the result does
+    not depend on the block size.  With `cfg.collect_diagnostics` it also feeds every
+    step to a `DiagnosticsCollector`, which folds the other checks a block of steps at a
+    time and has folded them all once the last step is fed.
 
     `report` False says that nothing reads the report's folded fields: the march takes
     no extremes or correction maximum, and the NT step skips its corrections.  `u_min`,
@@ -291,20 +304,21 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     step, lowest, highest = stepper.step, np.minimum.reduce, np.maximum.reduce
     u, kbar, parity, time = initial.values, initial.kbar, base, initial.time
     end = initial.step_index + n_steps
-    # a step from Base writes into the (n-1)-value array and one from Half into the n-value one
-    out, spare = np.empty(mesh.n_cells - 1), np.empty(mesh.n_cells)
+    # the blocks of the steps from Base (n - 1 values each) and from Half (n values), so that
+    # a step never writes the row it reads; |corrections| are on the cells stepped from
+    n = mesh.n_cells
+    rows = max(1, _BLOCK_VALUES // n) if report else 1
+    blocks = np.empty((rows, n - 1)), np.empty((rows, n))
+    a_blocks = (np.empty((rows, n)), np.empty((rows, n - 1))) if report and second_order else ()
+    outs, a_outs = [list(b) for b in blocks], [list(b) for b in a_blocks]
     if report:
         u_min, u_max, correction_max = lowest(u), highest(u), 0.0
+    row = 0
     for index in range(initial.step_index + 1, end + 1):
-        v, corrections, sig = step(u, kbar, parity, out)
-        if report:
-            lo, hi = lowest(v), highest(v)
-            u_min = lo if lo < u_min or lo != lo else u_min  # a NaN sticks
-            u_max = hi if hi > u_max or hi != hi else u_max
-            if corrections is not None:
-                a_max = highest(np.abs(corrections))
-                correction_max = (a_max if a_max > correction_max or a_max != a_max
-                                  else correction_max)
+        from_half = parity is half
+        v, corrections, sig = step(u, kbar, parity, outs[from_half][row])
+        if corrections is not None:
+            np.abs(corrections, out=a_outs[from_half][row])
         if collector is not None:
             collector.observe(u, kbar, parity, v, sig)
         parity, kbar = (half, k_half) if parity is base else (base, k_base)
@@ -312,7 +326,19 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         if index in snapshots:
             kept = v if index == end else v.copy()
             snapshots[index] = StaggeredState(mesh, kept, kbar, parity, time, index)
-        u, out, spare = v, spare, out
+        u = v
+        if from_half:  # the pair of steps filled a row of each block
+            row += 1
+            if row == rows or index == end:
+                if report:
+                    for lo in _step_order(lowest, blocks, row):
+                        u_min = lo if lo < u_min or lo != lo else u_min  # a NaN sticks
+                    for hi in _step_order(highest, blocks, row):
+                        u_max = hi if hi > u_max or hi != hi else u_max
+                    for a_max in _step_order(highest, a_blocks, row):
+                        correction_max = (a_max if a_max > correction_max or a_max != a_max
+                                          else correction_max)
+                row = 0
     if report:
         rep.u_min, rep.u_max = float(u_min), float(u_max)
         rep.correction_max = float(correction_max)

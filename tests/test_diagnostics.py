@@ -16,6 +16,7 @@ from discflux import (LimiterConfig, LimiterKind, Mesh, Parity,
                       lf_step, march, nt_step, nu_coefficient, onesided_check,
                       psi_constant, Scheme, slopes)
 import discflux.diagnostics as diagnostics
+import discflux.schemes as schemes
 from discflux.diagnostics import DiagnosticsReport, _cube
 
 
@@ -431,10 +432,12 @@ class TestNuWithoutSlopes:
 
 
 def _march_in_blocks(rows, initial, *args):
-    """`march` with collector blocks of `rows` steps (None: the default block size)."""
+    """`march` with collector blocks of `rows` steps and march blocks of `rows` rows per
+    parity (None: the default block sizes)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             mp.setattr(diagnostics, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+            mp.setattr(schemes, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
         return march(initial, *args)
 
 

@@ -4,6 +4,7 @@ import pytest
 from discflux import (Coefficient, Convexity, FluxModel, builtin_burgers_const_k,
                       builtin_multiplicative, builtin_two_flux_rational, make_model,
                       verify_hypotheses)
+from discflux.flux_model import _two_flux_left, _two_flux_right
 
 BUILTINS = {
     "multiplicative": lambda: builtin_multiplicative(3.0, 1.0),
@@ -79,6 +80,19 @@ class TestTwoFluxRational:
         assert model.gamma2 == 8.0
         assert model.sup_fu == 2.0
         assert model.convexity is Convexity.STRICTLY_CONCAVE
+
+    @pytest.mark.parametrize("n", [50, 1999, 2000])
+    def test_eval_equals_the_two_branches_bitwise(self, n):
+        # `eval` takes the numerator 2u(1-u) once; the former form took it in each branch
+        model, _ = builtin_two_flux_rational()
+        special = [0.0, -0.0, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, 1.0, 2.0, -1.0]
+        rng = np.random.default_rng(n)
+        u = rng.choice(np.concatenate([special, rng.uniform(-0.5, 1.5, 20)]), n)
+        k = rng.choice(np.concatenate([special, [0.0, 1.0] * 10, rng.uniform(0, 1, 20)]), n)
+        with np.errstate(all="ignore"):
+            got = model.eval(k, u)
+            want = k * _two_flux_right(u) + (1.0 - k) * _two_flux_left(u)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

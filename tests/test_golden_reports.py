@@ -2,10 +2,10 @@
 
 The benchmark compares the keys of each `diagnostics*.json`, not its values.
 The files under `golden/` hold the reports of the canned experiments (both
-schemes) and of an 8000-cell run with the modified limiter, each written as
-`discflux` writes `diagnostics.json`, so any change to a diagnostic value,
-even in its last bit, fails here.  The worst margin of each `verify` suite is
-pinned as its `float.hex()` value.
+schemes), of their fine first-order references and of an 8000-cell run with
+the modified limiter, each written as `discflux` writes `diagnostics.json`,
+so any change to a diagnostic value, even in its last bit, fails here.  The
+worst margin of each `verify` suite is pinned as its `float.hex()` value.
 """
 
 from pathlib import Path
@@ -26,6 +26,15 @@ def test_example_report(tmp_path, example, tag, scheme):
     spec = {1: example_1, 2: example_2}[example]()
     _write_report(run_experiment(spec, scheme).report, tmp_path / "d.json")
     golden = GOLDEN / f"example{example}_{tag}.json"
+    assert (tmp_path / "d.json").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_reference_report(tmp_path, request, example):
+    # the reference marches are the session fixtures: `reference_run` at the output times
+    run = request.getfixturevalue(f"ex{example}_reference")
+    _write_report(run.report, tmp_path / "d.json")
+    golden = GOLDEN / f"example{example}_ref.json"
     assert (tmp_path / "d.json").read_bytes() == golden.read_bytes()
 
 

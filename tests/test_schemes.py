@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import discflux.schemes as schemes
@@ -543,6 +543,25 @@ class TestNanExtremesStick:
         payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
         assert payload["correction_max"] is None and payload["nu_min"] is None
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_manual_cfl_blow_up_reports_null_onesided_margin_and_entropy(self, scheme):
+        # Python's min kept a -inf one-sided margin (both schemes) and Python's max an LF
+        # entropy residual of 4.81e289; NT's entropy residual is not judged
+        spec = ExperimentSpec(name="blow-up", model_name="multiplicative",
+                              model_params={"k_left": 3.0, "k_right": 1.0}, dx=0.04, lam=3.0,
+                              u0=InitialData.step(0.9, 0.1), cfl_level=CflLevel.MANUAL,
+                              output_times=(2.0,))
+        with np.errstate(all="ignore"):
+            report = run_experiment(spec, scheme).report
+        assert report.steps == 16 and math.isnan(report.onesided_worst_margin)
+        if scheme is Scheme.LAX_FRIEDRICHS:
+            assert math.isnan(report.entropy_max_residual)
+        else:
+            assert report.entropy_max_residual == -math.inf
+        payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert payload["onesided_worst_margin"] is None
+        assert payload["entropy_max_residual"] is None
+
     @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES)
     def test_a_nan_after_the_initial_state_sticks(self, scheme, limiter):
         # the flux is NaN above u = 0.55, so the first step leaves NaNs in finite data
@@ -797,3 +816,73 @@ class TestMarchOwnedBuffers:
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
         plain, _ = march(state, model, coeff, cfg, 0.1)
         assert plain.values.tobytes() == final.values.tobytes()
+
+
+def _march_rows(rows, initial, *args):
+    """`march` with blocks of `rows` rows per parity (None: the default block size)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(schemes, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+        return march(initial, *args)
+
+
+def _per_step_extremes(state, model, coeff, cfg, steps):
+    """`u_min`, `u_max` and `correction_max` folded after each of `steps` chained public
+    steps, as `march` folded them before it folded blocks."""
+    u_min, u_max, correction_max = np.min(state.values), np.max(state.values), 0.0
+    for _ in range(steps):
+        if cfg.scheme is Scheme.NESSYAHU_TADMOR:
+            state, corrections = nt_step(state, model, coeff, cfg)
+            a_max = np.max(np.abs(corrections))
+            correction_max = (a_max if a_max > correction_max or a_max != a_max
+                              else correction_max)
+        else:
+            state = lf_step(state, model, coeff, cfg.lam, cfg.cfl_level)
+        lo, hi = np.min(state.values), np.max(state.values)
+        u_min = lo if lo < u_min or lo != lo else u_min
+        u_max = hi if hi > u_max or hi != hi else u_max
+    return u_min, u_max, correction_max
+
+
+def _float_bits(x):
+    x = float(x)
+    return x.hex(), math.copysign(1.0, x)  # the hex of a NaN drops its sign
+
+
+EXTREME_LEVELS = [0.0, -0.0, 5e-324, -5e-324, 0.25, 0.5, 0.6, 0.9, math.nan, -math.nan]
+EXTREME_FLUXES = [
+    lambda u: u * (1 - u),
+    lambda u: np.where(u > 0.55, math.nan, u * (1 - u)),  # a NaN above 0.55
+    lambda u: np.where(u > 0.55, np.copysign(math.nan, 0.7 - u), u * (1 - u)),  # either sign
+]
+
+
+class TestExtremesFoldInBlocks:
+    # blocks of 1, 2 or 3 rows make a march of up to 40 steps cross many block edges; the
+    # default block holds all of them in one partial block at these sizes.  The fold order
+    # shows in the sign of a NaN, since the last NaN in step order wins: numpy's scalar loop
+    # keeps the sign of a row's first NaN, its SIMD loop gives a positive NaN (with numpy 2.4
+    # on AVX-512, rows of 9 values or more, a whole block say, take the SIMD loop).  There,
+    # the two examples tell a fold of whole blocks, and one of the Base rows before the Half
+    # rows, from the fold in step order.
+    @example(KERNEL_CASES[1], EXTREME_FLUXES[2], [0.25, 0.25, 0.9], 0.2, 2, None)
+    @example(KERNEL_CASES[2], EXTREME_FLUXES[2], [0.9, 0.9], 0.1, 1, 3)
+    @given(st.sampled_from(KERNEL_CASES), st.sampled_from(EXTREME_FLUXES),
+           st.lists(st.one_of(st.sampled_from(EXTREME_LEVELS), st.floats(0.0, 1.0)),
+                    min_size=2, max_size=40),
+           st.sampled_from([0.1, 0.2, 0.9]), st.integers(min_value=0, max_value=20),
+           st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_a_per_step_fold(self, case, flux, values, lam, pairs, rows):
+        scheme, limiter = case
+        model, coeff = flat_k_model(flux, lambda u: 1 - 2 * u)
+        state = base_state(values, coeff, -1.0, 1.0)
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, cfl_level=CflLevel.MANUAL,
+                           collect_diagnostics=False)
+        t_end = 2 * pairs * lam * state.mesh.dx
+        with np.errstate(all="ignore"):
+            _, report = _march_rows(rows, state, model, coeff, cfg, t_end)
+            want = _per_step_extremes(state, model, coeff, cfg, report.steps)
+        assert report.steps == 2 * pairs
+        got = report.u_min, report.u_max, report.correction_max
+        assert [_float_bits(x) for x in got] == [_float_bits(x) for x in want]
