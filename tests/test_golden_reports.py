@@ -5,14 +5,18 @@ The files under `golden/` hold the reports of the canned experiments (both
 schemes), of their fine first-order references and of an 8000-cell run with
 the modified limiter, each written as `discflux` writes `diagnostics.json`,
 so any change to a diagnostic value, even in its last bit, fails here.  The
-worst margin of each `verify` suite is pinned as its `float.hex()` value.
+worst margin of each `verify` suite is pinned as its `float.hex()` value, and
+the sha256 of every CSV that `reproduce 1`, `reproduce 2` and the 8000-cell
+run write (solutions and error tables) in `golden/solutions.sha256`, in the
+format of `sha256sum`.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from discflux import Scheme, example_1, example_2, run_experiment
+from discflux import Scheme, cli, example_1, example_2, run_experiment
 from discflux.cli import _write_report, main
 from discflux.verify import SUITES
 
@@ -38,9 +42,41 @@ def test_reference_report(tmp_path, request, example):
     assert (tmp_path / "d.json").read_bytes() == golden.read_bytes()
 
 
-def test_fine_run_report(tmp_path):
-    assert main(["run", str(GOLDEN / "fine_run.cfg"), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "diagnostics.json").read_bytes() == (GOLDEN / "fine_run.json").read_bytes()
+@pytest.fixture(scope="module")
+def fine_run_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fine")
+    assert main(["run", str(GOLDEN / "fine_run.cfg"), "--out", str(out)]) == 0
+    return out
+
+
+def test_fine_run_report(fine_run_out):
+    assert (fine_run_out / "diagnostics.json").read_bytes() == \
+        (GOLDEN / "fine_run.json").read_bytes()
+
+
+def _golden_digests(directory: str) -> dict[str, str]:
+    """The recorded sha256 of each CSV under `directory` in `golden/solutions.sha256`."""
+    lines = (GOLDEN / "solutions.sha256").read_text().splitlines()
+    pairs = (line.split("  ", 1) for line in lines)
+    return {path.split("/", 1)[1]: digest for digest, path in pairs
+            if path.startswith(directory + "/")}
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_reproduce_solution_bytes(tmp_path, request, monkeypatch, example):
+    # `reproduce` marches its reference as `reference_run(spec)`, which is the session fixture
+    reference = request.getfixturevalue(f"ex{example}_reference")
+    monkeypatch.setattr(cli, "reference_run", lambda spec: reference)
+    assert main(["reproduce", str(example), "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == _golden_digests(f"ex{example}")
+
+
+def test_fine_run_solution_bytes(fine_run_out):
+    assert _digests(fine_run_out) == _golden_digests("fine")
 
 
 VERIFY_MARGINS = {
