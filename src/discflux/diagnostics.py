@@ -96,10 +96,12 @@ def _one_sided(du: np.ndarray, model: FluxModel) -> np.ndarray:
     return np.abs(np.minimum(du, 0.0))
 
 
-def _cube(a: np.ndarray) -> np.ndarray:
-    """(a*a)*a: two correctly rounded products, so the result does not depend on the SIMD
-    loops numpy dispatches to (its AVX-512 pow rounds some cubes otherwise than its AVX2 one)."""
-    return (a * a) * a
+def _cube(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(a*a)*a, into `out` when given: two correctly rounded products, so the result does not
+    depend on the SIMD loops numpy dispatches to (its AVX-512 pow rounds some cubes otherwise
+    than its AVX2 one)."""
+    out = np.multiply(a, a, out=out)
+    return np.multiply(out, a, out=out)
 
 
 def _decay_terms(model: FluxModel, lam: float, k_sup: float, k_bv: float) -> tuple[float, float]:
@@ -192,16 +194,21 @@ def _kruzkov_table(k: np.ndarray, model: FluxModel, lam: float, c_grid: np.ndarr
     return c[:, None], f_c, lam * np.abs(f_c[:, 1:] - f_c[:, :-1])
 
 
-def _entropy_maxima(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> np.ndarray:
-    """Each constant's worst residual of each row of `u` and `v`, all constants at once:
-    shape (*rows, len(c)).  NaN where a residual of the row is NaN."""
+def _entropy_residuals(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> np.ndarray:
+    """The residual of each value of each row of `v`, stepped from the pairs of `u` (with
+    `k`), for all constants at once: shape (*rows, len(c), len(v's rows))."""
     u, v = u[..., None, :], v[..., None, :]  # a constants axis before the cells
     d = u - c
     dist = np.abs(d)
     flux = np.sign(d) * (model.eval(k, u) - f_c)
-    res = (np.abs(v - c) - 0.5 * dist[..., 1:] - 0.5 * dist[..., :-1]
-           + lam * (flux[..., 1:] - flux[..., :-1]) - jump)
-    return res.max(axis=-1)
+    return (np.abs(v - c) - 0.5 * dist[..., 1:] - 0.5 * dist[..., :-1]
+            + lam * (flux[..., 1:] - flux[..., :-1]) - jump)
+
+
+def _entropy_maxima(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> np.ndarray:
+    """Each constant's worst residual of each row of `u` and `v`, all constants at once:
+    shape (*rows, len(c)).  NaN where a residual of the row is NaN."""
+    return _entropy_residuals(u, v, model, lam, k, c, f_c, jump).max(axis=-1)
 
 
 def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxModel,
@@ -225,19 +232,20 @@ def _window_mask(mesh: Mesh, parity: Parity, window_x: float | None) -> np.ndarr
     return None if window_x is None else np.abs(mesh.interface_positions(parity)) <= window_x
 
 
-def _cubic(du: np.ndarray, dx: float, mask: np.ndarray | None) -> np.ndarray:
-    """dx * sum of |du|^3 over the mask, per row.  The masked rows are made contiguous: a
-    row sum of the strided selection adds in another order and differs in the last bits."""
-    d = _cube(np.abs(du))
-    return dx * np.add.reduce(d if mask is None else np.ascontiguousarray(d[..., mask]),
-                              axis=-1)
+def _cubic(cubes: np.ndarray, dx: float, mask: np.ndarray | None) -> np.ndarray:
+    """dx * sum of the cubed jump magnitudes `cubes` over the mask, per row.  The masked rows
+    are made contiguous: a row sum of the strided selection adds in another order and
+    differs in the last bits."""
+    return dx * np.add.reduce(cubes if mask is None else
+                              np.ascontiguousarray(cubes[..., mask]), axis=-1)
 
 
 def accumulate_cubic(report: DiagnosticsReport, state: StaggeredState,
                      window_x: float | None) -> DiagnosticsReport:
     """Add dx * sum of |jump|^3 over interfaces inside |x| <= window_x."""
     mask = _window_mask(state.mesh, state.parity, window_x)
-    report.cubic_accumulator += float(_cubic(_jumps(state.values), state.mesh.dx, mask))
+    cubes = _cube(np.abs(_jumps(state.values)))
+    report.cubic_accumulator += float(_cubic(cubes, state.mesh.dx, mask))
     return report
 
 
@@ -276,6 +284,14 @@ class DiagnosticsCollector:
     the report in step order, so the report does not depend on the block size.  The last
     state of a block heads the next one; its one-sided sums carry over, and so do its jumps
     when the next block holds a single step.  What is fixed for the run is computed once.
+
+    While the march steps a window of the mesh (see `march`), the per-cell terms (jumps,
+    one-sided parts and cubes, nu and nu*du^2, Kruzkov residuals) are computed on the
+    window's columns only, into rows of the full width that the collector keeps.  Outside
+    the window every term keeps its far-field value: the jump terms are +0.0 from the
+    start, and the first fold of each parity computes nu, nu*du^2 and the residuals on the
+    whole width.  Every sum, minimum and maximum still reduces whole rows, so the report is
+    the same bits as that of a march that steps the whole mesh.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
@@ -290,10 +306,21 @@ class DiagnosticsCollector:
         self._fixed: dict[Parity, tuple] = {}
         self._carry: tuple | None = None  # the last folded state's one-sided sums and jumps
         self._rows = max(1, _BLOCK_VALUES // mesh.n_cells)
-        if self._rows > 1:  # per parity, the block's states in order and the slopes on them
-            shape = {p: (self._rows // 2 + 1, mesh.n_values(p)) for p in Parity}
-            self._states = {p: np.empty(shape[p]) for p in Parity}
-            self._sig = None if lf else {p: np.empty(shape[p]) for p in Parity}
+        n = {p: mesh.n_values(p) for p in Parity}
+        # the columns of each parity's values that a step may have changed: all but far fields
+        self._whole = self._cols = {p: (0, n[p]) for p in Parity}
+        states, steps = self._rows // 2 + 1, (self._rows + 1) // 2  # rows per parity
+        self._du = {p: np.zeros((states, n[p] - 1)) for p in Parity}
+        self._sums = {p: np.zeros((states, n[p] - 1)) for p in Parity}  # jump terms, summed
+        self._nu = {p: np.empty((steps, n[p] - 1)) for p in Parity}
+        self._quad = {p: np.empty((steps, n[p] - 1)) for p in Parity}
+        self._res = ({p: np.empty((steps, ENTROPY_C_COUNT, n[_other(p)])) for p in Parity}
+                     if lf else None)
+        self._filled: set[Parity] = set()  # parities whose step terms hold every column
+        # per parity, the slopes on the block's states (one row: on the march's window)
+        self._sig = None if lf else {p: np.zeros((states, n[p])) for p in Parity}
+        if self._rows > 1:  # per parity, the block's states in order
+            self._states = {p: np.empty((states, n[p])) for p in Parity}
             self._kbars: list[np.ndarray] = []
             self._seen = 0
 
@@ -309,10 +336,21 @@ class DiagnosticsCollector:
                                            (k_in, *table) if lf else None)
         return fixed[1:]
 
-    def observe(self, u, kbar, parity, v, sig):
+    def observe(self, u, kbar, parity, v, sig, cols=None):
         """Take the step from `u` (with `kbar`, on `parity`'s grid) to `v`; `sig` are the
-        slopes it took on `u`'s cells, None for a Lax-Friedrichs step (all 0)."""
+        slopes it took on `u`'s cells, None for a Lax-Friedrichs step (all 0).  `cols` (lo,
+        hi) says that the step took only `u`'s cells lo ... hi-1, which `sig` covers, and
+        wrote only the values of `v` that they reach; None, that it took every cell."""
+        other = _other(parity)
+        if cols is None:
+            self._cols = self._whole
+        else:
+            lo, hi = cols
+            self._cols = {parity: cols, other: (lo, hi - 1 if parity is Parity.BASE else hi + 1)}
         if self._rows == 1:
+            if sig is not None and cols is not None:
+                self._sig[parity][0, lo:hi] = sig
+                sig = self._sig[parity][0]
             self._fold(parity, u[None], v[None], [kbar], None if sig is None else (sig[None], None))
             return
         kbars, t = self._kbars, len(self._kbars)
@@ -321,15 +359,14 @@ class DiagnosticsCollector:
             if self._carry is None:  # the march's first step: its initial state heads the block
                 self._states[parity][0] = u
         kbars.append(kbar)
-        other = Parity.HALF if parity is Parity.BASE else Parity.BASE
         row = (t + 1) // 2  # v's row; u's row is t // 2
         self._states[other][row] = v
         if sig is not None:
-            self._sig[parity][t // 2] = sig
+            self._sig[parity][t // 2, slice(None) if cols is None else slice(lo, hi)] = sig
         self._seen += 1
         if t + 1 == self._rows or self._seen == self.report.steps:
             first, ka, kb = self._first, (t + 2) // 2, (t + 1) // 2
-            second = Parity.HALF if first is Parity.BASE else Parity.BASE
+            second = _other(first)
             sig = None if sig is None else (self._sig[first][:ka], self._sig[second][:kb])
             self._fold(first, self._states[first][:kb + 1], self._states[second][:ka], kbars,
                        sig)
@@ -341,9 +378,10 @@ class DiagnosticsCollector:
         on `first`'s grid (s0, s2, ...) as rows, `b` the others (s1, s3, ...), `kbars` the
         coefficient each step started from, and `sig` the slopes taken on the rows of `a`
         and of `b`, or None (Lax-Friedrichs)."""
-        rep, model = self.report, self.model
+        rep = self.report
         steps = len(kbars)
         ka, kb = (steps + 1) // 2, steps // 2  # the steps from `a`'s rows and from `b`'s
+        second = _other(first)
         # the one-sided sums of s0 ... s_steps in state order; s0's carry over from the
         # previous block
         m2, cubes = [0.0] * (steps + 1), [0.0] * (steps + 1)
@@ -351,18 +389,15 @@ class DiagnosticsCollector:
         if head:
             m2[0], cubes[0], du_a = self._carry
         if kb or not head:  # `a` holds more than a carried s0
-            du_a = _jumps(a)
-            squares, cubed = _one_sided_sums(du_a[head:], model)
-            m2[2 * head::2], cubes[2 * head::2] = squares.tolist(), cubed.tolist()
-        du_b = _jumps(b)
-        squares, cubed = _one_sided_sums(du_b, model)
-        m2[1::2], cubes[1::2] = squares.tolist(), cubed.tolist()
+            du_a = self._jumps(first, a)
+            m2[2 * head::2], cubes[2 * head::2] = self._one_sided_sums(first, du_a[head:])
+        du_b = self._jumps(second, b)
+        m2[1::2], cubes[1::2] = self._one_sided_sums(second, du_b)
         self._carry = m2[-1], cubes[-1], (du_b if steps % 2 else du_a)[-1:]
         sig_a, sig_b = (None, None) if sig is None else sig
         cubic, quad, low, maxima = self._step_terms(first, a[:ka], du_a[:ka], b, sig_a,
                                                     kbars[0::2])
         if kb:  # the steps alternate between the two grids: interleave their terms
-            second = Parity.HALF if first is Parity.BASE else Parity.BASE
             odd = self._step_terms(second, b[:kb], du_b[:kb], a[1:], sig_b, kbars[1::2])
             cubic, quad, low, maxima = (_interleave(x, y) for x, y in
                                         zip((cubic, quad, low, maxima), odd))
@@ -385,25 +420,76 @@ class DiagnosticsCollector:
             residual = x if x > residual or x != x else residual  # a NaN sticks
         rep.entropy_max_residual = residual
 
+    def _jumps(self, parity: Parity, states: np.ndarray) -> np.ndarray:
+        """The jumps of the rows of `states`, in the kept rows of `parity`."""
+        lo, hi = self._cols[parity]
+        du = self._du[parity][:len(states)]
+        np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1], out=du[:, lo:hi - 1])
+        return du
+
+    def _one_sided_sums(self, parity: Parity, du: np.ndarray) -> tuple[list, list]:
+        """Per row of jumps: the sum of the squared one-sided parts, and of their cubes."""
+        lo, hi = self._cols[parity]
+        m = _one_sided(du[:, lo:hi - 1], self.model)
+        rows = self._sums[parity][:len(du)]
+        np.square(m, out=rows[:, lo:hi - 1])
+        squares = np.add.reduce(rows, axis=-1).tolist()
+        _cube(m, out=rows[:, lo:hi - 1])
+        return squares, np.add.reduce(rows, axis=-1).tolist()
+
     def _step_terms(self, parity: Parity, u, du, v, sig, kbars: list) -> tuple:
         """Lists with one entry per step from a row of `u` (jumps `du`, slopes `sig`) on
         `parity`'s grid to the row of `v`: the cubic and the quadratic terms, the least nu
         (inf where there is no jump) and, for LF, each Kruzkov constant's worst residual
         (else empty)."""
         model, lam, dx = self.model, self.cfg.lam, self.mesh.dx
-        quad, low, maxima, start = [], [], [], 0
+        steps, other = len(kbars), _other(parity)
+        lo, hi = self._cols[parity] if parity in self._filled else self._whole[parity]
+        v_lo, v_hi = self._cols[other] if parity in self._filled else self._whole[other]
+        cells, jumps = slice(lo, hi), slice(lo, hi - 1)
+        nu_rows, quad_rows = self._nu[parity][:steps], self._quad[parity][:steps]
+        start = 0
         for _, run in groupby(kbars, key=id):  # rows that share a kbar
             rows = slice(start, start + len(list(run)))
             kt, kruzkov = self._constants(kbars[start], parity)
-            nu = _nu(u[rows], du[rows], kt, None if sig is None else sig[rows], model, lam)
-            quad += (dx * np.add.reduce(nu * du[rows]**2, axis=-1)).tolist()
-            low += (np.minimum.reduce(nu, axis=-1).tolist() if nu.shape[-1]
-                    else [math.inf] * len(nu))
+            d = du[rows, jumps]
+            nu = _nu(u[rows, cells], d, kt[:, jumps], None if sig is None else sig[rows, cells],
+                     model, lam)
+            nu_rows[rows, jumps] = nu
+            np.multiply(nu, np.square(d), out=quad_rows[rows, jumps])
             if kruzkov:
-                u_in = u[rows] if parity is Parity.BASE else _replicate(u[rows], 1)
-                maxima += _entropy_maxima(u_in, v[rows], model, lam, *kruzkov).tolist()
+                k_in, c, f_c, jump = kruzkov
+                span = slice(v_lo, v_hi + 1)  # the (ghost-padded) pairs stepped to v's columns
+                u_in = (u[rows, span] if parity is Parity.BASE
+                        else _padded(u[rows], v_lo, v_hi + 1))
+                self._res[parity][rows, :, v_lo:v_hi] = _entropy_residuals(
+                    u_in, v[rows, v_lo:v_hi], model, lam, k_in[span], c, f_c[:, span],
+                    jump[:, v_lo:v_hi])
             start = rows.stop
-        return _cubic(du, dx, self._masks[parity]).tolist(), quad, low, maxima
+        if parity not in self._filled:  # the far-field columns now hold for every step
+            for kept in (self._nu, self._quad) + ((self._res,) if self._res is not None
+                                                     else ()):
+                kept[parity][steps:] = kept[parity][0]
+            self._filled.add(parity)
+        cubes = self._sums[parity][:steps]
+        _cube(np.abs(du[:, jumps]), out=cubes[:, jumps])
+        low = (np.minimum.reduce(nu_rows, axis=-1).tolist() if nu_rows.shape[-1]
+               else [math.inf] * steps)
+        maxima = ([] if self._res is None
+                  else self._res[parity][:steps].max(axis=-1).tolist())
+        return (_cubic(cubes, dx, self._masks[parity]).tolist(),
+                (dx * np.add.reduce(quad_rows, axis=-1)).tolist(), low, maxima)
+
+
+def _other(parity: Parity) -> Parity:
+    return Parity.HALF if parity is Parity.BASE else Parity.BASE
+
+
+def _padded(u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Columns lo ... hi-1 of `u` with one ghost value repeating each edge value."""
+    if lo >= 1 and hi <= u.shape[-1] + 1:
+        return u[..., lo - 1:hi - 1]
+    return _replicate(u, 1)[..., lo:hi]
 
 
 def _interleave(even: list, odd: list) -> list:

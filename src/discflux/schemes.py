@@ -37,6 +37,12 @@ log = logging.getLogger(__name__)
 CFL_TOL = 1e-12
 MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 would take hours
 _BLOCK_VALUES = 16384  # a march block holds max(1, _BLOCK_VALUES // n_cells) rows (128 KB)
+_MARGIN = 2  # far-field cells a windowed step keeps inside its slice at each end
+_STRIP = 4  # cells of the strip that checks that a step maps a far field to itself
+# cells the range of values that may differ from the far fields gains on the left and on
+# the right with a step from Base and with one from Half: a Half value is stepped from Base
+# cells j-1 ... j+2 (LF: j, j+1), a Base value from Half values j-2 ... j+1 (LF: j-1, j)
+_GROWTH = {False: ((1, 0), (0, 1)), True: ((2, 1), (1, 2))}  # keyed by second order
 
 
 class Scheme(Enum):
@@ -249,6 +255,49 @@ def _step_order(reduce, blocks: tuple, rows: int) -> list:
     return [x for pair in zip(from_base, from_half) for x in pair]
 
 
+def _run(a: np.ndarray) -> int:
+    """How many leading entries of `a` have the bits of its first entry."""
+    bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
+    differ = np.flatnonzero(bits != bits[0])
+    return int(differ[0]) if len(differ) else len(bits)
+
+
+def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bool:
+    """Whether a step maps a strip of the value `c` with coefficient `k` on `parity`'s grid
+    to `c`, bit for bit, with +0.0 corrections.  Never for NaN; not for +-inf or 1e308,
+    where `c + c` or f is not finite."""
+    with np.errstate(all="ignore"):
+        v, a, _ = stepper.step(np.full(_STRIP, c), np.full(_STRIP, k), parity)
+    bits = np.float64(c).view(np.uint64)
+    return (c == c and bool((v.view(np.uint64) == bits).all())
+            and (a is None or not a.view(np.uint64).any()))
+
+
+def _far_fields(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray) -> tuple | None:
+    """The Base cells (lo, hi) between the left and right far fields of a march from Base
+    values `u` with `kbar`, outside of which `u` and the averaged coefficient of both
+    parities hold their edge values, bit for bit; None when the march must step the whole
+    mesh from the start (no far field, one that a step does not map to itself, or a range
+    whose stepped window covers the mesh)."""
+    n, k_base, k_half = len(u), stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
+    if kbar is not k_base and kbar.tobytes() != k_base.tobytes():
+        return None
+    # a Half value lies between Base cells j and j+1, so a Half run of r covers r + 1 cells
+    left = min(_run(u), _run(k_base), _run(k_half) + 1)
+    right = min(_run(u[::-1]), _run(k_base[::-1]), _run(k_half[::-1]) + 1)
+    # keep a cell between them: a stencil that does not reach it lies in one far field
+    left = min(left, n - 1 - min(right, n - 1))
+    right = min(right, n - 1 - left)
+    lo, hi = left, n - right
+    if lo <= _MARGIN and hi >= n - _MARGIN:
+        return None
+    for size, edge in ((left, 0), (right, -1)):
+        if size and not all(_maps_to_itself(stepper, u[edge], k[edge], parity)
+                            for parity, k in ((Parity.BASE, k_base), (Parity.HALF, k_half))):
+            return None
+    return lo, hi
+
+
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
           cfg: SchemeConfig, t_end: float, *, snapshots: dict | None = None,
           report: bool = True) -> tuple[StaggeredState, DiagnosticsReport]:
@@ -260,6 +309,20 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     owns, one per parity, of max(1, 16384 // n_cells) rows (one row without a report):
     a kept state holds a copy, the final state keeps its row, and the initial values
     are never written.
+
+    A step changes a value only inside its stencil, so the march steps only the cells
+    that can differ from the far fields.  The left (right) far field is the longest
+    prefix (suffix) of cells where the initial values and the averaged coefficient of
+    both parities hold the edge values, bit for bit.  Once per march a step of a short
+    strip of each far field, on each parity, must give back its value bit for bit with
+    +0.0 corrections (not so for NaN, +-inf or 1e308); else, or without a far field, the
+    march steps the whole mesh.  Otherwise the blocks start out holding the far-field
+    values and the unchanged step kernel takes the slice of the cells that can differ,
+    with 2 far-field cells more at each end, so that its absorbing edges compute what the
+    whole step computes there.  The range grows by the stencil's reach on every step (by
+    geometry alone: a value is never compared to decide it), and once the slice covers
+    the mesh the march steps the whole arrays.  States, snapshots and the report are the
+    same bits as those of a march that steps the whole mesh.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
@@ -309,18 +372,40 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     n = mesh.n_cells
     rows = max(1, _BLOCK_VALUES // n) if report else 1
     blocks = np.empty((rows, n - 1)), np.empty((rows, n))
-    a_blocks = (np.empty((rows, n)), np.empty((rows, n - 1))) if report and second_order else ()
+    # zeros: the correction of a cell outside the window is +0.0
+    a_blocks = (np.zeros((rows, n)), np.zeros((rows, n - 1))) if report and second_order else ()
     outs, a_outs = [list(b) for b in blocks], [list(b) for b in a_blocks]
+    window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
+    if window is not None:  # no step writes a value outside its window: fill in the far fields
+        for b in blocks:
+            b[:, :window[0]], b[:, window[0]:] = u[0], u[-1]
+        growth = _GROWTH[second_order]
     if report:
         u_min, u_max, correction_max = lowest(u), highest(u), 0.0
     row = 0
     for index in range(initial.step_index + 1, end + 1):
         from_half = parity is half
-        v, corrections, sig = step(u, kbar, parity, outs[from_half][row])
+        v = outs[from_half][row]
+        cols = None
+        if window is not None:  # step the cells [lo, hi) that reach the changing ones
+            n_in = len(u)
+            lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n_in)
+            if lo or hi < n_in:
+                cols = lo, hi
+                grow = growth[from_half]
+                window = window[0] - grow[0], window[1] + grow[1]
+            else:  # the window covers the mesh from here on
+                window = None
+        if cols is None:
+            _, corrections, sig = step(u, kbar, parity, v)
+        else:
+            _, corrections, sig = step(u[lo:hi], kbar[lo:hi], parity,
+                                       v[lo:hi + 1] if from_half else v[lo:hi - 1])
         if corrections is not None:
-            np.abs(corrections, out=a_outs[from_half][row])
+            a_row = a_outs[from_half][row]
+            np.abs(corrections, out=a_row if cols is None else a_row[lo:hi])
         if collector is not None:
-            collector.observe(u, kbar, parity, v, sig)
+            collector.observe(u, kbar, parity, v, sig, cols)
         parity, kbar = (half, k_half) if parity is base else (base, k_base)
         time += dt
         if index in snapshots:
@@ -331,10 +416,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
             row += 1
             if row == rows or index == end:
                 if report:
-                    for lo in _step_order(lowest, blocks, row):
-                        u_min = lo if lo < u_min or lo != lo else u_min  # a NaN sticks
-                    for hi in _step_order(highest, blocks, row):
-                        u_max = hi if hi > u_max or hi != hi else u_max
+                    for x in _step_order(lowest, blocks, row):
+                        u_min = x if x < u_min or x != x else u_min  # a NaN sticks
+                    for x in _step_order(highest, blocks, row):
+                        u_max = x if x > u_max or x != x else u_max
                     for a_max in _step_order(highest, a_blocks, row):
                         correction_max = (a_max if a_max > correction_max or a_max != a_max
                                           else correction_max)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discflux import (LimiterConfig, LimiterKind, Mesh, Parity,
+from discflux import (ExperimentSpec, InitialData, LimiterConfig, LimiterKind, Mesh, Parity,
                       SchemeConfig, StaggeredState, accumulate_cubic,
                       builtin_burgers_const_k, builtin_multiplicative,
                       builtin_two_flux_rational,
@@ -277,16 +277,15 @@ class TestReportJson:
         assert payload["lambda"] == 3.0 and payload["steps"] == 0
 
 
-def _entropy_residual_lf_oracle(prev, next, model, lam, c_grid):
-    """The residual as first written: four flux evaluations per constant on
-    left/right slices, kept to pin the shared-evaluation form bit for bit."""
+def _entropy_maxima_oracle(prev, next, model, lam, c_grid):
+    """Each constant's worst residual as first written: four flux evaluations per
+    constant on left/right slices, kept to pin the shared-evaluation form bit for bit."""
     if prev.parity is Parity.BASE:
         u, k = prev.values, prev.kbar
     else:
         u, k = (np.concatenate([a[:1], a, a[-1:]]) for a in (prev.values, prev.kbar))
     ul, ur, kl, kr = u[:-1], u[1:], k[:-1], k[1:]
     v = next.values
-    worst = -math.inf
     for c in np.asarray(c_grid, dtype=float):
         flc = model.eval(kl, np.full_like(kl, c))
         frc = model.eval(kr, np.full_like(kr, c))
@@ -294,8 +293,24 @@ def _entropy_residual_lf_oracle(prev, next, model, lam, c_grid):
         f_right = np.sign(ur - c) * (model.eval(kr, ur) - frc)
         res = (np.abs(v - c) - 0.5 * np.abs(ur - c) - 0.5 * np.abs(ul - c)
                + lam * (f_right - f_left) - lam * np.abs(frc - flc))
-        worst = max(worst, float(np.max(res)))
+        yield float(np.max(res))
+
+
+def _entropy_residual_lf_oracle(prev, next, model, lam, c_grid):
+    """The worst residual over the constants, a NaN constant skipped as Python's max skips it."""
+    worst = -math.inf
+    for x in _entropy_maxima_oracle(prev, next, model, lam, c_grid):
+        worst = max(worst, x)
     return worst
+
+
+def _low(current, x):
+    """The lesser of the two, as the report folds them: a NaN sticks."""
+    return x if x < current or x != x else current
+
+
+def _high(current, x):
+    return x if x > current or x != x else current
 
 
 BUILTINS = [lambda: builtin_multiplicative(3.0, 1.0), builtin_two_flux_rational,
@@ -328,7 +343,7 @@ class TestEntropyResidualRewrite:
 class _CollectorOracle:
     """The collector as it was before it reused the step's slopes: each
     transition of chained public steps is judged by the public checks alone,
-    the slopes recomputed."""
+    the slopes recomputed.  Extremes fold as the report folds them, a NaN sticking."""
 
     def __init__(self, model, coeff, cfg, initial):
         self.model, self.coeff, self.cfg, self.initial = model, coeff, cfg, initial
@@ -357,15 +372,15 @@ class _CollectorOracle:
         rep, model, lam = self.report, self.model, self.cfg.lam
         rep.steps += 1
         rep.snapped_time = next.time
-        rep.u_min = min(rep.u_min, float(next.values.min()))
-        rep.u_max = max(rep.u_max, float(next.values.max()))
+        rep.u_min = _low(rep.u_min, float(next.values.min()))
+        rep.u_max = _high(rep.u_max, float(next.values.max()))
         if corrections is not None and len(corrections):
-            rep.correction_max = max(rep.correction_max, float(np.abs(corrections).max()))
+            rep.correction_max = _high(rep.correction_max, float(np.abs(corrections).max()))
             checked = correction_bound_check(corrections, self.cfg, model, prev.mesh.dx)
             rep.correction_bound = checked[1] if checked else None
         lhs, rhs, holds = onesided_check(prev, next, model, lam, k_sup=self.coeff.sup_norm,
                                          k_bv=self.coeff.bv_norm)
-        rep.onesided_worst_margin = min(rep.onesided_worst_margin, rhs - lhs)
+        rep.onesided_worst_margin = _low(rep.onesided_worst_margin, rhs - lhs)
         rep.onesided_holds = rep.onesided_holds and holds
         accumulate_cubic(rep, prev, self.cfg.window_x)
         # it raised on fewer than 3 values, where every slope the step takes is 0
@@ -374,11 +389,10 @@ class _CollectorOracle:
         nu = nu_coefficient(prev, sig, model, lam)
         rep.quad_accumulator += prev.mesh.dx * float(np.sum(nu * np.diff(prev.values)**2))
         if len(nu):
-            rep.nu_min = min(rep.nu_min, float(np.min(nu)))
-        if self.c_grid is not None:
-            rep.entropy_max_residual = max(
-                rep.entropy_max_residual,
-                entropy_residual_lf(prev, next, model, lam, self.c_grid))
+            rep.nu_min = _low(rep.nu_min, float(np.min(nu)))
+        if self.c_grid is not None:  # each constant's worst residual, as the collector folds
+            for x in _entropy_maxima_oracle(prev, next, model, lam, self.c_grid):
+                rep.entropy_max_residual = _high(rep.entropy_max_residual, x)
 
 
 SCHEME_CASES = [
@@ -493,13 +507,44 @@ class TestFusedCollector:
         assert json.dumps(report.to_json_dict()) == json.dumps(oracle.to_json_dict())
 
 
+def _report_bits(report):
+    """Every field of the report, floats as their hex and sign (the hex of a NaN drops it)."""
+    return {k: (v.hex(), math.copysign(1.0, v)) if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(report).items()}
+
+
+class TestCollectorOnABlowUp:
+    # outside the CFL bound (multiplicative 3|1, dx 0.04, step 0.9|0.1 at 0, lambda 3) every
+    # state from step 10 on holds a NaN, which must stick in every folded field
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_report_equals_oracle_bitwise(self, scheme, rows):
+        spec = ExperimentSpec(name="blow-up", model_name="multiplicative",
+                              model_params={"k_left": 3.0, "k_right": 1.0}, dx=0.04, lam=3.0,
+                              u0=InitialData.step(0.9, 0.1), cfl_level=CflLevel.MANUAL)
+        model, coeff = spec.build()
+        initial = spec.initial(spec.mesh(), coeff)
+        cfg = SchemeConfig(scheme=scheme, lam=spec.lam, cfl_level=CflLevel.MANUAL)
+        with np.errstate(all="ignore"):
+            _, report = _march_in_blocks(rows, initial, model, coeff, cfg, 2.0)
+            oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
+        assert report.steps == 16
+        assert math.isnan(report.u_max) and math.isnan(report.onesided_worst_margin)
+        assert _report_bits(report) == _report_bits(oracle)
+
+
 CUBE_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
                 1e-110, 2.0**-358]
 
 
-def _scalar_cubes(a):
-    """(x*x)*x of each value in Python floats, one at a time: no SIMD loop is involved."""
-    return np.array([x * x * x for x in a.ravel().tolist()], dtype=float).reshape(a.shape)
+def _scalar_cubes(a, out=None):
+    """(x*x)*x of each value in Python floats, one at a time (no SIMD loop is involved),
+    into `out` when given, as `_cube` takes it."""
+    cubes = np.array([x * x * x for x in a.ravel().tolist()], dtype=float).reshape(a.shape)
+    if out is None:
+        return cubes
+    out[...] = cubes
+    return out
 
 
 class TestCubeSkipsZeros:

@@ -740,11 +740,22 @@ class TestMarchWithoutReport:
                            collect_diagnostics=False)
         t_end = n_steps * cfg.lam * mesh.dx
         runs = {}
+        check = schemes._maps_to_itself
+
+        def uncounted(*args):  # the far-field strip checks are not steps of the march
+            calls = counter.calls
+            try:
+                return check(*args)
+            finally:
+                counter.calls = calls
+
         for report in (True, False):
             snapshots = dict.fromkeys(wanted)
             counter.calls = 0
-            final, rep = march(state, model, coeff, cfg, t_end, snapshots=snapshots,
-                               report=report)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(schemes, "_maps_to_itself", uncounted)
+                final, rep = march(state, model, coeff, cfg, t_end, snapshots=snapshots,
+                                   report=report)
             runs[report] = final, rep, snapshots, counter.calls
         (final, rep, snaps, evals), (light, light_rep, light_snaps, light_evals) = runs.values()
         steps = rep.steps

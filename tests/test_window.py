@@ -1,0 +1,169 @@
+"""The march steps only the cells that can differ from the far fields.
+
+A march of Riemann data steps a window that grows by the stencil's reach, and must
+give the same bits as chained public steps, which step the whole mesh, and the same
+report as a march that steps the whole mesh.
+"""
+
+import dataclasses
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import discflux.diagnostics as diagnostics
+import discflux.schemes as schemes
+from discflux import (LimiterConfig, LimiterKind, Mesh, Parity, Scheme, SchemeConfig,
+                      StaggeredState, builtin_burgers_const_k, builtin_multiplicative,
+                      cell_average_coefficient, lf_step, march, nt_step, run_experiment)
+from discflux.cli import load_config
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FAR_SPECIAL = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]
+MODELS = [lambda: builtin_multiplicative(3.0, 1.0), builtin_burgers_const_k]
+
+
+def _riemann(model_coeff, levels, starts, n_cells):
+    """A Base state on [-1, 1] holding levels[i] from cell starts[i - 1] on."""
+    model, coeff = model_coeff
+    mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
+    values = np.asarray(levels)[np.searchsorted(starts, np.arange(n_cells), side="right")]
+    state = StaggeredState(mesh, values, cell_average_coefficient(mesh, coeff, Parity.BASE),
+                           Parity.BASE, 0.0, 0)
+    return model, coeff, state
+
+
+class _Widths:
+    """Records the number of cells each step of a march takes (the strip checks aside)."""
+
+    def __init__(self, mp):
+        self.widths = []
+        step = schemes._Stepper.step
+
+        def recorded(stepper, u, kbar, parity, out=None):
+            if out is not None:
+                self.widths.append(len(u))
+            return step(stepper, u, kbar, parity, out)
+
+        mp.setattr(schemes._Stepper, "step", recorded)
+
+
+def _march(initial, model, coeff, cfg, t_end, rows=None, windowed=True, **kwargs):
+    """`march` with march and collector blocks of `rows` rows (None: the default sizes),
+    stepping the whole mesh unless `windowed`."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(diagnostics, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+            mp.setattr(schemes, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+        if not windowed:
+            mp.setattr(schemes, "_far_fields", lambda *args: None)
+        return march(initial, model, coeff, cfg, t_end, **kwargs)
+
+
+def _hex(x):
+    return (float(x).hex(), math.copysign(1.0, x)) if isinstance(x, float) else x
+
+
+def _report_bits(report):
+    """Every field of the report, floats as their hex and sign (the hex of a NaN drops it)."""
+    return {k: _hex(v) for k, v in dataclasses.asdict(report).items()}
+
+
+class TestWindowedMarchEqualsWholeMesh:
+    @given(st.sampled_from(MODELS), st.sampled_from(list(Scheme)),
+           st.sampled_from([LimiterKind.MINMOD, LimiterKind.MINMOD_MODIFIED]),
+           st.lists(st.one_of(st.sampled_from(FAR_SPECIAL), st.floats(0.0, 1.0)),
+                    min_size=2, max_size=2),
+           st.lists(st.floats(0.0, 1.0), max_size=2), st.integers(min_value=8, max_value=80),
+           st.integers(min_value=1, max_value=20), st.booleans(),
+           st.sampled_from([None, 1, 2, 3]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_states_and_report_bitwise(self, model_coeff, scheme, kind, far, middle, n_cells,
+                                       pairs, report, rows, data):
+        levels = [far[0], *middle, far[1]]
+        starts = np.sort(data.draw(st.lists(st.integers(1, n_cells - 1), min_size=len(levels) - 1,
+                                            max_size=len(levels) - 1, unique=True)))
+        model, coeff, initial = _riemann(model_coeff(), levels, starts, n_cells)
+        limiter = LimiterConfig(kind=kind, k_tilde=data.draw(st.floats(0.01, 2.0)))
+        lam = 0.5 * 0.2 / model.sup_fu
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, collect_diagnostics=report)
+        steps = 2 * pairs
+        wanted = data.draw(st.lists(st.integers(0, steps), max_size=4))
+        t_end = steps * lam * initial.mesh.dx
+        with np.errstate(all="ignore"):
+            snapshots = dict.fromkeys(wanted)
+            final, rep = _march(initial, model, coeff, cfg, t_end, rows, snapshots=snapshots,
+                                report=report)
+            whole, whole_rep = _march(initial, model, coeff, cfg, t_end, rows, windowed=False,
+                                      report=report)
+            chained = [initial]  # the public steps step the whole mesh
+            for _ in range(steps):
+                chained.append(nt_step(chained[-1], model, coeff, cfg)[0]
+                               if scheme is Scheme.NESSYAHU_TADMOR
+                               else lf_step(chained[-1], model, coeff, cfg.lam))
+        assert rep.steps == steps
+        assert final.values.tobytes() == chained[-1].values.tobytes() == whole.values.tobytes()
+        for n in wanted:
+            assert snapshots[n].values.tobytes() == chained[n].values.tobytes()
+        assert _report_bits(rep) == _report_bits(whole_rep)
+
+
+class TestWindow:
+    def _riemann_march(self, far_left, scheme=Scheme.NESSYAHU_TADMOR, n_cells=60):
+        model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0),
+                                         [far_left, 0.5, 0.2], [20, 30], n_cells)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            widths = _Widths(mp)
+            final, report = march(initial, model, coeff, cfg, 8 * cfg.lam * initial.mesh.dx)
+        whole = {Parity.BASE: n_cells, Parity.HALF: n_cells - 1}
+        return widths.widths, [whole[Parity.BASE], whole[Parity.HALF]] * (report.steps // 2)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_riemann_data_steps_a_growing_window(self, scheme):
+        widths, whole = self._riemann_march(0.9, scheme)
+        assert len(widths) == len(whole) == 8
+        assert all(w < n for w, n in zip(widths, whole))
+        # the cells that can differ gain 1 1/2 (LF: 1/2) on each side per step
+        grow = {Scheme.NESSYAHU_TADMOR: 3, Scheme.LAX_FRIEDRICHS: 1}[scheme]
+        assert widths[0] == 10 + 4 and np.diff(widths).tolist() == [grow] * 7
+
+    @pytest.mark.parametrize("far", [math.nan, math.inf, -math.inf, 1e308])
+    def test_a_far_field_a_step_does_not_keep_makes_it_step_the_whole_mesh(self, far):
+        widths, whole = self._riemann_march(far)
+        assert widths == whole
+
+    @pytest.mark.parametrize("far", [math.nan, math.inf, -math.inf, 1e308])
+    def test_far_field_check_fails(self, far):
+        model, coeff = builtin_multiplicative(3.0, 1.0)
+        mesh = Mesh.from_cells(-1.0, 1.0, 60)
+        stepper = schemes._Stepper(model, coeff, mesh, 0.05, LimiterConfig())
+        k = stepper.kbar[Parity.BASE]
+        with np.errstate(all="ignore"):
+            assert not schemes._maps_to_itself(stepper, far, k[0], Parity.BASE)
+        u = np.where(np.arange(60) < 20, far, 0.2)
+        assert schemes._far_fields(stepper, u, k) is None
+        # the right far field starts at the coefficient's jump
+        assert schemes._far_fields(stepper, np.where(np.arange(60) < 20, 0.9, 0.2), k) == (20, 30)
+
+    def test_an_initial_kbar_of_its_own_makes_it_step_the_whole_mesh(self):
+        model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0), [0.9, 0.2], [20], 60)
+        stepper = schemes._Stepper(model, coeff, initial.mesh, 0.05, LimiterConfig())
+        own = initial.kbar.copy()
+        assert schemes._far_fields(stepper, initial.values, own) is not None
+        own[5] = 2.0
+        assert schemes._far_fields(stepper, initial.values, own) is None
+
+
+def test_fine_run_steps_fewer_cells_than_the_mesh():
+    config = load_config(str(GOLDEN / "fine_run.cfg"))
+    with pytest.MonkeyPatch.context() as mp:
+        widths = _Widths(mp)
+        run = run_experiment(config.spec, config.scheme)
+    n_cells, steps = run.final.mesh.n_cells, run.report.steps
+    assert (n_cells, steps, len(widths.widths)) == (8000, 600, 600)
+    # the window holds the 2000 cells between the jumps of u and k, 3 more per step pair
+    assert sum(widths.widths) < 0.4 * n_cells * steps
