@@ -460,8 +460,7 @@ class DiagnosticsCollector:
             if kruzkov:
                 k_in, c, f_c, jump = kruzkov
                 span = slice(v_lo, v_hi + 1)  # the (ghost-padded) pairs stepped to v's columns
-                u_in = (u[rows, span] if parity is Parity.BASE
-                        else _padded(u[rows], v_lo, v_hi + 1))
+                u_in = (u[rows] if parity is Parity.BASE else _replicate(u[rows], 1))[..., span]
                 self._res[parity][rows, :, v_lo:v_hi] = _entropy_residuals(
                     u_in, v[rows, v_lo:v_hi], model, lam, k_in[span], c, f_c[:, span],
                     jump[:, v_lo:v_hi])
@@ -483,13 +482,6 @@ class DiagnosticsCollector:
 
 def _other(parity: Parity) -> Parity:
     return Parity.HALF if parity is Parity.BASE else Parity.BASE
-
-
-def _padded(u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Columns lo ... hi-1 of `u` with one ghost value repeating each edge value."""
-    if lo >= 1 and hi <= u.shape[-1] + 1:
-        return u[..., lo - 1:hi - 1]
-    return _replicate(u, 1)[..., lo:hi]
 
 
 def _interleave(even: list, odd: list) -> list:
