@@ -12,8 +12,9 @@ Config files are flat `key = value` lines with dotted section keys
 `experiments.run_experiment`, so `study` applies the config's `limiter.*`
 and `cfl_level` on every level.  A key that the run does not read is a
 config error.  Exit codes: 0 success, 1 config or usage error, 2 CFL
-refusal, 3 verification failure.  The environment variable DISCFLUX_OUTDIR
-overrides the output directory.
+refusal, 3 verification failure, 4 a `run` whose solution left [u_lo, u_hi]
+(a NaN included; its files are written).  The environment variable
+DISCFLUX_OUTDIR overrides the output directory.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .diagnostics import DiagnosticsReport
+from .diagnostics import TOL, DiagnosticsReport
 from .experiments import (EXAMPLES, ErrorRow, ErrorTable, ExperimentSpec,
                           InitialData, l1_error, reference_run,
                           refinement_study, run_experiment)
@@ -190,6 +191,12 @@ def cmd_run(args) -> int:
     _write_report(run.report, config.output_dir / "diagnostics.json")
     print(f"wrote {len(config.spec.output_times)} solution file(s) and diagnostics.json "
           f"to {config.output_dir} ({run.report.steps} steps)")
+    model, _ = config.spec.build()
+    low, high = run.report.u_min, run.report.u_max
+    if not model.u_lo - TOL <= low <= high <= model.u_hi + TOL:  # False for a NaN
+        print(f"blow-up: the solution left [{model.u_lo!r}, {model.u_hi!r}]: "
+              f"u_min = {low!r}, u_max = {high!r}", file=sys.stderr)
+        return 4
     return 0
 
 

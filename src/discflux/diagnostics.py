@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 TOL = 1e-12
 ENTROPY_C_COUNT = 11  # Kruzkov constants spread evenly over [u_lo, u_hi]
-_BLOCK_VALUES = 2048  # a collector block holds max(1, _BLOCK_VALUES // n_cells) steps
 _JSON_KEYS = ("scheme", "lambda", "dx", "steps", "snapped_time", "u_min", "u_max",
               "onesided_holds", "onesided_worst_margin", "cubic_accumulator", "quad_accumulator",
               "nu_min", "entropy_max_residual", "correction_max", "correction_bound", "cfl_level",
@@ -272,30 +271,27 @@ def correction_bound_check(a: np.ndarray, cfg: "SchemeConfig", model: FluxModel,
 
 
 class DiagnosticsCollector:
-    """Folds the full check suite over the steps of one march, fed as arrays, into `report`;
-    the cell entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
+    """Folds the full check suite over the steps of one march into `report`; the cell
+    entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
 
-    `march` is the only caller.  It feeds the steps in order, each starting from the values
-    the previous one produced, and the report is complete only once `report.steps` steps
-    have been observed: `observe` defers each step (a copy of its new values, since the
-    march reuses its arrays) and folds a block of max(1, 2048 // n_cells) steps at once,
-    each check running on the block's states as the rows of one array per parity.  A block
-    of one step is folded at once, on the march's own arrays.  The per-step figures enter
-    the report in step order, so the report does not depend on the block size.  The last
-    state of a block heads the next one; its one-sided sums carry over, and so do its jumps
-    when the next block holds a single step.  What is fixed for the run is computed once.
+    `march` is the only caller.  It hands `observe` each block of at most `rows` pairs of
+    steps, in order, as views of the rows it stepped into: the collector copies no state.
+    Each check runs once per block and parity on the block's states as the rows of one
+    array, and the per-step figures enter the report in step order, so the report does not
+    depend on the block size.  The last state of a block heads the next one; its one-sided
+    sums and its jumps carry over.  What is fixed for the run is computed once.
 
     While the march steps a window of the mesh (see `march`), the per-cell terms (jumps,
     one-sided parts and cubes, nu and nu*du^2, Kruzkov residuals) are computed on the
     window's columns only, into rows of the full width that the collector keeps.  Outside
     the window every term keeps its far-field value: the jump terms are +0.0 from the
-    start, and the first fold of each parity computes nu, nu*du^2 and the residuals on the
+    start, and the fold of the first block computes nu, nu*du^2 and the residuals on the
     whole width.  Every sum, minimum and maximum still reduces whole rows, so the report is
     the same bits as that of a march that steps the whole mesh.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
-                 report: DiagnosticsReport):
+                 report: DiagnosticsReport, rows: int):
         from .schemes import Scheme  # local import keeps module load acyclic
 
         self.model, self.cfg, self.mesh, self.report = model, cfg, mesh, report
@@ -304,25 +300,16 @@ class DiagnosticsCollector:
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
         self._masks = {p: _window_mask(mesh, p, cfg.window_x) for p in Parity}
         self._fixed: dict[Parity, tuple] = {}
-        self._carry: tuple | None = None  # the last folded state's one-sided sums and jumps
-        self._rows = max(1, _BLOCK_VALUES // mesh.n_cells)
+        self._carry: tuple | None = None  # the last folded state's one-sided sums
         n = {p: mesh.n_values(p) for p in Parity}
-        # the columns of each parity's values that a step may have changed: all but far fields
-        self._whole = self._cols = {p: (0, n[p]) for p in Parity}
-        states, steps = self._rows // 2 + 1, (self._rows + 1) // 2  # rows per parity
-        self._du = {p: np.zeros((states, n[p] - 1)) for p in Parity}
-        self._sums = {p: np.zeros((states, n[p] - 1)) for p in Parity}  # jump terms, summed
-        self._nu = {p: np.empty((steps, n[p] - 1)) for p in Parity}
-        self._quad = {p: np.empty((steps, n[p] - 1)) for p in Parity}
-        self._res = ({p: np.empty((steps, ENTROPY_C_COUNT, n[_other(p)])) for p in Parity}
+        self._whole = {p: (0, n[p]) for p in Parity}
+        states = {Parity.BASE: rows + 1, Parity.HALF: rows}  # a block's states per parity
+        self._du = {p: np.zeros((states[p], n[p] - 1)) for p in Parity}
+        self._sums = {p: np.zeros((states[p], n[p] - 1)) for p in Parity}  # jump terms, summed
+        self._nu = {p: np.empty((rows, n[p] - 1)) for p in Parity}
+        self._quad = {p: np.empty((rows, n[p] - 1)) for p in Parity}
+        self._res = ({p: np.empty((rows, ENTROPY_C_COUNT, n[_other(p)])) for p in Parity}
                      if lf else None)
-        self._filled: set[Parity] = set()  # parities whose step terms hold every column
-        # per parity, the slopes on the block's states (one row: on the march's window)
-        self._sig = None if lf else {p: np.zeros((states, n[p])) for p in Parity}
-        if self._rows > 1:  # per parity, the block's states in order
-            self._states = {p: np.empty((states, n[p])) for p in Parity}
-            self._kbars: list[np.ndarray] = []
-            self._seen = 0
 
     def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
         """The midpoints of kbar as a row and, for LF, the Kruzkov table of `parity`; rebuilt
@@ -336,101 +323,54 @@ class DiagnosticsCollector:
                                            (k_in, *table) if lf else None)
         return fixed[1:]
 
-    def observe(self, u, kbar, parity, v, sig, cols=None):
-        """Take the step from `u` (with `kbar`, on `parity`'s grid) to `v`; `sig` are the
-        slopes it took on `u`'s cells, None for a Lax-Friedrichs step (all 0).  `cols` (lo,
-        hi) says that the step took only `u`'s cells lo ... hi-1, which `sig` covers, and
-        wrote only the values of `v` that they reach; None, that it took every cell."""
-        other = _other(parity)
-        if cols is None:
-            self._cols = self._whole
-        else:
-            lo, hi = cols
-            self._cols = {parity: cols, other: (lo, hi - 1 if parity is Parity.BASE else hi + 1)}
-        if self._rows == 1:
-            if sig is not None and cols is not None:
-                self._sig[parity][0, lo:hi] = sig
-                sig = self._sig[parity][0]
-            self._fold(parity, u[None], v[None], [kbar], None if sig is None else (sig[None], None))
-            return
-        kbars, t = self._kbars, len(self._kbars)
-        if t == 0:
-            self._first = parity
-            if self._carry is None:  # the march's first step: its initial state heads the block
-                self._states[parity][0] = u
-        kbars.append(kbar)
-        row = (t + 1) // 2  # v's row; u's row is t // 2
-        self._states[other][row] = v
-        if sig is not None:
-            self._sig[parity][t // 2, slice(None) if cols is None else slice(lo, hi)] = sig
-        self._seen += 1
-        if t + 1 == self._rows or self._seen == self.report.steps:
-            first, ka, kb = self._first, (t + 2) // 2, (t + 1) // 2
-            second = _other(first)
-            sig = None if sig is None else (self._sig[first][:ka], self._sig[second][:kb])
-            self._fold(first, self._states[first][:kb + 1], self._states[second][:ka], kbars,
-                       sig)
-            self._states[other][0] = self._states[other][row]  # it heads the next block
-            kbars.clear()
-
-    def _fold(self, first: Parity, a: np.ndarray, b: np.ndarray, kbars: list, sig):
-        """Fold the steps s0 -> s1 -> ... of one block into the report: `a` holds the states
-        on `first`'s grid (s0, s2, ...) as rows, `b` the others (s1, s3, ...), `kbars` the
-        coefficient each step started from, and `sig` the slopes taken on the rows of `a`
-        and of `b`, or None (Lax-Friedrichs)."""
-        rep = self.report
-        steps = len(kbars)
-        ka, kb = (steps + 1) // 2, steps // 2  # the steps from `a`'s rows and from `b`'s
-        second = _other(first)
-        # the one-sided sums of s0 ... s_steps in state order; s0's carry over from the
-        # previous block
-        m2, cubes = [0.0] * (steps + 1), [0.0] * (steps + 1)
+    def observe(self, a: np.ndarray, b: np.ndarray, kbars: list, sig, cols):
+        """Fold the steps s0 -> s1 -> ... -> s_2m of one block into the report: `a` holds the
+        Base states s0, s2, ..., s_2m as rows (s0 is the march's initial state or the last
+        state of the previous block), `b` the Half states s1, s3, ..., s_2m-1, `kbars` the
+        coefficient each step started from, and `sig` the slopes the steps took on the rows
+        of a[:m] and of `b`, or None (Lax-Friedrichs).  `cols` (lo, hi) says that the
+        block's last step took only the Half cells lo ... hi-1 (an earlier one no more);
+        None, that it took every cell."""
+        rep, base, half, m = self.report, Parity.BASE, Parity.HALF, len(b)
+        # the columns of each parity's values that a step may have changed: all but far fields
+        self._cols = self._whole if cols is None else {half: cols, base: (cols[0], cols[1] + 1)}
+        # the jumps and one-sided sums of s0 ... s_2m in state order; s0's carry over from
+        # the previous block
+        du_a, du_b = self._du[base][:m + 1], self._du[half][:m]
+        m2, cubes = [0.0] * (2 * m + 1), [0.0] * (2 * m + 1)
         head = self._carry is not None
         if head:
-            m2[0], cubes[0], du_a = self._carry
-        if kb or not head:  # `a` holds more than a carried s0
-            du_a = self._jumps(first, a)
-            m2[2 * head::2], cubes[2 * head::2] = self._one_sided_sums(first, du_a[head:])
-        du_b = self._jumps(second, b)
-        m2[1::2], cubes[1::2] = self._one_sided_sums(second, du_b)
-        self._carry = m2[-1], cubes[-1], (du_b if steps % 2 else du_a)[-1:]
+            m2[0], cubes[0] = self._carry
+        m2[2 * head::2], cubes[2 * head::2] = self._jump_sums(base, a[head:], du_a[head:])
+        m2[1::2], cubes[1::2] = self._jump_sums(half, b, du_b)
         sig_a, sig_b = (None, None) if sig is None else sig
-        cubic, quad, low, maxima = self._step_terms(first, a[:ka], du_a[:ka], b, sig_a,
-                                                    kbars[0::2])
-        if kb:  # the steps alternate between the two grids: interleave their terms
-            odd = self._step_terms(second, b[:kb], du_b[:kb], a[1:], sig_b, kbars[1::2])
-            cubic, quad, low, maxima = (_interleave(x, y) for x, y in
-                                        zip((cubic, quad, low, maxima), odd))
-        decay, psi_bv = self._decay, self._psi_bv
-        worst, holds = rep.onesided_worst_margin, rep.onesided_holds
-        for lhs, m2_prev, cubes_prev in zip(m2[1:], m2, cubes):
-            rhs = m2_prev - decay * cubes_prev + psi_bv
-            margin = rhs - lhs
-            worst = margin if margin < worst or margin != margin else worst  # a NaN sticks
-            holds = holds and lhs <= rhs + TOL
-        rep.onesided_worst_margin, rep.onesided_holds = worst, holds
-        nu_min, total_c, total_q = rep.nu_min, rep.cubic_accumulator, rep.quad_accumulator
-        for c, q, x in zip(cubic, quad, low):
+        # the steps alternate between the two grids: interleave their terms
+        cubic, quad, low, maxima = (_interleave(x, y) for x, y in zip(
+            self._step_terms(base, a[:m], du_a[:m], b, sig_a, kbars[0::2]),
+            self._step_terms(half, b, du_b, a[1:], sig_b, kbars[1::2])))
+        du_a[0], self._carry = du_a[m], (m2[-1], cubes[-1])  # s_2m heads the next block
+        rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
+               for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
+        rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
+                                           (r - lhs for lhs, r in zip(m2[1:], rhs)))
+        rep.onesided_holds = rep.onesided_holds and all(lhs <= r + TOL
+                                                        for lhs, r in zip(m2[1:], rhs))
+        total_c, total_q = rep.cubic_accumulator, rep.quad_accumulator
+        for c, q in zip(cubic, quad):
             total_c += c
             total_q += q
-            nu_min = x if x < nu_min or x != x else nu_min  # a NaN sticks
-        rep.nu_min, rep.cubic_accumulator, rep.quad_accumulator = nu_min, total_c, total_q
-        residual = rep.entropy_max_residual
-        for x in chain.from_iterable(maxima):
-            residual = x if x > residual or x != x else residual  # a NaN sticks
-        rep.entropy_max_residual = residual
+        rep.cubic_accumulator, rep.quad_accumulator = total_c, total_q
+        rep.nu_min = _least(rep.nu_min, low)
+        rep.entropy_max_residual = _greatest(rep.entropy_max_residual,
+                                             chain.from_iterable(maxima))
 
-    def _jumps(self, parity: Parity, states: np.ndarray) -> np.ndarray:
-        """The jumps of the rows of `states`, in the kept rows of `parity`."""
+    def _jump_sums(self, parity: Parity, states: np.ndarray, du: np.ndarray) -> tuple:
+        """The jumps of the rows of `states` on `parity`'s grid, into the kept columns of the
+        rows of `du`, and per row the sums of their squared one-sided parts and of the
+        cubes of those, as lists."""
         lo, hi = self._cols[parity]
-        du = self._du[parity][:len(states)]
-        np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1], out=du[:, lo:hi - 1])
-        return du
-
-    def _one_sided_sums(self, parity: Parity, du: np.ndarray) -> tuple[list, list]:
-        """Per row of jumps: the sum of the squared one-sided parts, and of their cubes."""
-        lo, hi = self._cols[parity]
-        m = _one_sided(du[:, lo:hi - 1], self.model)
+        m = _one_sided(np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1],
+                                   out=du[:, lo:hi - 1]), self.model)
         rows = self._sums[parity][:len(du)]
         np.square(m, out=rows[:, lo:hi - 1])
         squares = np.add.reduce(rows, axis=-1).tolist()
@@ -444,8 +384,9 @@ class DiagnosticsCollector:
         (else empty)."""
         model, lam, dx = self.model, self.cfg.lam, self.mesh.dx
         steps, other = len(kbars), _other(parity)
-        lo, hi = self._cols[parity] if parity in self._filled else self._whole[parity]
-        v_lo, v_hi = self._cols[other] if parity in self._filled else self._whole[other]
+        first = self._carry is None  # `observe` sets the carry once the step terms are in
+        cols = self._whole if first else self._cols  # the first block takes every column
+        (lo, hi), (v_lo, v_hi) = cols[parity], cols[other]
         cells, jumps = slice(lo, hi), slice(lo, hi - 1)
         nu_rows, quad_rows = self._nu[parity][:steps], self._quad[parity][:steps]
         start = 0
@@ -465,11 +406,10 @@ class DiagnosticsCollector:
                     u_in, v[rows, v_lo:v_hi], model, lam, k_in[span], c, f_c[:, span],
                     jump[:, v_lo:v_hi])
             start = rows.stop
-        if parity not in self._filled:  # the far-field columns now hold for every step
+        if first:  # the far-field columns now hold for every step
             for kept in (self._nu, self._quad) + ((self._res,) if self._res is not None
                                                      else ()):
                 kept[parity][steps:] = kept[parity][0]
-            self._filled.add(parity)
         cubes = self._sums[parity][:steps]
         _cube(np.abs(du[:, jumps]), out=cubes[:, jumps])
         low = (np.minimum.reduce(nu_rows, axis=-1).tolist() if nu_rows.shape[-1]
@@ -488,3 +428,18 @@ def _interleave(even: list, odd: list) -> list:
     out = [None] * (len(even) + len(odd))
     out[0::2], out[1::2] = even, odd
     return out
+
+
+def _least(acc: float, values) -> float:
+    """`acc` folded with each of `values` in turn into the least; a NaN value replaces it
+    and sticks (a later NaN replaces it again)."""
+    for x in values:
+        acc = x if x < acc or x != x else acc
+    return acc
+
+
+def _greatest(acc: float, values) -> float:
+    """`_least` for the greatest."""
+    for x in values:
+        acc = x if x > acc or x != x else acc
+    return acc

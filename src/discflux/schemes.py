@@ -27,7 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from .diagnostics import DiagnosticsCollector, DiagnosticsReport, _correction_bound
+from .diagnostics import (DiagnosticsCollector, DiagnosticsReport, _correction_bound, _greatest,
+                          _interleave, _least)
 from .flux_model import Coefficient, FluxModel
 from .grid import Mesh, Parity, StaggeredState, cell_average_coefficient, extend_absorbing
 from .limiter import LimiterConfig, slopes
@@ -36,7 +37,10 @@ log = logging.getLogger(__name__)
 
 CFL_TOL = 1e-12
 MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 would take hours
-_BLOCK_VALUES = 16384  # a march block holds max(1, _BLOCK_VALUES // n_cells) rows (128 KB)
+# a march block holds max(1, _BLOCK_VALUES // n_cells) pairs of steps, and max(1, _FOLD_VALUES
+# // n_cells) when a collector folds it: the collector's per-cell terms of a whole block, 11 per
+# cell for the LF Kruzkov residuals, would take megabytes at the larger size
+_BLOCK_VALUES, _FOLD_VALUES = 16384, 1024
 _MARGIN = 2  # far-field cells a windowed step keeps inside its slice at each end
 _STRIP = 4  # cells of the strip that checks that a step maps a far field to itself
 # cells the range of values that may differ from the far fields gains on the left and on
@@ -251,8 +255,7 @@ def _step_order(reduce, blocks: tuple, rows: int) -> list:
     Half, in step order (the steps alternate, Base first); empty without blocks."""
     if not blocks:
         return []
-    from_base, from_half = (reduce(b[:rows], axis=-1).tolist() for b in blocks)
-    return [x for pair in zip(from_base, from_half) for x in pair]
+    return _interleave(*(reduce(b[:rows], axis=-1).tolist() for b in blocks))
 
 
 def _run(a: np.ndarray) -> int:
@@ -306,9 +309,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     The loop carries arrays and builds a state only where one is read: the final
     state and the state at each step index that is a key of `snapshots` (march sets
     its value).  Each step writes its values into the next row of a block the march
-    owns, one per parity, of max(1, 16384 // n_cells) rows (one row without a report):
-    a kept state holds a copy, the final state keeps its row, and the initial values
-    are never written.
+    owns, one per parity, of max(1, 16384 // n_cells) pairs of steps, or of max(1, 1024 //
+    n_cells) when a collector folds them (one pair without a report).  The block of
+    Base values starts with a head row: the state the block starts from.  A kept state
+    holds a copy, the final state keeps its row, and the initial values are never written.
 
     A step changes a value only inside its stencil, so the march steps only the cells
     that can differ from the far fields.  The left (right) far field is the longest
@@ -330,9 +334,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     any state or correction holds a NaN.  `march` folds these itself, once per filled
     block and after the last step: a reduction per row (the NT corrections' magnitudes
     go into blocks of their own), then the row values in step order, so the result does
-    not depend on the block size.  With `cfg.collect_diagnostics` it also feeds every
-    step to a `DiagnosticsCollector`, which folds the other checks a block of steps at a
-    time and has folded them all once the last step is fed.
+    not depend on the block size.  With `cfg.collect_diagnostics` it then hands the
+    block's rows, and the NT slopes that it keeps in blocks of their own, to a
+    `DiagnosticsCollector`, which folds the other checks over them, and copies the last
+    Base row into the head row.
 
     `report` False says that nothing reads the report's folded fields: the march takes
     no extremes or correction maximum, and the NT step skips its corrections.  `u_min`,
@@ -349,7 +354,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     kappa_used, kappa = _check_cfl(model, cfg.lam, cfg.cfl_level)
     if cfg.cfl_level is CflLevel.MANUAL:
         log.warning("manual CFL level: lam*sup|f_u| = %.6g is not checked", kappa_used)
-    mesh, dt = initial.mesh, cfg.lam * initial.mesh.dx
+    mesh, dt, n = initial.mesh, cfg.lam * initial.mesh.dx, initial.mesh.n_cells
     n_steps = snap_steps(initial.time, t_end, dt)
     second_order = cfg.scheme is Scheme.NESSYAHU_TADMOR
     stepper = _Stepper(model, coeff, mesh, cfg.lam, cfg.limiter if second_order else None,
@@ -357,7 +362,9 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     rep = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
                             cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
                             kappa_bound=kappa)
-    collector = (DiagnosticsCollector(model, coeff, cfg, mesh, rep)
+    rows = (max(1, (_FOLD_VALUES if cfg.collect_diagnostics else _BLOCK_VALUES) // n)
+            if report else 1)
+    collector = (DiagnosticsCollector(model, coeff, cfg, mesh, rep, rows)
                  if cfg.collect_diagnostics else None)
     snapshots = {} if snapshots is None else snapshots
     if initial.step_index in snapshots:
@@ -367,22 +374,25 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     step, lowest, highest = stepper.step, np.minimum.reduce, np.maximum.reduce
     u, kbar, parity, time = initial.values, initial.kbar, base, initial.time
     end = initial.step_index + n_steps
-    # the blocks of the steps from Base (n - 1 values each) and from Half (n values), so that
-    # a step never writes the row it reads; |corrections| are on the cells stepped from
-    n = mesh.n_cells
-    rows = max(1, _BLOCK_VALUES // n) if report else 1
-    blocks = np.empty((rows, n - 1)), np.empty((rows, n))
-    # zeros: the correction of a cell outside the window is +0.0
+    # the blocks of the steps from Base (n - 1 values each) and from Half (n values, after a
+    # head row that holds the state the block starts from), so that a step never writes the
+    # row it reads; |corrections| and slopes are on the cells stepped from
+    blocks = np.empty((rows, n - 1)), np.empty((rows + 1, n))
+    stepped = blocks[0], blocks[1][1:]
+    # zeros: the correction and the slope of a cell outside the window are +0.0
     a_blocks = (np.zeros((rows, n)), np.zeros((rows, n - 1))) if report and second_order else ()
-    outs, a_outs = [list(b) for b in blocks], [list(b) for b in a_blocks]
+    sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n - 1)))
+                  if collector is not None and second_order else ())
+    outs, a_outs, sig_outs = ([list(b) for b in bs] for bs in (stepped, a_blocks, sig_blocks))
     window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
     if window is not None:  # no step writes a value outside its window: fill in the far fields
         for b in blocks:
             b[:, :window[0]], b[:, window[0]:] = u[0], u[-1]
         growth = _GROWTH[second_order]
+    blocks[1][0] = u
     if report:
         u_min, u_max, correction_max = lowest(u), highest(u), 0.0
-    row = 0
+    row, head_kbar = 0, kbar
     for index in range(initial.step_index + 1, end + 1):
         from_half = parity is half
         v = outs[from_half][row]
@@ -401,11 +411,11 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         else:
             _, corrections, sig = step(u[lo:hi], kbar[lo:hi], parity,
                                        v[lo:hi + 1] if from_half else v[lo:hi - 1])
+        cells = slice(None) if cols is None else slice(lo, hi)
         if corrections is not None:
-            a_row = a_outs[from_half][row]
-            np.abs(corrections, out=a_row if cols is None else a_row[lo:hi])
-        if collector is not None:
-            collector.observe(u, kbar, parity, v, sig, cols)
+            np.abs(corrections, out=a_outs[from_half][row][cells])
+        if sig_outs:
+            sig_outs[from_half][row][cells] = sig
         parity, kbar = (half, k_half) if parity is base else (base, k_base)
         time += dt
         if index in snapshots:
@@ -416,13 +426,16 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
             row += 1
             if row == rows or index == end:
                 if report:
-                    for x in _step_order(lowest, blocks, row):
-                        u_min = x if x < u_min or x != x else u_min  # a NaN sticks
-                    for x in _step_order(highest, blocks, row):
-                        u_max = x if x > u_max or x != x else u_max
-                    for a_max in _step_order(highest, a_blocks, row):
-                        correction_max = (a_max if a_max > correction_max or a_max != a_max
-                                          else correction_max)
+                    u_min = _least(u_min, _step_order(lowest, stepped, row))
+                    u_max = _greatest(u_max, _step_order(highest, stepped, row))
+                    correction_max = _greatest(correction_max,
+                                               _step_order(highest, a_blocks, row))
+                if collector is not None:
+                    collector.observe(blocks[1][:row + 1], blocks[0][:row],
+                                      [head_kbar, k_half] + [k_base, k_half] * (row - 1),
+                                      tuple(b[:row] for b in sig_blocks) or None,
+                                      cols)
+                    blocks[1][0], head_kbar = v, k_base  # v heads the next block
                 row = 0
     if report:
         rep.u_min, rep.u_max = float(u_min), float(u_max)

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,20 @@ class TestRunCommand:
         cfg = write_config(tmp_path, text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam,code", [(3.0, 4), (0.05, 0)])
+    def test_manual_run_leaving_the_box_exit_4(self, tmp_path, capsys, lam, code):
+        # outside the CFL bound the march blows up after 16 steps, its extremes NaN
+        text = (EX1_CONFIG.replace("dt = 0.00133333333333333333", f"lambda = {lam}")
+                .replace("cfl_level = max-principle", "cfl_level = manual")
+                .replace("u0 = constant\nu0.value = 0.15", "u0 = step\nu0.left = 0.9\n"
+                         "u0.right = 0.1\nu0.jump = 0").replace("t_end = 0.8, 1.6", "t_end = 2"))
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["run", write_config(tmp_path, text), "--out", str(out)]) == code
+        assert (out / "u_t2.000000.csv").exists() and (out / "diagnostics.json").exists()
+        err = capsys.readouterr().err
+        assert ("blow-up" in err and "u_min = nan" in err) == (code == 4)
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1

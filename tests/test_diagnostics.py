@@ -446,12 +446,12 @@ class TestNuWithoutSlopes:
 
 
 def _march_in_blocks(rows, initial, *args):
-    """`march` with collector blocks of `rows` steps and march blocks of `rows` rows per
-    parity (None: the default block sizes)."""
+    """`march` with blocks of `rows` pairs of steps, with or without a collector (None: the
+    default block sizes)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(diagnostics, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
-            mp.setattr(schemes, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+            for name in ("_BLOCK_VALUES", "_FOLD_VALUES"):
+                mp.setattr(schemes, name, rows * initial.mesh.n_cells)
         return march(initial, *args)
 
 
@@ -486,25 +486,51 @@ class TestFusedCollector:
         oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
         assert json.dumps(report.to_json_dict()) == json.dumps(oracle.to_json_dict())
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("rows,folds", [(1, [2] * 7), (2, [4, 4, 4, 2]), (3, [6, 6, 2])])
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_folds_once_per_block(self, rows, scheme):
+    def test_folds_once_per_block(self, rows, folds, scheme):
         model, coeff = builtin_multiplicative(3.0, 1.0)
         mesh = Mesh.from_cells(-1.0, 1.0, 30)
         initial = StaggeredState(mesh=mesh, values=np.linspace(0.9, 0.1, 30),
                                  kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
                                  parity=Parity.BASE, time=0.0, step_index=0)
         cfg = SchemeConfig(scheme=scheme, lam=0.05, window_x=0.3)
-        folds = []
-        fold = diagnostics.DiagnosticsCollector._fold
+        steps = []  # the steps of each `observe` call
+        observe = diagnostics.DiagnosticsCollector.observe
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diagnostics.DiagnosticsCollector, "_fold",
-                       lambda self, *args: folds.append(len(args[3])) or fold(self, *args))
+            mp.setattr(diagnostics.DiagnosticsCollector, "observe",
+                       lambda self, *args: steps.append(len(args[2])) or observe(self, *args))
             _, report = _march_in_blocks(rows, initial, model, coeff, cfg, 14 * 0.05 * mesh.dx)
-        assert report.steps == 14 and sum(folds) == 14
-        assert folds == [rows] * (14 // rows) + ([14 % rows] if 14 % rows else [])
+        assert report.steps == 14 and steps == folds
         oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
         assert json.dumps(report.to_json_dict()) == json.dumps(oracle.to_json_dict())
+
+    @pytest.mark.parametrize("rows", [None, 1, 2])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_observes_the_march_blocks(self, rows, scheme):
+        # `observe` folds the rows the steps wrote: views of the march's own blocks, the
+        # last Base rows holding the final state, never copies
+        model, coeff = builtin_multiplicative(3.0, 1.0)
+        mesh = Mesh.from_cells(-1.0, 1.0, 30)
+        initial = StaggeredState(mesh=mesh, values=np.linspace(0.9, 0.1, 30),
+                                 kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
+                                 parity=Parity.BASE, time=0.0, step_index=0)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05)
+        calls = []
+        observe = diagnostics.DiagnosticsCollector.observe
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics.DiagnosticsCollector, "observe",
+                       lambda self, *args: calls.append(args) or observe(self, *args))
+            final, report = _march_in_blocks(rows, initial, model, coeff, cfg,
+                                             14 * 0.05 * mesh.dx)
+        assert report.steps == 14 and len(calls) == (1 if rows is None else -(-7 // rows))
+        a, b, _, sig, _ = calls[-1]
+        assert np.shares_memory(a, final.values) and a[-1].tobytes() == final.values.tobytes()
+        for args in calls[:-1]:  # every block lies in the same two buffers
+            assert np.shares_memory(args[0], a) and np.shares_memory(args[1], b)
+            if sig is not None:
+                assert all(np.shares_memory(s, t) for s, t in zip(args[3], sig))
+        assert (sig is None) == (scheme is Scheme.LAX_FRIEDRICHS)
 
 
 def _report_bits(report):

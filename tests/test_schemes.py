@@ -830,10 +830,12 @@ class TestMarchOwnedBuffers:
 
 
 def _march_rows(rows, initial, *args):
-    """`march` with blocks of `rows` rows per parity (None: the default block size)."""
+    """`march` with blocks of `rows` pairs of steps, with or without a collector (None: the
+    default block sizes)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(schemes, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+            for name in ("_BLOCK_VALUES", "_FOLD_VALUES"):
+                mp.setattr(schemes, name, rows * initial.mesh.n_cells)
         return march(initial, *args)
 
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import discflux.diagnostics as diagnostics
 import discflux.schemes as schemes
 from discflux import (LimiterConfig, LimiterKind, Mesh, Parity, Scheme, SchemeConfig,
                       StaggeredState, builtin_burgers_const_k, builtin_multiplicative,
@@ -52,12 +51,12 @@ class _Widths:
 
 
 def _march(initial, model, coeff, cfg, t_end, rows=None, windowed=True, **kwargs):
-    """`march` with march and collector blocks of `rows` rows (None: the default sizes),
-    stepping the whole mesh unless `windowed`."""
+    """`march` with blocks of `rows` pairs of steps, with or without a collector (None: the
+    default sizes), stepping the whole mesh unless `windowed`."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(diagnostics, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
-            mp.setattr(schemes, "_BLOCK_VALUES", rows * initial.mesh.n_cells)
+            for name in ("_BLOCK_VALUES", "_FOLD_VALUES"):
+                mp.setattr(schemes, name, rows * initial.mesh.n_cells)
         if not windowed:
             mp.setattr(schemes, "_far_fields", lambda *args: None)
         return march(initial, model, coeff, cfg, t_end, **kwargs)
