@@ -348,7 +348,8 @@ class DiagnosticsCollector:
         cubic, quad, low, maxima = (_interleave(x, y) for x, y in zip(
             self._step_terms(base, a[:m], du_a[:m], b, sig_a, kbars[0::2]),
             self._step_terms(half, b, du_b, a[1:], sig_b, kbars[1::2])))
-        du_a[0], self._carry = du_a[m], (m2[-1], cubes[-1])  # s_2m heads the next block
+        lo, hi = self._cols[base]  # s_2m heads the next block: its jumps lie in these columns
+        du_a[0, lo:hi - 1], self._carry = du_a[m, lo:hi - 1], (m2[-1], cubes[-1])
         rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
                for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
         rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
@@ -365,9 +366,8 @@ class DiagnosticsCollector:
                                              chain.from_iterable(maxima))
 
     def _jump_sums(self, parity: Parity, states: np.ndarray, du: np.ndarray) -> tuple:
-        """The jumps of the rows of `states` on `parity`'s grid, into the kept columns of the
-        rows of `du`, and per row the sums of their squared one-sided parts and of the
-        cubes of those, as lists."""
+        """The jumps of the rows of `states` on `parity`'s grid into the kept columns of `du`'s
+        rows, and per row the sums of their squared and cubed one-sided parts, as lists."""
         lo, hi = self._cols[parity]
         m = _one_sided(np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1],
                                    out=du[:, lo:hi - 1]), self.model)

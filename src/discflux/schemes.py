@@ -411,11 +411,11 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         else:
             _, corrections, sig = step(u[lo:hi], kbar[lo:hi], parity,
                                        v[lo:hi + 1] if from_half else v[lo:hi - 1])
-        cells = slice(None) if cols is None else slice(lo, hi)
-        if corrections is not None:
+        if corrections is not None:  # an NT step with a report
+            cells = slice(None) if cols is None else slice(lo, hi)
             np.abs(corrections, out=a_outs[from_half][row][cells])
-        if sig_outs:
-            sig_outs[from_half][row][cells] = sig
+            if sig_outs:
+                sig_outs[from_half][row][cells] = sig
         parity, kbar = (half, k_half) if parity is base else (base, k_base)
         time += dt
         if index in snapshots:
