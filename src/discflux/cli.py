@@ -13,7 +13,8 @@ Config files are flat `key = value` lines with dotted section keys
 and `cfl_level` on every level.  A key that the run does not read is a
 config error.  Exit codes: 0 success, 1 config or usage error, 2 CFL
 refusal, 3 verification failure, 4 a `run` whose solution left [u_lo, u_hi]
-(a NaN included; its files are written).  The environment variable
+(a NaN included) or a `study` with a non-finite L1 error (their files are
+written).  The environment variable
 DISCFLUX_OUTDIR overrides the output directory.
 """
 
@@ -244,6 +245,9 @@ def cmd_study(args) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     table.write(config.output_dir / "error_table.csv")
     print(table.to_csv_text(), end="")
+    if blown := [row.dx for row in table.rows if not math.isfinite(row.l1_error)]:
+        print("blow-up: non-finite L1 error at dx =", ", ".join(map(repr, blown)), file=sys.stderr)
+        return 4
     return 0
 
 

@@ -312,25 +312,25 @@ class DiagnosticsCollector:
                      if lf else None)
 
     def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
-        """The midpoints of kbar as a row and, for LF, the Kruzkov table of `parity`; rebuilt
-        only for a state that brings its own kbar."""
+        """The midpoints of kbar (on Half with its ghost slots) as a row and, for LF, the
+        Kruzkov table of `parity`; rebuilt only for a state that brings its own kbar."""
         fixed = self._fixed.get(parity)
         if fixed is None or fixed[0] is not kbar:
             lf = self._c_grid is not None
-            k_in = kbar if parity is Parity.BASE else _replicate(kbar, 1)
-            table = _kruzkov_table(k_in, self.model, self.cfg.lam, self._c_grid) if lf else None
-            self._fixed[parity] = fixed = (kbar, _midpoints(np.asarray(kbar, dtype=float))[None],
-                                           (k_in, *table) if lf else None)
+            table = _kruzkov_table(kbar, self.model, self.cfg.lam, self._c_grid) if lf else None
+            k = kbar if parity is Parity.BASE else kbar[1:-1]
+            self._fixed[parity] = fixed = (kbar, _midpoints(np.asarray(k, dtype=float))[None],
+                                           (kbar, *table) if lf else None)
         return fixed[1:]
 
     def observe(self, a: np.ndarray, b: np.ndarray, kbars: list, sig, cols):
         """Fold the steps s0 -> s1 -> ... -> s_2m of one block into the report: `a` holds the
         Base states s0, s2, ..., s_2m as rows (s0 is the march's initial state or the last
-        state of the previous block), `b` the Half states s1, s3, ..., s_2m-1, `kbars` the
-        coefficient each step started from, and `sig` the slopes the steps took on the rows
-        of a[:m] and of `b`, or None (Lax-Friedrichs).  `cols` (lo, hi) says that the
-        block's last step took only the Half cells lo ... hi-1 (an earlier one no more);
-        None, that it took every cell."""
+        state of the previous block), `b` the Half states s1, s3, ..., s_2m-1 with a ghost
+        slot at each end, `kbars` the coefficient each step started from (on Half with its
+        slots), and `sig` the slopes the steps took on the rows of a[:m] and of `b`, or None
+        (Lax-Friedrichs).  `cols` (lo, hi) says that the block's last step took only the Half
+        cells lo ... hi-1 (an earlier one no more); None, that it took every cell."""
         rep, base, half, m = self.report, Parity.BASE, Parity.HALF, len(b)
         # the columns of each parity's values that a step may have changed: all but far fields
         self._cols = self._whole if cols is None else {half: cols, base: (cols[0], cols[1] + 1)}
@@ -342,11 +342,11 @@ class DiagnosticsCollector:
         if head:
             m2[0], cubes[0] = self._carry
         m2[2 * head::2], cubes[2 * head::2] = self._jump_sums(base, a[head:], du_a[head:])
-        m2[1::2], cubes[1::2] = self._jump_sums(half, b, du_b)
+        m2[1::2], cubes[1::2] = self._jump_sums(half, b[:, 1:-1], du_b)
         sig_a, sig_b = (None, None) if sig is None else sig
         # the steps alternate between the two grids: interleave their terms
         cubic, quad, low, maxima = (_interleave(x, y) for x, y in zip(
-            self._step_terms(base, a[:m], du_a[:m], b, sig_a, kbars[0::2]),
+            self._step_terms(base, a[:m], du_a[:m], b[:, 1:-1], sig_a, kbars[0::2]),
             self._step_terms(half, b, du_b, a[1:], sig_b, kbars[1::2])))
         lo, hi = self._cols[base]  # s_2m heads the next block: its jumps lie in these columns
         du_a[0, lo:hi - 1], self._carry = du_a[m, lo:hi - 1], (m2[-1], cubes[-1])
@@ -378,16 +378,17 @@ class DiagnosticsCollector:
         return squares, np.add.reduce(rows, axis=-1).tolist()
 
     def _step_terms(self, parity: Parity, u, du, v, sig, kbars: list) -> tuple:
-        """Lists with one entry per step from a row of `u` (jumps `du`, slopes `sig`) on
-        `parity`'s grid to the row of `v`: the cubic and the quadratic terms, the least nu
-        (inf where there is no jump) and, for LF, each Kruzkov constant's worst residual
-        (else empty)."""
+        """Lists with one entry per step from a row of `u` (jumps `du`, slopes `sig`, both on
+        Half with the ghost slots) on `parity`'s grid to the row of `v`: the cubic and the
+        quadratic terms, the least nu (inf where there is no jump) and, for LF, each Kruzkov
+        constant's worst residual (else empty)."""
         model, lam, dx = self.model, self.cfg.lam, self.mesh.dx
         steps, other = len(kbars), _other(parity)
         first = self._carry is None  # `observe` sets the carry once the step terms are in
         cols = self._whole if first else self._cols  # the first block takes every column
         (lo, hi), (v_lo, v_hi) = cols[parity], cols[other]
-        cells, jumps = slice(lo, hi), slice(lo, hi - 1)
+        shift = int(parity is Parity.HALF)  # the left ghost slot
+        cells, jumps = slice(lo + shift, hi + shift), slice(lo, hi - 1)
         nu_rows, quad_rows = self._nu[parity][:steps], self._quad[parity][:steps]
         start = 0
         for _, run in groupby(kbars, key=id):  # rows that share a kbar
@@ -400,10 +401,9 @@ class DiagnosticsCollector:
             np.multiply(nu, np.square(d), out=quad_rows[rows, jumps])
             if kruzkov:
                 k_in, c, f_c, jump = kruzkov
-                span = slice(v_lo, v_hi + 1)  # the (ghost-padded) pairs stepped to v's columns
-                u_in = (u[rows] if parity is Parity.BASE else _replicate(u[rows], 1))[..., span]
+                span = slice(v_lo, v_hi + 1)  # the pairs stepped to v's columns
                 self._res[parity][rows, :, v_lo:v_hi] = _entropy_residuals(
-                    u_in, v[rows, v_lo:v_hi], model, lam, k_in[span], c, f_c[:, span],
+                    u[rows, span], v[rows, v_lo:v_hi], model, lam, k_in[span], c, f_c[:, span],
                     jump[:, v_lo:v_hi])
             start = rows.stop
         if first:  # the far-field columns now hold for every step

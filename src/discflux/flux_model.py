@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import iadd, imul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,8 +34,8 @@ class FluxModel:
     """Flux f(k, u) with derivatives and box bounds.
 
     All callables act elementwise on numpy arrays: entry i of a result depends
-    on k[i] and u[i] alone, which the steps rely on to take f(k, u) without the
-    ghost cells.  Instances are immutable and safe to share across threads.
+    on k[i] and u[i] alone, so a ghost slot's f(k, u) is the bits of its edge
+    cell's.  Instances are immutable and safe to share across threads.
     """
 
     name: str
@@ -175,7 +176,7 @@ def builtin_multiplicative(k_left: float, k_right: float) -> tuple[FluxModel, Co
     k_lo, k_hi = min(k_left, k_right), max(k_left, k_right)
     model = FluxModel(
         name="multiplicative",
-        eval=lambda k, u: k * u * (1.0 - u),
+        eval=lambda k, u: imul(k * u, 1.0 - u),  # in place where k*u is an array
         d_u=lambda k, u: k * (1.0 - 2.0 * u),
         d_k=lambda k, u: u * (1.0 - u) + 0.0 * k,
         d_uu=lambda k, u: -2.0 * k + 0.0 * u,
@@ -199,9 +200,12 @@ def _two_flux_right(u):
 
 def _two_flux(k, u):
     """k*_two_flux_right(u) + (1-k)*_two_flux_left(u), the same operations with the shared
-    numerator 2u(1-u) taken once."""
-    g = 2.0 * u * (1.0 - u)
-    return k * (g / (2.0 - u)) + (1.0 - k) * (g / (1.0 + u))
+    numerator 2u(1-u) taken once, those on u alone into one array (0-d for a scalar) and the
+    products and the sum in place where an array holds them."""
+    w = np.subtract(1.0, u, out=np.empty(np.shape(u)))
+    g = imul(2.0 * u, w)
+    return iadd(k * np.divide(g, np.subtract(2.0, u, out=w), out=w),
+                (1.0 - k) * np.divide(g, np.add(1.0, u, out=w), out=w))
 
 
 def builtin_two_flux_rational() -> tuple[FluxModel, Coefficient]:
@@ -247,7 +251,7 @@ def builtin_burgers_const_k() -> tuple[FluxModel, Coefficient]:
     """
     model = FluxModel(
         name="burgers-const-k",
-        eval=lambda k, u: 0.5 * k * u * u,
+        eval=lambda k, u: imul(0.5 * k * u, u),
         d_u=lambda k, u: k * u,
         d_k=lambda k, u: 0.5 * u * u + 0.0 * k,
         d_uu=lambda k, u: k + 0.0 * u,

@@ -13,8 +13,9 @@ first-order step plus differenced correction terms
     a = lam*(f(k, m) - f(k, u)) + s/8,
 
 which `predictor_corrector_step` evaluates directly.  Boundaries absorb: a
-ghost cell would repeat its edge cell with slope 0, so the steps take every
-pair from the cell values alone and pad nothing.  Each step lands exactly on
+ghost cell repeats its edge cell with slope 0.  A Base step needs no ghost, and
+the rows a Half step reads hold one ghost slot at each end, so every step is the
+one update over all staggered pairs of its row.  Each step lands exactly on
 the natural grid of the new parity (n values on Base, n-1 on Half).
 """
 
@@ -135,11 +136,12 @@ class _Stepper:
     """The step kernel of one march, on arrays; `limiter` None selects the first-order scheme.
 
     Built once per run: the averaged-coefficient arrays (`_Averages`) and one difference
-    buffer.  Both schemes step the n cell values without ghost cells.  With `corrections`
-    False the second-order step skips f(k, u) and the corrections a_j, which only the
-    report reads, and returns None for them.  The new values go into `out` when it is
-    given (`march` passes its two buffers; `out` must not alias the input), else into a
-    fresh array, as the public single steps take it.
+    buffer.  A step takes every staggered pair of a row: a Base row of n values gives the
+    n - 1 Half values, and a Half row with a ghost slot at each end (n + 1 entries, the
+    slots holding copies of its edge values, as absorbing ghost cells would) gives the n
+    Base values.  A step onto Half fills the slots of the row it writes, which must not
+    alias the row it reads.  With `corrections` False the second-order step skips f(k, u)
+    and the corrections a_j, which only the report reads, and returns None for them.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
@@ -149,13 +151,17 @@ class _Stepper:
         self.kbar = _Averages(mesh, coeff)
         self.diff = np.empty(mesh.n_cells)
 
-    def step(self, u: np.ndarray, kbar: np.ndarray, parity: Parity,
-             out: np.ndarray | None = None):
-        """One step of the held scheme from values `u` with coefficient `kbar` on `parity`'s
-        grid: the new values on the natural grid of the other parity, with the correction
-        values a_j and the slopes on `u`'s cells of the second-order one (None, None for the
-        first-order one)."""
-        lam, model, to_half = self.lam, self.model, parity is Parity.BASE
+    def views(self, u: np.ndarray, v: np.ndarray) -> tuple:
+        """What a step from the row `u` into the row `v` takes: `u`, the left and the right value
+        of each pair, `v`, the values the pairs give (on Half, `v` without slots), a buffer."""
+        pairs = len(u) - 1
+        return u, u[:-1], u[1:], v, v[1:-1] if len(v) > pairs else v, self.diff[:pairs]
+
+    def step(self, kbar: np.ndarray, views: tuple):
+        """One step of the held scheme from the row of `views` with `kbar` on its cells: the
+        corrections a_j and the slopes there of a second-order step (else None, None)."""
+        u, left, right, v, inner, diff = views
+        lam, model = self.lam, self.model
         sig = a = None
         if self.limiter is None:
             f = np.asarray(model.eval(kbar, u), dtype=float)
@@ -165,20 +171,13 @@ class _Stepper:
             f = np.asarray(model.eval(kbar, mid), dtype=float)
             if self.corrections:
                 a = lam * (f - np.asarray(model.eval(kbar, u), dtype=float)) + sig / 8.0
-        # Every staggered pair of the absorbing padding, the outer two only when kept (Half to
-        # Base).  A ghost repeats its edge cell's (k, u) and takes slope 0, so f is taken on
-        # the cells alone (`eval` acts elementwise) and an outer pair's slope term
-        # x - 0.125*(0.0 - 0.0) is x.
-        v = np.empty(len(u) - 1 if to_half else len(u) + 1) if out is None else out
-        inner, diff = v if to_half else v[1:-1], self.diff[:len(u) - 1]
-        np.multiply(np.add(u[:-1], u[1:], out=inner), 0.5, out=inner)
+        np.multiply(np.add(left, right, out=inner), 0.5, out=inner)
         if sig is not None:
             inner -= np.multiply(np.subtract(sig[1:], sig[:-1], out=diff), 0.125, out=diff)
         inner -= np.multiply(np.subtract(f[1:], f[:-1], out=diff), lam, out=diff)
-        for i in () if to_half else (0, -1):  # NaN and inf as padded
-            ui, fi = float(u[i]), float(f[i])
-            v[i] = 0.5 * (ui + ui) - lam * (fi - fi)
-        return v, a, sig
+        if inner is not v:  # on Half: the slots repeat the edge values
+            v[0], v[-1] = v[1], v[-2]
+        return a, sig
 
     def advance(self, state: StaggeredState, v: np.ndarray) -> StaggeredState:
         """Wrap values stepped from `state` into a state on the flipped parity."""
@@ -187,15 +186,22 @@ class _Stepper:
                               state.time + self.lam * state.mesh.dx, state.step_index + 1)
 
 
+def _step_state(stepper: _Stepper, state: StaggeredState) -> tuple:
+    """One step of `state` into fresh arrays through the march's kernel, a Half state padded
+    with a ghost cell at each end: the new state, and the corrections on `state`'s cells."""
+    half = state.parity is Parity.HALF
+    u, k = extend_absorbing(state, 1) if half else (state.values, state.kbar)
+    v = np.empty(len(u) - 1 if half else len(u) + 1)
+    a, _ = stepper.step(k, stepper.views(u, v))
+    return stepper.advance(state, v if half else v[1:-1]), a[1:-1] if half and a is not None else a
+
+
 def lf_step(state: StaggeredState, model: FluxModel, coeff: Coefficient, lam: float,
             cfl_level: CflLevel = CflLevel.MAX_PRINCIPLE) -> StaggeredState:
     """One first-order staggered step onto the opposite-parity grid."""
     SchemeConfig(lam=lam)  # refuses a lam that is not positive and finite
     _check_cfl(model, lam, cfl_level)
-    if len(state.values) == 0:
-        raise ValueError("cannot step an empty state")
-    stepper = _Stepper(model, coeff, state.mesh, lam, None)
-    return stepper.advance(state, stepper.step(state.values, state.kbar, state.parity)[0])
+    return _step_state(_Stepper(model, coeff, state.mesh, lam, None), state)[0]
 
 
 def mid_time_values(u: np.ndarray, k: np.ndarray, sig: np.ndarray, model: FluxModel,
@@ -214,11 +220,7 @@ def nt_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
     exactly, and the corrections vanish.
     """
     _check_cfl(model, cfg.lam, cfg.cfl_level)
-    if len(state.values) == 0:
-        raise ValueError("cannot step an empty state")
-    stepper = _Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter)
-    v, a, _ = stepper.step(state.values, state.kbar, state.parity)
-    return stepper.advance(state, v), a
+    return _step_state(_Stepper(model, coeff, state.mesh, cfg.lam, cfg.limiter), state)
 
 
 def predictor_corrector_step(state: StaggeredState, model: FluxModel, coeff: Coefficient,
@@ -267,10 +269,11 @@ def _run(a: np.ndarray) -> int:
 
 def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bool:
     """Whether a step maps a strip of the value `c` with coefficient `k` on `parity`'s grid
-    to `c`, bit for bit, with +0.0 corrections.  Never for NaN; not for +-inf or 1e308,
-    where `c + c` or f is not finite."""
+    (on Half, _STRIP - 2 values and their slots) to `c`, bit for bit, with +0.0 corrections.
+    Never for NaN; not for +-inf or 1e308, where `c + c` or f is not finite."""
+    u, v = np.full(_STRIP, c), np.empty(_STRIP + 1 if parity is Parity.BASE else _STRIP - 1)
     with np.errstate(all="ignore"):
-        v, a, _ = stepper.step(np.full(_STRIP, c), np.full(_STRIP, k), parity)
+        a, _ = stepper.step(np.full(len(u), k), stepper.views(u, v))
     bits = np.float64(c).view(np.uint64)
     return (c == c and bool((v.view(np.uint64) == bits).all())
             and (a is None or not a.view(np.uint64).any()))
@@ -306,13 +309,15 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
           report: bool = True) -> tuple[StaggeredState, DiagnosticsReport]:
     """Advance to the even-step snap of t_end; return the final state and the report.
 
-    The loop carries arrays and builds a state only where one is read: the final
-    state and the state at each step index that is a key of `snapshots` (march sets
-    its value).  Each step writes its values into the next row of a block the march
-    owns, one per parity, of max(1, 16384 // n_cells) pairs of steps, or of max(1, 1024 //
-    n_cells) when a collector folds them (one pair without a report).  The block of
-    Base values starts with a head row: the state the block starts from.  A kept state
-    holds a copy, the final state keeps its row, and the initial values are never written.
+    The loop walks pairs of steps on arrays and builds a state only where one is read: the
+    final state and the state at each step index that is a key of `snapshots` (march sets
+    its value).  A pair writes the next row of each of two blocks the march owns, of
+    max(1, 16384 // n_cells) rows, or of max(1, 1024 // n_cells) when a collector folds them
+    (one without a report): the Half values with a ghost slot at each end, and the Base
+    values after a head row, the state a block starts from (without a collector, a block
+    starts from the last row of the one before).  The views of a row that a step of the
+    whole mesh takes are built once per row.  A kept state holds a copy, the final state
+    keeps its row, and the initial values are never written.
 
     A step changes a value only inside its stencil, so the march steps only the cells
     that can differ from the far fields.  The left (right) far field is the longest
@@ -321,9 +326,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     strip of each far field, on each parity, must give back its value bit for bit with
     +0.0 corrections (not so for NaN, +-inf or 1e308); else, or without a far field, the
     march steps the whole mesh.  Otherwise the blocks start out holding the far-field
-    values and the unchanged step kernel takes the slice of the cells that can differ,
-    with 2 far-field cells more at each end, so that its absorbing edges compute what the
-    whole step computes there.  The range grows by the stencil's reach on every step (by
+    values and the step kernel takes the slice of the cells that can differ, with 2
+    far-field cells more at each end, so that its edges compute what the whole step
+    computes there (a slice of a Half row takes its ends' real neighbours for the slots:
+    far-field bits, equal to them).  The range grows by the stencil's reach on every step (by
     geometry alone: a value is never compared to decide it), and once the slice covers
     the mesh the march steps the whole arrays.  States, snapshots and the report are the
     same bits as those of a march that steps the whole mesh.
@@ -369,74 +375,71 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     snapshots = {} if snapshots is None else snapshots
     if initial.step_index in snapshots:
         snapshots[initial.step_index] = initial
-    base, half = Parity.BASE, Parity.HALF
-    k_base, k_half = stepper.kbar[base], stepper.kbar[half]
+    k_base, k_half = stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
+    k_slotted = np.pad(k_half, 1, mode="edge")  # the coefficient of a ghost-slotted Half row
     step, lowest, highest = stepper.step, np.minimum.reduce, np.maximum.reduce
-    u, kbar, parity, time = initial.values, initial.kbar, base, initial.time
-    end = initial.step_index + n_steps
-    # the blocks of the steps from Base (n - 1 values each) and from Half (n values, after a
-    # head row that holds the state the block starts from), so that a step never writes the
-    # row it reads; |corrections| and slopes are on the cells stepped from
-    blocks = np.empty((rows, n - 1)), np.empty((rows + 1, n))
-    stepped = blocks[0], blocks[1][1:]
+    u, kbar, time, index = initial.values, initial.kbar, initial.time, initial.step_index
+    end = index + n_steps
+    # the blocks of the Base states (n values, after a head row) and of the Half states (n - 1
+    # values and a ghost slot at each end); |corrections| and slopes are on the cells stepped from
+    base_rows, half_rows = np.empty((rows + 1, n)), np.empty((rows, n + 1))
+    stepped = half_rows[:, 1:-1], base_rows[1:]
     # zeros: the correction and the slope of a cell outside the window are +0.0
-    a_blocks = (np.zeros((rows, n)), np.zeros((rows, n - 1))) if report and second_order else ()
-    sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n - 1)))
+    a_blocks = (np.zeros((rows, n)), np.zeros((rows, n + 1))) if report and second_order else ()
+    sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
                   if collector is not None and second_order else ())
-    outs, a_outs, sig_outs = ([list(b) for b in bs] for bs in (stepped, a_blocks, sig_blocks))
     window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
     if window is not None:  # no step writes a value outside its window: fill in the far fields
-        for b in blocks:
+        for b in (base_rows, half_rows):
             b[:, :window[0]], b[:, window[0]:] = u[0], u[-1]
         growth = _GROWTH[second_order]
-    blocks[1][0] = u
+    # across the whole mesh, Base row r steps into Half row r and that into Base row r + 1; a
+    # block starts from the head row (without a collector, from the last row of the one before)
+    head = 0 if collector is not None else rows
+    base_rows[head] = u
+    whole = [(stepper.views(base_rows[head if r == 0 else r], half_rows[r]),
+              stepper.views(half_rows[r], base_rows[r + 1]))
+             for r in range(min(rows, n_steps // 2))]
+    lands, every = ((k_half, Parity.HALF), (k_base, Parity.BASE)), slice(None)
     if report:
         u_min, u_max, correction_max = lowest(u), highest(u), 0.0
     row, head_kbar = 0, kbar
-    for index in range(initial.step_index + 1, end + 1):
-        from_half = parity is half
-        v = outs[from_half][row]
-        cols = None
-        if window is not None:  # step the cells [lo, hi) that reach the changing ones
-            n_in = len(u)
-            lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n_in)
-            if lo or hi < n_in:
-                cols = lo, hi
-                grow = growth[from_half]
-                window = window[0] - grow[0], window[1] + grow[1]
-            else:  # the window covers the mesh from here on
-                window = None
-        if cols is None:
-            _, corrections, sig = step(u, kbar, parity, v)
-        else:
-            _, corrections, sig = step(u[lo:hi], kbar[lo:hi], parity,
-                                       v[lo:hi + 1] if from_half else v[lo:hi - 1])
-        if corrections is not None:  # an NT step with a report
-            cells = slice(None) if cols is None else slice(lo, hi)
-            np.abs(corrections, out=a_outs[from_half][row][cells])
-            if sig_outs:
-                sig_outs[from_half][row][cells] = sig
-        parity, kbar = (half, k_half) if parity is base else (base, k_base)
-        time += dt
-        if index in snapshots:
-            kept = v if index == end else v.copy()
-            snapshots[index] = StaggeredState(mesh, kept, kbar, parity, time, index)
-        u = v
-        if from_half:  # the pair of steps filled a row of each block
-            row += 1
-            if row == rows or index == end:
-                if report:
-                    u_min = _least(u_min, _step_order(lowest, stepped, row))
-                    u_max = _greatest(u_max, _step_order(highest, stepped, row))
-                    correction_max = _greatest(correction_max,
-                                               _step_order(highest, a_blocks, row))
-                if collector is not None:
-                    collector.observe(blocks[1][:row + 1], blocks[0][:row],
-                                      [head_kbar, k_half] + [k_base, k_half] * (row - 1),
-                                      tuple(b[:row] for b in sig_blocks) or None,
-                                      cols)
-                    blocks[1][0], head_kbar = v, k_base  # v heads the next block
-                row = 0
+    for _ in range(n_steps // 2):
+        pair = whole[row]
+        for from_half, views, k in zip((0, 1), pair, (kbar, k_slotted)):
+            cols, cells = None, every
+            if window is not None:  # step the cells [lo, hi) that reach the changing ones
+                lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n - from_half)
+                if lo or hi < n - from_half:  # a Half row's pairs take its slots' neighbours
+                    cols, cells = (lo, hi), slice(lo, hi + 2 * from_half)
+                    window = window[0] - growth[from_half][0], window[1] + growth[from_half][1]
+                    k, views = k[cells], stepper.views(views[0][cells], views[3][lo:hi + 1])
+                else:  # the window covers the mesh from here on
+                    window = None
+            corrections, sig = step(k, views)
+            if corrections is not None:  # an NT step with a report
+                np.abs(corrections, out=a_blocks[from_half][row][cells])
+                if sig_blocks:
+                    sig_blocks[from_half][row][cells] = sig
+            time += dt
+            index += 1
+            if index in snapshots:  # the values without the slots
+                kept = pair[from_half][4]
+                snapshots[index] = StaggeredState(mesh, kept if index == end else kept.copy(),
+                                                  *lands[from_half], time, index)
+        kbar = k_base
+        row += 1
+        if row == rows or index == end:
+            if report:
+                u_min = _least(u_min, _step_order(lowest, stepped, row))
+                u_max = _greatest(u_max, _step_order(highest, stepped, row))
+                correction_max = _greatest(correction_max, _step_order(highest, a_blocks, row))
+            if collector is not None:
+                collector.observe(base_rows[:row + 1], half_rows[:row],
+                                  [head_kbar, k_slotted] + [k_base, k_slotted] * (row - 1),
+                                  tuple(b[:row] for b in sig_blocks) or None, cols)
+                base_rows[0], head_kbar = base_rows[row], k_base  # heads the next block
+            u, row = base_rows[row], 0
     if report:
         rep.u_min, rep.u_max = float(u_min), float(u_max)
         rep.correction_max = float(correction_max)
@@ -445,4 +448,4 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         rep.correction_bound = _correction_bound(cfg, model, mesh.dx)
     if end in snapshots:  # the initial state itself when no step is taken
         return snapshots[end], rep
-    return (StaggeredState(mesh, u, kbar, parity, time, end) if n_steps else initial), rep
+    return (StaggeredState(mesh, u, k_base, Parity.BASE, time, end) if n_steps else initial), rep

@@ -330,6 +330,23 @@ reference.dx = 0.0078125
         assert lines[0] == "dx,scheme,time,l1_error,observed_order"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("lam,code", [(3.0, 4), (0.05, 0)])
+    def test_manual_study_with_a_non_finite_error_exit_4(self, tmp_path, capsys, lam, code):
+        # outside the CFL bound both levels blow up, and every L1 error is NaN
+        text = (EX1_CONFIG.replace("dt = 0.00133333333333333333", f"lambda = {lam}")
+                .replace("cfl_level = max-principle", "cfl_level = manual")
+                .replace("u0 = constant\nu0.value = 0.15", "u0 = step\nu0.left = 0.9\n"
+                         "u0.right = 0.1\nu0.jump = 0").replace("t_end = 0.8, 1.6", "t_end = 1.92"))
+        out = tmp_path / "s"
+        with np.errstate(all="ignore"):
+            assert main(["study", write_config(tmp_path, text), "--halvings", "2",
+                         "--out", str(out)]) == code
+        errors = [row.split(",")[3] for row in
+                  (out / "error_table.csv").read_text().splitlines()[1:]]
+        assert len(errors) == 2 and all((e == "nan") == (code == 4) for e in errors)
+        err = capsys.readouterr().err
+        assert ("blow-up" in err and "dx = 0.04, 0.02" in err) == (code == 4)
+
     def test_bad_halvings_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, EX1_CONFIG)
         assert main(["study", cfg, "--halvings", "1", "--out", str(tmp_path / "s")]) == 1

@@ -95,6 +95,45 @@ class TestTwoFluxRational:
         assert got.tobytes() == want.tobytes()
 
 
+def _former_two_flux(k, u):
+    g = 2.0 * u * (1.0 - u)
+    return k * (g / (2.0 - u)) + (1.0 - k) * (g / (1.0 + u))
+
+
+# each builtin flux as it was before it computed in place
+FORMER_EVALS = {"multiplicative": lambda k, u: k * u * (1.0 - u),
+                "two-flux-rational": _former_two_flux,
+                "burgers-const-k": lambda k, u: 0.5 * k * u * u}
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan,
+                    1.0, 2.0, -1.0, 0.3])
+_RNG = np.random.default_rng(20)
+EVAL_INPUTS = {
+    "arrays": (_RNG.choice(SPECIAL, 2000), _RNG.choice(SPECIAL, 2000)),
+    "short arrays": (SPECIAL, SPECIAL[::-1].copy()),
+    "python scalars": (0.5, 0.3),
+    "numpy scalars": (np.float64(1e308), np.float64(-0.0)),
+    "0-d arrays": (np.array(0.25), np.array(np.inf)),
+    "scalar k": (0.5, SPECIAL),
+    "scalar u": (SPECIAL, 0.75),
+    "k broadcast against u": (SPECIAL[:, None], SPECIAL),
+    "u broadcast against k": (SPECIAL, SPECIAL[:, None]),
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(EVAL_INPUTS))
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_eval_equals_its_former_expression_bitwise(name, inputs):
+    k, u = EVAL_INPUTS[inputs]
+    kept = [np.copy(x) for x in (k, u)]
+    model, _ = BUILTINS[name]()
+    with np.errstate(all="ignore"):
+        got, want = model.eval(k, u), FORMER_EVALS[name](k, u)
+    assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert all(np.asarray(x).tobytes() == y.tobytes() for x, y in zip((k, u), kept))  # inputs kept
+
+
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_derivatives_match_finite_differences(name):
     model, _ = BUILTINS[name]()

@@ -1,4 +1,5 @@
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -271,3 +272,16 @@ class TestCsvDump:
         x, u = lines[1].split(",")
         assert float(x) == 0.25
         assert float(u) == 1 / 3  # 17 significant digits round-trip exactly
+
+    @pytest.mark.parametrize("n_cells", [1, 1024, 2500])  # one chunk, exactly one, three
+    def test_bytes_equal_the_former_row_formatter(self, tmp_path, n_cells):
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.nan, -math.nan,
+                    math.inf, -math.inf, 1 / 3]
+        values = np.resize(np.array(specials), n_cells)
+        values[12::7] = np.random.default_rng(n_cells).normal(size=len(values[12::7]))
+        mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
+        state = StaggeredState(mesh=mesh, values=values, kbar=np.ones(n_cells),
+                               parity=Parity.BASE, time=0.0, step_index=0)
+        write_state_csv(state, tmp_path / "u.csv")
+        rows = (f"{x:.16e},{u:.16e}\n" for x, u in zip(mesh.centers(Parity.BASE), values))
+        assert (tmp_path / "u.csv").read_bytes() == ("x,u\n" + "".join(rows)).encode()

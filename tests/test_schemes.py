@@ -595,6 +595,26 @@ special_or_normal = st.one_of(st.sampled_from(SPECIAL_VALUES),
                               st.floats(min_value=-2.0, max_value=2.0), st.floats())
 
 
+def _kernel_step(stepper, values, kbar, parity):
+    """One step of the march's kernel from `values` with `kbar` on `parity`'s grid, a Half
+    row given its ghost slots (copies of its edge entries) first.  Returns the new values
+    without slots, the corrections and slopes on the cells of `values`, and the output row."""
+    half = parity is Parity.HALF
+    u, k = (np.pad(values, 1, mode="edge"), np.pad(kbar, 1, mode="edge")) if half else (values,
+                                                                                           kbar)
+    row = np.full(len(u) - 1 if half else len(u) + 1, 7.0)  # 7.0: an unwritten entry shows
+    corrections, sig = stepper.step(k, stepper.views(u, row))
+    cells = slice(1, -1) if half else slice(None)
+    return ((row if half else row[1:-1]),
+            *(None if x is None else x[cells] for x in (corrections, sig)), row)
+
+
+def _slots_repeat_edges(row, parity):
+    """Whether a row stepped onto Half holds its edge values in its slots, bit for bit."""
+    return parity is Parity.HALF or (row[:1].tobytes() == row[1:2].tobytes()
+                                     and row[-1:].tobytes() == row[-2:-1].tobytes())
+
+
 def _bits(a):
     """The bytes of `a` with every NaN written as one NaN.  Where two NaNs of opposite sign
     meet, numpy keeps the sign of either, by the array position (its SIMD loop or the tail
@@ -624,15 +644,16 @@ class TestFirstOrderStepWithoutGhosts:
         step = 0 if parity is Parity.BASE else 1
         state = StaggeredState(mesh, values, kbar, parity, step * lam * mesh.dx, step)
         with np.errstate(all="ignore"):  # inf - inf, 1e308 + 1e308 and the like
-            v, corrections, sig = stepper.step(values, kbar, parity)
+            v, corrections, sig, row = _kernel_step(stepper, values, kbar, parity)
             want = _padded_lf_values(state, model, lam)
         assert corrections is None and sig is None
         assert _bits(v) == _bits(want)
+        assert _slots_repeat_edges(row, parity)
         new = stepper.advance(state, v)  # refuses values off the new parity's natural width
         assert new.kbar is stepper.kbar[new.parity] and new.parity is not parity
         kept = v.copy()
-        with np.errstate(all="ignore"):  # outputs are fresh arrays: a later step leaves them alone
-            stepper.step(values, kbar, parity)
+        with np.errstate(all="ignore"):  # a later step into another row leaves this one alone
+            _kernel_step(stepper, values, kbar, parity)
         assert v.tobytes() == kept.tobytes()
 
 
@@ -681,14 +702,51 @@ class TestSecondOrderStepWithoutGhosts:
         step = 0 if parity is Parity.BASE else 1
         state = StaggeredState(mesh, values, kbar, parity, step * lam * mesh.dx, step)
         with np.errstate(all="ignore"):  # inf - inf, 1e308 + 1e308 and the like
-            got = stepper.step(values, kbar, parity)
+            *got, row = _kernel_step(stepper, values, kbar, parity)
             want = _padded_nt_step(state, model, lam, limiter)
         assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        assert _slots_repeat_edges(row, parity)
         stepper.advance(state, got[0])  # refuses values off the new parity's natural width
         kept = [x.copy() for x in got]
-        with np.errstate(all="ignore"):  # outputs are fresh arrays: a later step leaves them alone
-            stepper.step(values, kbar, parity)
+        with np.errstate(all="ignore"):  # corrections and slopes are fresh arrays, and a later
+            _kernel_step(stepper, values, kbar, parity)  # step into another row leaves all alone
         assert [x.tobytes() for x in got] == [x.tobytes() for x in kept]
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
+
+
+class TestSmallMeshMarchEqualsChainedSteps:
+    # on 2 to 6 cells most pairs touch an edge, so the ghost slots decide most values
+    @given(st.sampled_from(NT_MODELS), st.sampled_from(list(Scheme)),
+           st.sampled_from(NT_LIMITERS), st.integers(min_value=2, max_value=6),
+           st.integers(min_value=1, max_value=6), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_states_bitwise(self, builtin, scheme, limiter, n_cells, pairs, diagnostics, data):
+        model, coeff = builtin()
+        edge = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
+        values = [data.draw(edge), *data.draw(st.lists(special_or_normal, min_size=n_cells - 2,
+                                                        max_size=n_cells - 2)), data.draw(edge)]
+        state = base_state(values, coeff, -1.0, 1.0)
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=0.05 / model.sup_fu,
+                           collect_diagnostics=diagnostics)
+        steps = 2 * pairs
+        snapshots = dict.fromkeys(range(steps + 1))
+        with np.errstate(all="ignore"):
+            final, report = march(state, model, coeff, cfg, steps * cfg.lam * state.mesh.dx,
+                                  snapshots=snapshots)
+            chained = [state]
+            for _ in range(steps):
+                chained.append(nt_step(chained[-1], model, coeff, cfg)[0]
+                               if scheme is Scheme.NESSYAHU_TADMOR
+                               else lf_step(chained[-1], model, coeff, cfg.lam))
+        assert report.steps == steps and final is snapshots[steps]
+        for n, want in enumerate(chained):
+            got = snapshots[n]
+            assert (got.step_index, got.parity, got.time) == (want.step_index, want.parity,
+                                                              want.time)
+            assert _bits(got.values) == _bits(want.values)
+            assert got.kbar.tobytes() == want.kbar.tobytes()
 
 
 class TestPublicStepsAverageOneParity:

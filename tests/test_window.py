@@ -36,18 +36,28 @@ def _riemann(model_coeff, levels, starts, n_cells):
 
 
 class _Widths:
-    """Records the number of cells each step of a march takes (the strip checks aside)."""
+    """Records the number of cells each step of a march takes (the strip checks aside): the
+    values of a row stepped from, without a Half row's two ghost slots."""
 
     def __init__(self, mp):
-        self.widths = []
-        step = schemes._Stepper.step
+        self.widths, strips = [], []
+        step, check = schemes._Stepper.step, schemes._maps_to_itself
 
-        def recorded(stepper, u, kbar, parity, out=None):
-            if out is not None:
-                self.widths.append(len(u))
-            return step(stepper, u, kbar, parity, out)
+        def recorded(stepper, kbar, views):
+            u, _, _, v, inner, _ = views
+            if not strips:
+                self.widths.append(len(u) - 2 * (inner is v))  # from Half: minus the slots
+            return step(stepper, kbar, views)
+
+        def unrecorded(*args):
+            strips.append(None)
+            try:
+                return check(*args)
+            finally:
+                strips.pop()
 
         mp.setattr(schemes._Stepper, "step", recorded)
+        mp.setattr(schemes, "_maps_to_itself", unrecorded)
 
 
 def _march(initial, model, coeff, cfg, t_end, rows=None, windowed=True, **kwargs):
