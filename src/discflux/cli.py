@@ -14,8 +14,11 @@ and `cfl_level` on every level.  A key that the run does not read is a
 config error.  Exit codes: 0 success, 1 config or usage error, 2 CFL
 refusal, 3 verification failure, 4 a `run` whose solution left [u_lo, u_hi]
 (a NaN included) or a `study` with a non-finite L1 error (their files are
-written).  The environment variable
-DISCFLUX_OUTDIR overrides the output directory.
+written).  The environment variable DISCFLUX_OUTDIR overrides the output
+directory.  The `diagnostics` key takes `true` (the default: the estimates
+the paper claims for the run), `all` (every estimate) or `false` (of the
+estimates, only a claimed correction bound); `diagnostics.json` writes `null`
+for each estimate the run did not compute.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ _LIMITERS = {kind.value: kind for kind in LimiterKind}
 _INITIAL = {"constant": lambda r: InitialData.constant(r.number("u0.value")),
             "step": lambda r: InitialData.step(r.number("u0.left"), r.number("u0.right"),
                                                at=r.number("u0.jump", "0"))}
-_FLAGS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
-          **dict.fromkeys(("false", "0", "no", "off"), False)}
+_DIAGNOSTICS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+                **dict.fromkeys(("false", "0", "no", "off"), False), "all": "all"}
 
 
 class ConfigError(ValueError):
@@ -107,7 +110,7 @@ class RunConfig:
     spec: ExperimentSpec
     scheme: Scheme
     output_dir: Path
-    diagnostics: bool = True
+    diagnostics: bool | str = True
     reference_given: bool = False
 
     @classmethod
@@ -135,7 +138,7 @@ class RunConfig:
         alpha = r.number("limiter.alpha", "0.75") if modified else 0.75
         ref_dx = r.number("reference.dx") if "reference.dx" in entries else None
         scheme = r.choice("scheme", _SCHEMES, "nessyahu-tadmor")
-        diagnostics = r.choice("diagnostics", _FLAGS, "true", fold=True)
+        diagnostics = r.choice("diagnostics", _DIAGNOSTICS, "true", fold=True)
         out_dir = r.text("output_dir", ".")
         try:
             spec = ExperimentSpec(

@@ -15,7 +15,8 @@ Each check evaluates one inequality the schemes are expected to satisfy:
 Tolerances are 1e-12 absolute on order-one quantities.  A collector folds
 the checks over the (previous, next) state pairs of one time march, a block of
 steps at a time.  The private pieces act on the last axis, so a block's states
-go through them as the rows of one array.
+go through them as the rows of one array.  A march computes only the estimates
+`CLAIMS` names for its run, or every one; the report holds None for the others.
 """
 
 from __future__ import annotations
@@ -40,11 +41,31 @@ _JSON_KEYS = ("scheme", "lambda", "dx", "steps", "snapped_time", "u_min", "u_max
               "onesided_holds", "onesided_worst_margin", "cubic_accumulator", "quad_accumulator",
               "nu_min", "entropy_max_residual", "correction_max", "correction_bound", "cfl_level",
               "kappa_used", "kappa_bound")
+# Each estimate's report keys, and where the paper claims it: a test of the run's scheme, limiter
+# kind and CFL level values.  Every march with a report takes `u_min` and `u_max`.
+ESTIMATES = {"onesided": ("onesided_holds", "onesided_worst_margin"),
+             "cubic": ("cubic_accumulator", "quad_accumulator", "nu_min"),
+             "entropy": ("entropy_max_residual",), "correction": ("correction_max",)}
+CLAIMS = {"onesided": lambda scheme, kind, level: level in ("one-sided", "cubic-estimate"),
+          "cubic": lambda scheme, kind, level: level == "cubic-estimate",
+          "entropy": lambda scheme, kind, level: scheme == "lax-friedrichs" and level != "manual",
+          "correction": lambda scheme, kind, level:
+              scheme == "nessyahu-tadmor" and kind == "minmod-modified"}
+
+
+def computed_estimates(cfg: "SchemeConfig") -> set:
+    """The estimates a march of `cfg` with a report computes: all of them, those claimed for
+    the run, or (`collect_diagnostics` False) only a claimed correction bound."""
+    if cfg.collect_diagnostics == "all":
+        return set(ESTIMATES)
+    run = cfg.scheme.value, cfg.limiter.kind.value, cfg.cfl_level.value
+    return {name for name, claimed in CLAIMS.items()
+            if claimed(*run) and (cfg.collect_diagnostics or name == "correction")}
 
 
 @dataclass
 class DiagnosticsReport:
-    """Verification quantities accumulated over one march."""
+    """Verification quantities accumulated over one march; None for an estimate not computed."""
 
     scheme: str = ""
     lam: float = 0.0
@@ -56,13 +77,13 @@ class DiagnosticsReport:
     kappa_bound: float = math.inf
     u_min: float = math.inf
     u_max: float = -math.inf
-    onesided_worst_margin: float = math.inf
-    onesided_holds: bool = True
-    cubic_accumulator: float = 0.0
-    quad_accumulator: float = 0.0
-    nu_min: float = math.inf
-    entropy_max_residual: float = -math.inf
-    correction_max: float = 0.0
+    onesided_worst_margin: float | None = math.inf
+    onesided_holds: bool | None = True
+    cubic_accumulator: float | None = 0.0
+    quad_accumulator: float | None = 0.0
+    nu_min: float | None = math.inf
+    entropy_max_residual: float | None = -math.inf
+    correction_max: float | None = 0.0
     correction_bound: float | None = None
 
     def to_json_dict(self) -> dict:
@@ -178,14 +199,6 @@ def nu_coefficient(state: StaggeredState, slopes_arr: np.ndarray, model: FluxMod
     return _nu(u, np.diff(u), _midpoints(np.asarray(state.kbar, dtype=float)), sig, model, lam)
 
 
-def _transition_arrays(prev: StaggeredState, next: StaggeredState, *arrays: np.ndarray):
-    """Arrays of `prev` such that each value of `next` comes from an adjacent
-    (left, right) pair; Half-to-Base edge cells use ghost replicas."""
-    if next.parity is prev.parity or next.step_index != prev.step_index + 1:
-        raise ValueError("states are not a consecutive staggered transition")
-    return arrays if prev.parity is Parity.BASE else [_replicate(a, 1) for a in arrays]
-
-
 def _kruzkov_table(k: np.ndarray, model: FluxModel, lam: float, c_grid: np.ndarray):
     """The constants as a column, f(k, c) (a row per constant) and lam*|f(kR, c) - f(kL, c)|."""
     c = np.asarray(c_grid, dtype=float)
@@ -204,12 +217,6 @@ def _entropy_residuals(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> n
             + lam * (flux[..., 1:] - flux[..., :-1]) - jump)
 
 
-def _entropy_maxima(u, v, model: FluxModel, lam: float, k, c, f_c, jump) -> np.ndarray:
-    """Each constant's worst residual of each row of `u` and `v`, all constants at once:
-    shape (*rows, len(c)).  NaN where a residual of the row is NaN."""
-    return _entropy_residuals(u, v, model, lam, k, c, f_c, jump).max(axis=-1)
-
-
 def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxModel,
                         lam: float, c_grid: np.ndarray) -> float:
     """Worst cell entropy residual of one first-order step over a grid of constants.
@@ -219,11 +226,15 @@ def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxM
         + lam*(F(kR, uR, c) - F(kL, uL, c)) - lam*|f(kR, c) - f(kL, c)|
     with F(k, u, c) = sign(u - c) (f(k, u) - f(k, c)).  Nonpositive (up to
     rounding) whenever `next` came from the first-order scheme.  All constants
-    are evaluated at once, one row each; left and right terms are slices.
+    are evaluated at once, one row each; left and right terms are slices, and a Half `prev`
+    takes a ghost replica at each end.
     """
-    u, k = _transition_arrays(prev, next, prev.values, prev.kbar)
-    maxima = _entropy_maxima(u, next.values, model, lam, k,
-                             *_kruzkov_table(k, model, lam, c_grid))
+    if next.parity is prev.parity or next.step_index != prev.step_index + 1:
+        raise ValueError("states are not a consecutive staggered transition")
+    u, k = ((prev.values, prev.kbar) if prev.parity is Parity.BASE
+            else (_replicate(a, 1) for a in (prev.values, prev.kbar)))
+    maxima = _entropy_residuals(u, next.values, model, lam, k,
+                                *_kruzkov_table(k, model, lam, c_grid)).max(axis=-1)
     return max(-math.inf, *maxima.tolist())  # a NaN constant is skipped
 
 
@@ -271,8 +282,8 @@ def correction_bound_check(a: np.ndarray, cfg: "SchemeConfig", model: FluxModel,
 
 
 class DiagnosticsCollector:
-    """Folds the full check suite over the steps of one march into `report`; the cell
-    entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
+    """Folds the checks of its `passes` ("onesided", "cubic" and "entropy", the last judged on
+    first-order (Lax-Friedrichs) marches only) over the steps of one march into `report`.
 
     `march` is the only caller.  It hands `observe` each block of at most `rows` pairs of
     steps, in order, as views of the rows it stepped into: the collector copies no state.
@@ -291,11 +302,12 @@ class DiagnosticsCollector:
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
-                 report: DiagnosticsReport, rows: int):
+                 report: DiagnosticsReport, rows: int, passes: set):
         from .schemes import Scheme  # local import keeps module load acyclic
 
         self.model, self.cfg, self.mesh, self.report = model, cfg, mesh, report
-        lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
+        self._onesided, self._cubic = "onesided" in passes, "cubic" in passes
+        lf = cfg.scheme is Scheme.LAX_FRIEDRICHS and "entropy" in passes
         self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
         self._masks = {p: _window_mask(mesh, p, cfg.window_x) for p in Parity}
@@ -310,6 +322,7 @@ class DiagnosticsCollector:
         self._quad = {p: np.empty((rows, n[p] - 1)) for p in Parity}
         self._res = ({p: np.empty((rows, ENTROPY_C_COUNT, n[_other(p)])) for p in Parity}
                      if lf else None)
+        self._kept = [self._nu, self._quad] * self._cubic + [self._res] * lf  # per-cell terms
 
     def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
         """The midpoints of kbar (on Half with its ghost slots) as a row and, for LF, the
@@ -341,8 +354,9 @@ class DiagnosticsCollector:
         head = self._carry is not None
         if head:
             m2[0], cubes[0] = self._carry
-        m2[2 * head::2], cubes[2 * head::2] = self._jump_sums(base, a[head:], du_a[head:])
-        m2[1::2], cubes[1::2] = self._jump_sums(half, b[:, 1:-1], du_b)
+        if self._onesided or self._cubic:
+            m2[2 * head::2], cubes[2 * head::2] = self._jump_sums(base, a[head:], du_a[head:])
+            m2[1::2], cubes[1::2] = self._jump_sums(half, b[:, 1:-1], du_b)
         sig_a, sig_b = (None, None) if sig is None else sig
         # the steps alternate between the two grids: interleave their terms
         cubic, quad, low, maxima = (_interleave(x, y) for x, y in zip(
@@ -350,12 +364,13 @@ class DiagnosticsCollector:
             self._step_terms(half, b, du_b, a[1:], sig_b, kbars[1::2])))
         lo, hi = self._cols[base]  # s_2m heads the next block: its jumps lie in these columns
         du_a[0, lo:hi - 1], self._carry = du_a[m, lo:hi - 1], (m2[-1], cubes[-1])
-        rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
-               for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
-        rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
-                                           (r - lhs for lhs, r in zip(m2[1:], rhs)))
-        rep.onesided_holds = rep.onesided_holds and all(lhs <= r + TOL
-                                                        for lhs, r in zip(m2[1:], rhs))
+        if self._onesided:
+            rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
+                   for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
+            rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
+                                               (r - lhs for lhs, r in zip(m2[1:], rhs)))
+            rep.onesided_holds = rep.onesided_holds and all(lhs <= r + TOL
+                                                            for lhs, r in zip(m2[1:], rhs))
         total_c, total_q = rep.cubic_accumulator, rep.quad_accumulator
         for c, q in zip(cubic, quad):
             total_c += c
@@ -367,10 +382,12 @@ class DiagnosticsCollector:
 
     def _jump_sums(self, parity: Parity, states: np.ndarray, du: np.ndarray) -> tuple:
         """The jumps of the rows of `states` on `parity`'s grid into the kept columns of `du`'s
-        rows, and per row the sums of their squared and cubed one-sided parts, as lists."""
+        rows, and per row the sums of their squared and cubed one-sided parts (or 0.0) as lists."""
         lo, hi = self._cols[parity]
-        m = _one_sided(np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1],
-                                   out=du[:, lo:hi - 1]), self.model)
+        du = np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1], out=du[:, lo:hi - 1])
+        if not self._onesided:
+            return [0.0] * len(du), [0.0] * len(du)
+        m = _one_sided(du, self.model)
         rows = self._sums[parity][:len(du)]
         np.square(m, out=rows[:, lo:hi - 1])
         squares = np.add.reduce(rows, axis=-1).tolist()
@@ -394,11 +411,12 @@ class DiagnosticsCollector:
         for _, run in groupby(kbars, key=id):  # rows that share a kbar
             rows = slice(start, start + len(list(run)))
             kt, kruzkov = self._constants(kbars[start], parity)
-            d = du[rows, jumps]
-            nu = _nu(u[rows, cells], d, kt[:, jumps], None if sig is None else sig[rows, cells],
-                     model, lam)
-            nu_rows[rows, jumps] = nu
-            np.multiply(nu, np.square(d), out=quad_rows[rows, jumps])
+            if self._cubic:
+                d = du[rows, jumps]
+                nu = _nu(u[rows, cells], d, kt[:, jumps],
+                         None if sig is None else sig[rows, cells], model, lam)
+                nu_rows[rows, jumps] = nu
+                np.multiply(nu, np.square(d), out=quad_rows[rows, jumps])
             if kruzkov:
                 k_in, c, f_c, jump = kruzkov
                 span = slice(v_lo, v_hi + 1)  # the pairs stepped to v's columns
@@ -407,15 +425,16 @@ class DiagnosticsCollector:
                     jump[:, v_lo:v_hi])
             start = rows.stop
         if first:  # the far-field columns now hold for every step
-            for kept in (self._nu, self._quad) + ((self._res,) if self._res is not None
-                                                     else ()):
+            for kept in self._kept:
                 kept[parity][steps:] = kept[parity][0]
+        maxima = ([] if self._res is None
+                  else self._res[parity][:steps].max(axis=-1).tolist())
+        if not self._cubic:
+            return [], [], [], maxima
         cubes = self._sums[parity][:steps]
         _cube(np.abs(du[:, jumps]), out=cubes[:, jumps])
         low = (np.minimum.reduce(nu_rows, axis=-1).tolist() if nu_rows.shape[-1]
                else [math.inf] * steps)
-        maxima = ([] if self._res is None
-                  else self._res[parity][:steps].max(axis=-1).tolist())
         return (_cubic(cubes, dx, self._masks[parity]).tolist(),
                 (dx * np.add.reduce(quad_rows, axis=-1)).tolist(), low, maxima)
 

@@ -125,7 +125,8 @@ class ExperimentRun:
 
 def run_experiment(spec: ExperimentSpec, scheme: Scheme, dx: float | None = None,
                    times: tuple[float, ...] | None = None,
-                   collect_diagnostics: bool = True, *, report: bool = True) -> ExperimentRun:
+                   collect_diagnostics: bool | str = True, *,
+                   report: bool = True) -> ExperimentRun:
     """March one scheme through all requested output times in a single run.
 
     Each time maps to the state at its even-step snap (the initial state when

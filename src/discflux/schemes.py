@@ -28,8 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .diagnostics import (DiagnosticsCollector, DiagnosticsReport, _correction_bound, _greatest,
-                          _interleave, _least)
+from .diagnostics import (ESTIMATES, DiagnosticsCollector, DiagnosticsReport, _correction_bound,
+                          _greatest, _interleave, _least, computed_estimates)
 from .flux_model import Coefficient, FluxModel
 from .grid import Mesh, Parity, StaggeredState, cell_average_coefficient, extend_absorbing
 from .limiter import LimiterConfig, slopes
@@ -76,18 +76,22 @@ class CflError(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection, mesh ratio lam = dt/dx, limiter, and diagnostic toggles."""
+    """Scheme selection, mesh ratio lam = dt/dx, limiter, and estimates (`computed_estimates`)."""
 
     scheme: Scheme = Scheme.NESSYAHU_TADMOR
     limiter: LimiterConfig = field(default_factory=LimiterConfig)
     lam: float = 0.05
     cfl_level: CflLevel = CflLevel.MAX_PRINCIPLE
-    collect_diagnostics: bool = True
+    collect_diagnostics: bool | str = True
     window_x: float | None = None
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite")
+        if self.window_x is not None and not 0 <= self.window_x < math.inf:
+            raise ValueError(f"window_x = {self.window_x!r} is not in [0, inf)")
+        if self.collect_diagnostics not in (True, False, "all"):
+            raise ValueError(f"collect_diagnostics {self.collect_diagnostics!r}: not bool or 'all'")
 
 
 def cfl_bound(model: FluxModel, level: CflLevel) -> float:
@@ -113,7 +117,7 @@ def cfl_bound(model: FluxModel, level: CflLevel) -> float:
 def _check_cfl(model: FluxModel, lam: float, level: CflLevel) -> tuple[float, float]:
     kappa_used = lam * model.sup_fu
     kappa = cfl_bound(model, level)
-    if kappa_used > kappa + CFL_TOL:
+    if level is not CflLevel.MANUAL and not kappa_used <= kappa + CFL_TOL:  # NaN included
         raise CflError(kappa_used, kappa, level)
     return kappa_used, kappa
 
@@ -340,16 +344,17 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     any state or correction holds a NaN.  `march` folds these itself, once per filled
     block and after the last step: a reduction per row (the NT corrections' magnitudes
     go into blocks of their own), then the row values in step order, so the result does
-    not depend on the block size.  With `cfg.collect_diagnostics` it then hands the
-    block's rows, and the NT slopes that it keeps in blocks of their own, to a
-    `DiagnosticsCollector`, which folds the other checks over them, and copies the last
-    Base row into the head row.
+    not depend on the block size.  The report holds None for each estimate not in
+    `computed_estimates(cfg)`; without `correction_max` the NT step skips its corrections.
+    For the other estimates the march hands the block's rows, and the NT slopes it keeps in
+    blocks of their own, to a `DiagnosticsCollector`, which folds those checks over them,
+    and copies the last Base row into the head row.
 
     `report` False says that nothing reads the report's folded fields: the march takes
-    no extremes or correction maximum, and the NT step skips its corrections.  `u_min`,
-    `u_max` and `correction_max` then keep their never-observed defaults, the run facts
-    (scheme, `lam`, `dx`, `steps`, `snapped_time`, the CFL fields) are still set, and
-    `cfg.collect_diagnostics` is refused with ValueError.
+    no extremes and computes no estimate.  `u_min` and `u_max` then keep their
+    never-observed defaults, the run facts (scheme, `lam`, `dx`, `steps`,
+    `snapped_time`, the CFL fields) are still set, and `cfg.collect_diagnostics` is
+    refused with ValueError.
     """
     if initial.mesh.n_cells < 2:
         raise ValueError("marching needs at least 2 cells")
@@ -363,15 +368,15 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     mesh, dt, n = initial.mesh, cfg.lam * initial.mesh.dx, initial.mesh.n_cells
     n_steps = snap_steps(initial.time, t_end, dt)
     second_order = cfg.scheme is Scheme.NESSYAHU_TADMOR
+    computed = computed_estimates(cfg) if report else set()
+    passes = computed - {"correction"}  # the collector's
     stepper = _Stepper(model, coeff, mesh, cfg.lam, cfg.limiter if second_order else None,
-                       corrections=report)
+                       corrections="correction" in computed)
     rep = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
                             cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
                             kappa_bound=kappa)
-    rows = (max(1, (_FOLD_VALUES if cfg.collect_diagnostics else _BLOCK_VALUES) // n)
-            if report else 1)
-    collector = (DiagnosticsCollector(model, coeff, cfg, mesh, rep, rows)
-                 if cfg.collect_diagnostics else None)
+    rows = max(1, (_FOLD_VALUES if passes else _BLOCK_VALUES) // n) if report else 1
+    collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep, rows, passes) if passes else None
     snapshots = {} if snapshots is None else snapshots
     if initial.step_index in snapshots:
         snapshots[initial.step_index] = initial
@@ -385,9 +390,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     base_rows, half_rows = np.empty((rows + 1, n)), np.empty((rows, n + 1))
     stepped = half_rows[:, 1:-1], base_rows[1:]
     # zeros: the correction and the slope of a cell outside the window are +0.0
-    a_blocks = (np.zeros((rows, n)), np.zeros((rows, n + 1))) if report and second_order else ()
+    a_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
+                if stepper.corrections and second_order else ())
     sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
-                  if collector is not None and second_order else ())
+                  if "cubic" in passes and second_order else ())
     window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
     if window is not None:  # no step writes a value outside its window: fill in the far fields
         for b in (base_rows, half_rows):
@@ -417,10 +423,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
                 else:  # the window covers the mesh from here on
                     window = None
             corrections, sig = step(k, views)
-            if corrections is not None:  # an NT step with a report
+            if corrections is not None:  # an NT step that computes `correction_max`
                 np.abs(corrections, out=a_blocks[from_half][row][cells])
-                if sig_blocks:
-                    sig_blocks[from_half][row][cells] = sig
+            if sig_blocks:  # an NT step with the cubic pass
+                sig_blocks[from_half][row][cells] = sig
             time += dt
             index += 1
             if index in snapshots:  # the values without the slots
@@ -443,6 +449,8 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     if report:
         rep.u_min, rep.u_max = float(u_min), float(u_max)
         rep.correction_max = float(correction_max)
+    for key in (k for name in ESTIMATES.keys() - computed for k in ESTIMATES[name]):
+        setattr(rep, key, None)
     rep.snapped_time = time
     if second_order and n_steps:
         rep.correction_bound = _correction_bound(cfg, model, mesh.dx)

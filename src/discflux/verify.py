@@ -3,11 +3,12 @@
 Each suite runs a fixed-seed scenario and returns the worst margin seen,
 where a nonnegative margin (up to the 1e-12 tolerance) means the checked
 inequality held everywhere.  Suites that march run `n_steps` snapped down to
-an even count, as `march` does.
+an even count, as `march` does.  A figure that a run did not compute fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ class SuiteResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name}: {status} (worst margin {self.worst_margin:.3e}; {self.detail})"
+
+
+def _uncomputed(name: str, key: str) -> SuiteResult:
+    return SuiteResult(name, False, math.nan, f"a run did not compute {key}")
 
 
 def _random_states(n_states: int, mesh: Mesh, coeff, seed: int = 20240817) -> list[StaggeredState]:
@@ -82,6 +87,8 @@ def suite_maxprinciple() -> SuiteResult:
         t_final = max(spec.output_times)
         for scheme in (Scheme.NESSYAHU_TADMOR, Scheme.LAX_FRIEDRICHS):
             run = run_experiment(spec, scheme, times=(t_final,), collect_diagnostics=False)
+            if None in (run.report.u_min, run.report.u_max):
+                return _uncomputed("maxprinciple", "u_min" if run.report.u_min is None else "u_max")
             margins += [run.report.u_min - (0.0 - TOL), (1.0 + TOL) - run.report.u_max]
             detail.append(f"ex{ex_id}/{scheme.value}: [{run.report.u_min:.3e}, {run.report.u_max:.6f}]")
     worst = float(np.min(margins))  # a NaN extreme fails: np.min keeps it, Python's min skips it
@@ -97,30 +104,37 @@ def _burgers_setup(level: CflLevel):
     return model, coeff, cfg, mesh
 
 
+def _burgers_suite(name: str, level: CflLevel, key: str, seed: int, n_states: int,
+                   n_steps: int) -> SuiteResult:
+    """The least `key` of the reports of marches from seeded random states, judged >= -TOL."""
+    model, coeff, cfg, mesh = _burgers_setup(level)
+    t_end = n_steps * cfg.lam * mesh.dx
+    margins = [getattr(march(state, model, coeff, cfg, t_end)[1], key)
+               for state in _random_states(n_states, mesh, coeff, seed=seed)]
+    if None in margins:
+        return _uncomputed(name, key)
+    worst = float(np.min(margins))
+    return SuiteResult(name, worst >= -TOL, worst,
+                       f"{n_states} states x {n_steps} steps, lam={cfg.lam:.6g}")
+
+
 def suite_onesided(n_states: int = 10, n_steps: int = 100) -> SuiteResult:
     """One-sided jump decay for constant-coefficient convex flux, per step."""
-    model, coeff, cfg, mesh = _burgers_setup(CflLevel.ONE_SIDED)
-    t_end = n_steps * cfg.lam * mesh.dx
-    worst = float(np.min([march(state, model, coeff, cfg, t_end)[1].onesided_worst_margin
-                          for state in _random_states(n_states, mesh, coeff, seed=20240818)]))
-    return SuiteResult("onesided", worst >= -TOL, worst,
-                       f"{n_states} states x {n_steps} steps, lam={cfg.lam:.6g}")
+    return _burgers_suite("onesided", CflLevel.ONE_SIDED, "onesided_worst_margin", 20240818,
+                          n_states, n_steps)
 
 
 def suite_nu(n_states: int = 10, n_steps: int = 100) -> SuiteResult:
     """Curvature coefficient nonnegativity under the strictest CFL level."""
-    model, coeff, cfg, mesh = _burgers_setup(CflLevel.CUBIC_ESTIMATE)
-    t_end = n_steps * cfg.lam * mesh.dx
-    worst = float(np.min([march(state, model, coeff, cfg, t_end)[1].nu_min
-                          for state in _random_states(n_states, mesh, coeff, seed=20240819)]))
-    return SuiteResult("nu", worst >= -TOL, worst,
-                       f"{n_states} states x {n_steps} steps, lam={cfg.lam:.6g}")
+    return _burgers_suite("nu", CflLevel.CUBIC_ESTIMATE, "nu_min", 20240819, n_states, n_steps)
 
 
 def suite_entropy() -> SuiteResult:
     """First-order cell entropy inequality on both examples, every step of the LF runs."""
     residuals = [run_experiment(spec_fn(), Scheme.LAX_FRIEDRICHS).report.entropy_max_residual
                  for _, spec_fn in sorted(EXAMPLES.items())]
+    if None in residuals:
+        return _uncomputed("entropy", "entropy_max_residual")
     worst = float(np.max(residuals))  # a NaN residual fails: np.max keeps it
     return SuiteResult("entropy", worst <= TOL, TOL - worst,
                        f"max residual {worst:.3e} over both examples")
@@ -140,6 +154,8 @@ def suite_correction(dxs=(1e-2, 1e-3, 1e-4), n_steps: int = 20) -> SuiteResult:
         state = StaggeredState(mesh=mesh, values=values, kbar=kbar,
                                parity=Parity.BASE, time=0.0, step_index=0)
         _, report = march(state, model, coeff, cfg, n_steps * cfg.lam * mesh.dx)
+        if report.correction_max is None:
+            return _uncomputed("correction", "correction_max")
         margins.append(report.correction_bound + TOL - report.correction_max)
     worst = float(np.min(margins))  # a NaN margin fails, as in suite_maxprinciple
     return SuiteResult("correction", worst >= 0.0, worst,

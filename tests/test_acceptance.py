@@ -134,7 +134,8 @@ def test_09_refinement_monotonicity_and_cubic_boundedness(ex1_reference):
     a constant independent of dx: an upper bound, nothing more.  It proves
     that estimate only at CflLevel.CUBIC_ESTIMATE (kappa <= 4.44e-5 for this
     model); example 1 runs at kappa = 0.1 under max-principle, so this is an
-    empirical check beyond the theorem.
+    empirical check beyond the theorem, which the runs ask for with
+    `collect_diagnostics="all"`.
 
     The accumulator rises towards about 0.9 (0.2426, 0.5143, 0.7054, 0.8026,
     0.8519 at 50 to 800 cells): once the shock has formed it adds about 0.225
@@ -149,7 +150,7 @@ def test_09_refinement_monotonicity_and_cubic_boundedness(ex1_reference):
     errors, cubics = [], []
     for i in range(3):
         run = run_experiment(spec, Scheme.NESSYAHU_TADMOR, dx=spec.dx / 2**i,
-                             times=(0.8,))
+                             times=(0.8,), collect_diagnostics="all")
         errors.append(l1_error(run.states[0.8], ex1_reference.states[0.8]))
         cubics.append(run.report.cubic_accumulator)
     elapsed = time.perf_counter() - t0

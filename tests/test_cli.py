@@ -171,6 +171,7 @@ class TestInputOutsideTheTheory:
         ("u0 = constant", "u0 = constant\nlimiter.k_tilde = 2"),
         ("u0 = constant", "u0 = constant\ndiagnostics = flase"),
         ("u0 = constant", "u0 = constant\nwindow_x = nan"),
+        ("u0 = constant", "u0 = constant\nwindow_x = -1"),  # it masked every interface
         ("domain.x_max = 1", "domain.x_max = inf"),
         ("t_end = 0.2", "t_end = inf"),
         ("t_end = 0.2", "t_end = 1e300"),      # finite, but about 1e303 steps: it never ended
@@ -180,6 +181,7 @@ class TestInputOutsideTheTheory:
     ], ids=["above-u_hi", "nan", "inf", "dx-does-not-tile", "modelfoo", "u0foo",
             "k_left-for-two-flux", "k_tidle", "x_mx", "reference-foo", "u0-left-for-constant",
             "alpha-for-minmod", "k_tilde-for-minmod", "diagnostics-flase", "window_x-nan",
+            "window_x-negative",
             "x_max-inf", "t_end-inf", "t_end-1e300", "reference-dx-0", "k_tilde-nan",
             "dx-0-with-dt"])
     def test_run_refuses_with_exit_1(self, tmp_path, capsys, old, new):
@@ -200,6 +202,12 @@ class TestInputOutsideTheTheory:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_study_refuses_a_negative_window_x(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG + "window_x = -1\n")
+        assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
+        assert "window_x" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_study_refuses_more_than_max_steps(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TWO_FLUX_CONFIG.replace("t_end = 0.2", "t_end = 1e300"))
         assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
@@ -207,7 +215,8 @@ class TestInputOutsideTheTheory:
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("extra", ["reference.dx = 0.01\n", "limiter.kind = minmod\n",
-                                       "diagnostics = OFF\n", "scheme = lf\nlimiter.kind = zero\n"])
+                                       "diagnostics = OFF\n", "diagnostics = All\n",
+                                       "scheme = lf\nlimiter.kind = zero\n"])
     def test_keys_the_spec_reads_are_accepted(self, tmp_path, extra):
         # keys are judged against the spec, which serves run and study and
         # carries a limiter for either scheme
@@ -223,7 +232,7 @@ TYPOS = ["limiter.k_tidle", "domain.x_mx", "reference.foo", "modelfoo", "u0foo",
 VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300", "0.5", "0.04",
           "0.002", "2", "garbage", "", "0.8, 1.6", "1,", "multiplicative", "two-flux-rational",
           "burgers-const-k", "lf", "nessyahu-tadmor", "manual", "one-sided", "cubic-estimate",
-          "zero", "minmod", "minmod-modified", "constant", "step", "TRUE", "off"]
+          "zero", "minmod", "minmod-modified", "constant", "step", "TRUE", "off", "all"]
 
 
 class TestConfigTextBuildsOrRaisesConfigError:

@@ -473,7 +473,8 @@ class TestFusedCollector:
         rng = np.random.default_rng(seed)
         limiter = LimiterConfig(kind=kind, k_tilde=float(rng.uniform(0.01, 2.0)))
         lam = cfl_share * cfl_bound(model, CflLevel.MAX_PRINCIPLE) / model.sup_fu
-        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, window_x=window_x)
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, window_x=window_x,
+                           collect_diagnostics="all")
         mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
         kbar = cell_average_coefficient(mesh, coeff, Parity.BASE)
         initial = StaggeredState(  # an initial state may bring a kbar of its own
@@ -494,7 +495,7 @@ class TestFusedCollector:
         initial = StaggeredState(mesh=mesh, values=np.linspace(0.9, 0.1, 30),
                                  kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
                                  parity=Parity.BASE, time=0.0, step_index=0)
-        cfg = SchemeConfig(scheme=scheme, lam=0.05, window_x=0.3)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, window_x=0.3, collect_diagnostics="all")
         steps = []  # the steps of each `observe` call
         observe = diagnostics.DiagnosticsCollector.observe
         with pytest.MonkeyPatch.context() as mp:
@@ -515,7 +516,7 @@ class TestFusedCollector:
         initial = StaggeredState(mesh=mesh, values=np.linspace(0.9, 0.1, 30),
                                  kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
                                  parity=Parity.BASE, time=0.0, step_index=0)
-        cfg = SchemeConfig(scheme=scheme, lam=0.05)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
         calls = []
         observe = diagnostics.DiagnosticsCollector.observe
         with pytest.MonkeyPatch.context() as mp:
@@ -550,7 +551,8 @@ class TestCollectorOnABlowUp:
                               u0=InitialData.step(0.9, 0.1), cfl_level=CflLevel.MANUAL)
         model, coeff = spec.build()
         initial = spec.initial(spec.mesh(), coeff)
-        cfg = SchemeConfig(scheme=scheme, lam=spec.lam, cfl_level=CflLevel.MANUAL)
+        cfg = SchemeConfig(scheme=scheme, lam=spec.lam, cfl_level=CflLevel.MANUAL,
+                           collect_diagnostics="all")
         with np.errstate(all="ignore"):
             _, report = _march_in_blocks(rows, initial, model, coeff, cfg, 2.0)
             oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
@@ -604,7 +606,8 @@ class TestCollectorOnPiecewiseConstantStates:
         assert (np.diff(values) == 0).any()
         limiter = LimiterConfig(kind=kind, k_tilde=float(rng.uniform(0.01, 2.0)))
         lam = 0.5 * cfl_bound(model, CflLevel.MAX_PRINCIPLE) / model.sup_fu
-        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, window_x=window_x)
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, window_x=window_x,
+                           collect_diagnostics="all")
         mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
         initial = StaggeredState(mesh=mesh, values=values,
                                  kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
@@ -618,3 +621,73 @@ class TestCollectorOnPiecewiseConstantStates:
             mp.setattr(diagnostics, "_cube", _scalar_cubes)
             _, scalar = _march_in_blocks(rows, initial, model, coeff, cfg, t_end)
         assert json.dumps(report.to_json_dict()) == json.dumps(scalar.to_json_dict())
+
+
+ESTIMATE_KEYS = ["onesided_holds", "onesided_worst_margin", "cubic_accumulator",
+                 "quad_accumulator", "nu_min", "entropy_max_residual", "correction_max"]
+COLLECTOR_KEYS = set(ESTIMATE_KEYS) - {"correction_max"}
+
+
+def _claimed_keys(scheme, kind, level):
+    """The report keys of the estimates the paper claims for a run, and the extremes."""
+    keys = {"u_min", "u_max"}
+    if level in (CflLevel.ONE_SIDED, CflLevel.CUBIC_ESTIMATE):
+        keys |= {"onesided_holds", "onesided_worst_margin"}
+    if level is CflLevel.CUBIC_ESTIMATE:
+        keys |= {"cubic_accumulator", "quad_accumulator", "nu_min"}
+    if scheme is Scheme.LAX_FRIEDRICHS and level is not CflLevel.MANUAL:
+        keys.add("entropy_max_residual")
+    if scheme is Scheme.NESSYAHU_TADMOR and kind is LimiterKind.MINMOD_MODIFIED:
+        keys.add("correction_max")
+    return keys
+
+
+def _bits(value):
+    return (value.hex(), math.copysign(1.0, value)) if isinstance(value, float) else value
+
+
+class TestClaims:
+    # a few steps of Burgers on 20 cells from a seeded random state, as the verify suites
+    # set up theirs; the manual level runs at kappa 0.1, inside the maximum principle
+    @pytest.mark.parametrize("kind", list(LimiterKind))
+    @pytest.mark.parametrize("level", list(CflLevel))
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_report_computes_only_the_claimed_estimates(self, monkeypatch, scheme, level, kind):
+        model, coeff = builtin_burgers_const_k()
+        kappa = 0.1 if level is CflLevel.MANUAL else cfl_bound(model, level)
+        cfg = SchemeConfig(scheme=scheme, lam=kappa / model.sup_fu, cfl_level=level,
+                           limiter=LimiterConfig(kind=kind, k_tilde=0.5))
+        mesh = Mesh.from_cells(0.0, 1.0, 20)
+        initial = StaggeredState(mesh=mesh,
+                                 values=np.random.default_rng(20240820).uniform(0.0, 1.0, 20),
+                                 kbar=cell_average_coefficient(mesh, coeff, Parity.BASE),
+                                 parity=Parity.BASE, time=0.0, step_index=0)
+        t_end = 6 * cfg.lam * mesh.dx
+        built = []
+        real = schemes.DiagnosticsCollector
+        monkeypatch.setattr(schemes, "DiagnosticsCollector",
+                            lambda *args: built.append(args) or real(*args))
+        _, claimed = march(initial, model, coeff, cfg, t_end)
+        claimed_built, built[:] = len(built), []
+        _, full = march(initial, model, coeff,
+                        dataclasses.replace(cfg, collect_diagnostics="all"), t_end)
+        assert claimed.steps == full.steps == 6 and len(built) == 1
+        keys = _claimed_keys(scheme, kind, level)
+        assert claimed_built == (1 if keys & COLLECTOR_KEYS else 0)
+        for key, value in dataclasses.asdict(claimed).items():
+            if key in ESTIMATE_KEYS and key not in keys:
+                assert value is None, key
+            else:
+                assert _bits(value) == _bits(getattr(full, key)), key
+        for key in keys:
+            assert getattr(claimed, key) is not None, key
+        payload = json.loads(json.dumps(claimed.to_json_dict(), allow_nan=False))
+        assert [key for key in ESTIMATE_KEYS if payload[key] is None] == [
+            key for key in ESTIMATE_KEYS if key not in keys]
+
+    def test_a_march_without_a_report_computes_no_estimate(self):
+        model, coeff, state = burgers_state(np.linspace(1.0, 0.0, 20), x_min=0.0, x_max=1.0)
+        cfg = SchemeConfig(lam=0.1, limiter=LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED),
+                           collect_diagnostics=False)
+        _, report = march(state, model, coeff, cfg, 4 * 0.1 * state.mesh.dx, report=False)
+        assert all(getattr(report, key) is None for key in ESTIMATE_KEYS)

@@ -5,6 +5,9 @@ The files under `golden/` hold the reports of the canned experiments (both
 schemes), of their fine first-order references and of an 8000-cell run with
 the modified limiter, each written as `discflux` writes `diagnostics.json`,
 so any change to a diagnostic value, even in its last bit, fails here.  The
+canned and the 8000-cell reports are pinned twice: with every estimate
+computed (`diagnostics = all`), and as run, with only the estimates the paper
+claims for the run (`*_claimed.json`).  The
 worst margin of each `verify` suite is pinned as its `float.hex()` value, and
 the sha256 of every CSV that `reproduce 1`, `reproduce 2` and the 8000-cell
 run write (solutions and error tables) in `golden/solutions.sha256`, in the
@@ -28,8 +31,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
                                          ("lf", Scheme.LAX_FRIEDRICHS)])
 def test_example_report(tmp_path, example, tag, scheme):
     spec = {1: example_1, 2: example_2}[example]()
-    _write_report(run_experiment(spec, scheme).report, tmp_path / "d.json")
+    _write_report(run_experiment(spec, scheme, collect_diagnostics="all").report,
+                  tmp_path / "d.json")
     golden = GOLDEN / f"example{example}_{tag}.json"
+    assert (tmp_path / "d.json").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("example", [1, 2])
+@pytest.mark.parametrize("tag, scheme", [("nt", Scheme.NESSYAHU_TADMOR),
+                                         ("lf", Scheme.LAX_FRIEDRICHS)])
+def test_claimed_example_report(tmp_path, example, tag, scheme):
+    spec = {1: example_1, 2: example_2}[example]()
+    _write_report(run_experiment(spec, scheme).report, tmp_path / "d.json")
+    golden = GOLDEN / f"example{example}_{tag}_claimed.json"
     assert (tmp_path / "d.json").read_bytes() == golden.read_bytes()
 
 
@@ -49,9 +63,16 @@ def fine_run_out(tmp_path_factory):
     return out
 
 
-def test_fine_run_report(fine_run_out):
+def test_fine_run_report(tmp_path):
+    config = tmp_path / "all.cfg"
+    config.write_text((GOLDEN / "fine_run.cfg").read_text() + "diagnostics = all\n")
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "diagnostics.json").read_bytes() == (GOLDEN / "fine_run.json").read_bytes()
+
+
+def test_claimed_fine_run_report(fine_run_out):
     assert (fine_run_out / "diagnostics.json").read_bytes() == \
-        (GOLDEN / "fine_run.json").read_bytes()
+        (GOLDEN / "fine_run_claimed.json").read_bytes()
 
 
 def _golden_digests(directory: str) -> dict[str, str]:

@@ -75,6 +75,20 @@ class TestCflBound:
         assert err.value.kappa_used == pytest.approx(1.5)
         assert "kappa_bound" in str(err.value)
 
+    def test_nan_kappa_used_is_refused(self):
+        # `nan > bound` is False: a model whose sampled sup|f_u| is NaN marched unchecked
+        model = FluxModel.from_callables(
+            "nan-d_u", lambda k, u: k * u * (1 - u),
+            lambda k, u: np.where(u == 0.5, math.nan, k * (1 - 2 * u)),
+            lambda k, u: u * (1 - u), lambda k, u: -2.0 * k + 0.0 * u,
+            lambda k, u: 1 - 2 * u, 0.0, 1.0, 1.0, 1.0, Convexity.STRICTLY_CONCAVE, samples=5)
+        assert math.isnan(model.sup_fu)
+        for level in (CflLevel.MAX_PRINCIPLE, CflLevel.ONE_SIDED, CflLevel.CUBIC_ESTIMATE):
+            with pytest.raises(CflError):
+                schemes._check_cfl(model, 0.1, level)
+        kappa_used, kappa = schemes._check_cfl(model, 0.1, CflLevel.MANUAL)  # never checked
+        assert math.isnan(kappa_used) and kappa == math.inf
+
 
 class TestLfStep:
     def test_constant_state_preserved(self):
@@ -277,7 +291,8 @@ class TestMarch:
         model, coeff = builtin_multiplicative(3.0, 1.0)
         mesh = Mesh.from_cells(-1.0, 1.0, 50)
         state = initial_state(mesh, coeff, lambda x: np.full_like(x, 0.15))
-        final, report = march(state, model, coeff, SchemeConfig(lam=1 / 30), 0.0)
+        cfg = SchemeConfig(lam=1 / 30, collect_diagnostics="all")
+        final, report = march(state, model, coeff, cfg, 0.0)
         assert final is state
         assert report.steps == 0
         assert report.onesided_worst_margin == math.inf
@@ -357,6 +372,18 @@ class TestMarch:
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             SchemeConfig(lam=lam)
 
+    @pytest.mark.parametrize("window_x", [-1.0, -1e-300, math.nan, math.inf])
+    def test_config_refuses_window_x_outside_zero_to_inf(self, window_x):
+        # window_x = -1 masked every interface: the cubic accumulator read a vacuous 0.0
+        with pytest.raises(ValueError, match="window_x"):
+            SchemeConfig(window_x=window_x)
+        assert SchemeConfig(window_x=0.0).window_x == 0.0
+
+    @pytest.mark.parametrize("value", ["ALL", "yes", 1.5, None])
+    def test_config_refuses_other_diagnostics_values(self, value):
+        with pytest.raises(ValueError, match="collect_diagnostics"):
+            SchemeConfig(collect_diagnostics=value)
+
     def test_second_order_step_refuses_strict_level(self):
         model, coeff = builtin_burgers_const_k()
         mesh = Mesh.from_cells(0.0, 1.0, 10)
@@ -396,6 +423,7 @@ class TestStepKernel:
     @pytest.mark.parametrize("n_cells", [40, 41])
     def test_march_equals_chained_public_steps(self, scheme, limiter, n_cells):
         model, coeff, state, cfg = _kernel_run(n_cells, scheme, limiter)
+        cfg = dataclasses.replace(cfg, collect_diagnostics="all")  # nu_min and correction_max
         steps = snap_steps(0.0, 0.1, cfg.lam * state.mesh.dx)
         snapshots = dict.fromkeys(range(steps + 1))
         final, report = march(state, model, coeff, cfg, 0.1, snapshots=snapshots)
@@ -536,8 +564,8 @@ class TestNanExtremesStick:
                               model_params={"k_left": 3.0, "k_right": 1.0}, dx=0.04, lam=3.0,
                               u0=InitialData.step(0.9, 0.1), cfl_level=CflLevel.MANUAL,
                               output_times=(2.0,))
-        with np.errstate(all="ignore"):
-            report = run_experiment(spec, Scheme.NESSYAHU_TADMOR).report
+        with np.errstate(all="ignore"):  # no estimate is claimed at the manual level
+            report = run_experiment(spec, Scheme.NESSYAHU_TADMOR, collect_diagnostics="all").report
         assert report.steps == 16
         assert math.isnan(report.correction_max) and math.isnan(report.nu_min)
         payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
@@ -551,8 +579,8 @@ class TestNanExtremesStick:
                               model_params={"k_left": 3.0, "k_right": 1.0}, dx=0.04, lam=3.0,
                               u0=InitialData.step(0.9, 0.1), cfl_level=CflLevel.MANUAL,
                               output_times=(2.0,))
-        with np.errstate(all="ignore"):
-            report = run_experiment(spec, scheme).report
+        with np.errstate(all="ignore"):  # no estimate is claimed at the manual level
+            report = run_experiment(spec, scheme, collect_diagnostics="all").report
         assert report.steps == 16 and math.isnan(report.onesided_worst_margin)
         if scheme is Scheme.LAX_FRIEDRICHS:
             assert math.isnan(report.entropy_max_residual)
@@ -828,9 +856,11 @@ class TestMarchWithoutReport:
                 assert light_snaps[n].step_index == snap.step_index == n
         assert _facts(light_rep) == _facts(rep)
         assert (light_rep.u_min, light_rep.u_max, light_rep.correction_max) == (
-            math.inf, -math.inf, 0.0)  # never observed
-        second_order = scheme is Scheme.NESSYAHU_TADMOR
-        assert evals == (2 if second_order else 1) * steps
+            math.inf, -math.inf, None)  # never observed, not computed
+        # the NT step evaluates f(k, u) for the corrections where `correction_max` is claimed
+        corrections = scheme is Scheme.NESSYAHU_TADMOR and kind is LimiterKind.MINMOD_MODIFIED
+        assert (rep.correction_max is None) is not corrections
+        assert evals == (2 if corrections else 1) * steps
         assert light_evals == steps
         with pytest.raises(ValueError, match="collect_diagnostics"):
             march(state, model, coeff, dataclasses.replace(cfg, collect_diagnostics=True),
@@ -948,8 +978,9 @@ class TestExtremesFoldInBlocks:
         scheme, limiter = case
         model, coeff = flat_k_model(flux, lambda u: 1 - 2 * u)
         state = base_state(values, coeff, -1.0, 1.0)
+        # "all": `correction_max` with either limiter
         cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, cfl_level=CflLevel.MANUAL,
-                           collect_diagnostics=False)
+                           collect_diagnostics="all")
         t_end = 2 * pairs * lam * state.mesh.dx
         with np.errstate(all="ignore"):
             _, report = _march_rows(rows, state, model, coeff, cfg, t_end)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import discflux.diagnostics as diagnostics
 import discflux.verify as verify
 
 from discflux import (CflLevel, LimiterConfig, LimiterKind, Mesh, Parity, Scheme,
@@ -12,8 +13,8 @@ from discflux import (CflLevel, LimiterConfig, LimiterKind, Mesh, Parity, Scheme
                       cell_average_coefficient, correction_bound_check, nt_step,
                       nu_coefficient, onesided_check, slopes)
 from discflux.diagnostics import TOL, DiagnosticsReport
-from discflux.verify import (_burgers_setup, _random_states, suite_correction, suite_nu,
-                             suite_onesided)
+from discflux.verify import (_burgers_setup, _random_states, suite_correction, suite_entropy,
+                             suite_maxprinciple, suite_nu, suite_onesided)
 
 # The per-step loops the suites ran before they marched, kept as oracles: each
 # steps the public `nt_step` and judges every transition itself.
@@ -165,3 +166,35 @@ class TestStepSuitesOnNanDeviations:
         monkeypatch.setattr(verify, "nt_step", nt_step)
         result = suite(n_states=2)
         assert not result.passed and math.isnan(result.worst_margin)
+
+
+class TestSuitesOnUncomputedFigures:
+    # a report holds None for an estimate its march did not compute: the suites raised on it
+    # (or, before None, passed on the never-observed default)
+    @pytest.mark.parametrize("suite, key", [
+        (lambda: suite_onesided(n_states=1, n_steps=2), "onesided_worst_margin"),
+        (lambda: suite_nu(n_states=1, n_steps=2), "nu_min"),
+        (suite_entropy, "entropy_max_residual"),
+        (lambda: suite_correction(dxs=(1e-2,), n_steps=2), "correction_max"),
+    ], ids=["onesided", "nu", "entropy", "correction"])
+    def test_a_table_that_claims_nothing_fails_the_suite(self, monkeypatch, suite, key):
+        monkeypatch.setattr(diagnostics, "CLAIMS", {})
+        result = suite()
+        assert not result.passed and math.isnan(result.worst_margin)
+        assert key in result.detail and "FAIL" in result.line()
+
+    def test_maxprinciple_reads_extremes_that_every_report_takes(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "CLAIMS", {})
+        assert suite_maxprinciple().passed
+
+    @pytest.mark.parametrize("key", ["u_min", "u_max"])
+    def test_maxprinciple_fails_on_an_uncomputed_extreme(self, monkeypatch, key):
+        def run_experiment(spec, scheme, **kwargs):
+            report = DiagnosticsReport(u_min=0.2, u_max=0.8)
+            setattr(report, key, None)
+            return SimpleNamespace(report=report)
+
+        monkeypatch.setattr(verify, "run_experiment", run_experiment)
+        result = suite_maxprinciple()
+        assert not result.passed and math.isnan(result.worst_margin)
+        assert key in result.detail

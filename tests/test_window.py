@@ -98,7 +98,8 @@ class TestWindowedMarchEqualsWholeMesh:
         model, coeff, initial = _riemann(model_coeff(), levels, starts, n_cells)
         limiter = LimiterConfig(kind=kind, k_tilde=data.draw(st.floats(0.01, 2.0)))
         lam = 0.5 * 0.2 / model.sup_fu
-        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam, collect_diagnostics=report)
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam,
+                           collect_diagnostics="all" if report else False)
         steps = 2 * pairs
         wanted = data.draw(st.lists(st.integers(0, steps), max_size=4))
         t_end = steps * lam * initial.mesh.dx
