@@ -282,8 +282,8 @@ def correction_bound_check(a: np.ndarray, cfg: "SchemeConfig", model: FluxModel,
 
 
 class DiagnosticsCollector:
-    """Folds the checks of its `passes` ("onesided", "cubic" and "entropy", the last judged on
-    first-order (Lax-Friedrichs) marches only) over the steps of one march into `report`.
+    """Folds the full check suite over the steps of one march into `report`; the cell
+    entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
 
     `march` is the only caller.  It hands `observe` each block of at most `rows` pairs of
     steps, in order, as views of the rows it stepped into: the collector copies no state.
@@ -302,12 +302,11 @@ class DiagnosticsCollector:
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
-                 report: DiagnosticsReport, rows: int, passes: set):
+                 report: DiagnosticsReport, rows: int):
         from .schemes import Scheme  # local import keeps module load acyclic
 
         self.model, self.cfg, self.mesh, self.report = model, cfg, mesh, report
-        self._onesided, self._cubic = "onesided" in passes, "cubic" in passes
-        lf = cfg.scheme is Scheme.LAX_FRIEDRICHS and "entropy" in passes
+        lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
         self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
         self._masks = {p: _window_mask(mesh, p, cfg.window_x) for p in Parity}
@@ -322,7 +321,6 @@ class DiagnosticsCollector:
         self._quad = {p: np.empty((rows, n[p] - 1)) for p in Parity}
         self._res = ({p: np.empty((rows, ENTROPY_C_COUNT, n[_other(p)])) for p in Parity}
                      if lf else None)
-        self._kept = [self._nu, self._quad] * self._cubic + [self._res] * lf  # per-cell terms
 
     def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
         """The midpoints of kbar (on Half with its ghost slots) as a row and, for LF, the
@@ -354,9 +352,8 @@ class DiagnosticsCollector:
         head = self._carry is not None
         if head:
             m2[0], cubes[0] = self._carry
-        if self._onesided or self._cubic:
-            m2[2 * head::2], cubes[2 * head::2] = self._jump_sums(base, a[head:], du_a[head:])
-            m2[1::2], cubes[1::2] = self._jump_sums(half, b[:, 1:-1], du_b)
+        m2[2 * head::2], cubes[2 * head::2] = self._jump_sums(base, a[head:], du_a[head:])
+        m2[1::2], cubes[1::2] = self._jump_sums(half, b[:, 1:-1], du_b)
         sig_a, sig_b = (None, None) if sig is None else sig
         # the steps alternate between the two grids: interleave their terms
         cubic, quad, low, maxima = (_interleave(x, y) for x, y in zip(
@@ -364,13 +361,12 @@ class DiagnosticsCollector:
             self._step_terms(half, b, du_b, a[1:], sig_b, kbars[1::2])))
         lo, hi = self._cols[base]  # s_2m heads the next block: its jumps lie in these columns
         du_a[0, lo:hi - 1], self._carry = du_a[m, lo:hi - 1], (m2[-1], cubes[-1])
-        if self._onesided:
-            rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
-                   for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
-            rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
-                                               (r - lhs for lhs, r in zip(m2[1:], rhs)))
-            rep.onesided_holds = rep.onesided_holds and all(lhs <= r + TOL
-                                                            for lhs, r in zip(m2[1:], rhs))
+        rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
+               for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
+        rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
+                                           (r - lhs for lhs, r in zip(m2[1:], rhs)))
+        rep.onesided_holds = rep.onesided_holds and all(lhs <= r + TOL
+                                                        for lhs, r in zip(m2[1:], rhs))
         total_c, total_q = rep.cubic_accumulator, rep.quad_accumulator
         for c, q in zip(cubic, quad):
             total_c += c
@@ -382,12 +378,10 @@ class DiagnosticsCollector:
 
     def _jump_sums(self, parity: Parity, states: np.ndarray, du: np.ndarray) -> tuple:
         """The jumps of the rows of `states` on `parity`'s grid into the kept columns of `du`'s
-        rows, and per row the sums of their squared and cubed one-sided parts (or 0.0) as lists."""
+        rows, and per row the sums of their squared and cubed one-sided parts, as lists."""
         lo, hi = self._cols[parity]
-        du = np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1], out=du[:, lo:hi - 1])
-        if not self._onesided:
-            return [0.0] * len(du), [0.0] * len(du)
-        m = _one_sided(du, self.model)
+        m = _one_sided(np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1],
+                                   out=du[:, lo:hi - 1]), self.model)
         rows = self._sums[parity][:len(du)]
         np.square(m, out=rows[:, lo:hi - 1])
         squares = np.add.reduce(rows, axis=-1).tolist()
@@ -411,12 +405,11 @@ class DiagnosticsCollector:
         for _, run in groupby(kbars, key=id):  # rows that share a kbar
             rows = slice(start, start + len(list(run)))
             kt, kruzkov = self._constants(kbars[start], parity)
-            if self._cubic:
-                d = du[rows, jumps]
-                nu = _nu(u[rows, cells], d, kt[:, jumps],
-                         None if sig is None else sig[rows, cells], model, lam)
-                nu_rows[rows, jumps] = nu
-                np.multiply(nu, np.square(d), out=quad_rows[rows, jumps])
+            d = du[rows, jumps]
+            nu = _nu(u[rows, cells], d, kt[:, jumps], None if sig is None else sig[rows, cells],
+                     model, lam)
+            nu_rows[rows, jumps] = nu
+            np.multiply(nu, np.square(d), out=quad_rows[rows, jumps])
             if kruzkov:
                 k_in, c, f_c, jump = kruzkov
                 span = slice(v_lo, v_hi + 1)  # the pairs stepped to v's columns
@@ -425,16 +418,15 @@ class DiagnosticsCollector:
                     jump[:, v_lo:v_hi])
             start = rows.stop
         if first:  # the far-field columns now hold for every step
-            for kept in self._kept:
+            for kept in (self._nu, self._quad) + ((self._res,) if self._res is not None
+                                                     else ()):
                 kept[parity][steps:] = kept[parity][0]
-        maxima = ([] if self._res is None
-                  else self._res[parity][:steps].max(axis=-1).tolist())
-        if not self._cubic:
-            return [], [], [], maxima
         cubes = self._sums[parity][:steps]
         _cube(np.abs(du[:, jumps]), out=cubes[:, jumps])
         low = (np.minimum.reduce(nu_rows, axis=-1).tolist() if nu_rows.shape[-1]
                else [math.inf] * steps)
+        maxima = ([] if self._res is None
+                  else self._res[parity][:steps].max(axis=-1).tolist())
         return (_cubic(cubes, dx, self._masks[parity]).tolist(),
                 (dx * np.add.reduce(quad_rows, axis=-1)).tolist(), low, maxima)
 

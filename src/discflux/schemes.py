@@ -321,7 +321,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     values after a head row, the state a block starts from (without a collector, a block
     starts from the last row of the one before).  The views of a row that a step of the
     whole mesh takes are built once per row.  A kept state holds a copy, the final state
-    keeps its row, and the initial values are never written.
+    too (so that it keeps no block alive), and the initial values are never written.
 
     A step changes a value only inside its stencil, so the march steps only the cells
     that can differ from the far fields.  The left (right) far field is the longest
@@ -369,14 +369,14 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     n_steps = snap_steps(initial.time, t_end, dt)
     second_order = cfg.scheme is Scheme.NESSYAHU_TADMOR
     computed = computed_estimates(cfg) if report else set()
-    passes = computed - {"correction"}  # the collector's
+    collect = bool(computed - {"correction"})  # the collector takes every estimate but that
     stepper = _Stepper(model, coeff, mesh, cfg.lam, cfg.limiter if second_order else None,
                        corrections="correction" in computed)
     rep = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
                             cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
                             kappa_bound=kappa)
-    rows = max(1, (_FOLD_VALUES if passes else _BLOCK_VALUES) // n) if report else 1
-    collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep, rows, passes) if passes else None
+    rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n) if report else 1
+    collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep, rows) if collect else None
     snapshots = {} if snapshots is None else snapshots
     if initial.step_index in snapshots:
         snapshots[initial.step_index] = initial
@@ -393,7 +393,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     a_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
                 if stepper.corrections and second_order else ())
     sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
-                  if "cubic" in passes and second_order else ())
+                  if collect and second_order else ())
     window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
     if window is not None:  # no step writes a value outside its window: fill in the far fields
         for b in (base_rows, half_rows):
@@ -425,14 +425,14 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
             corrections, sig = step(k, views)
             if corrections is not None:  # an NT step that computes `correction_max`
                 np.abs(corrections, out=a_blocks[from_half][row][cells])
-            if sig_blocks:  # an NT step with the cubic pass
+            if sig_blocks:  # an NT step with a collector
                 sig_blocks[from_half][row][cells] = sig
             time += dt
             index += 1
             if index in snapshots:  # the values without the slots
                 kept = pair[from_half][4]
-                snapshots[index] = StaggeredState(mesh, kept if index == end else kept.copy(),
-                                                  *lands[from_half], time, index)
+                snapshots[index] = StaggeredState(mesh, kept.copy(), *lands[from_half], time,
+                                                  index)
         kbar = k_base
         row += 1
         if row == rows or index == end:
@@ -456,4 +456,5 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         rep.correction_bound = _correction_bound(cfg, model, mesh.dx)
     if end in snapshots:  # the initial state itself when no step is taken
         return snapshots[end], rep
-    return (StaggeredState(mesh, u, k_base, Parity.BASE, time, end) if n_steps else initial), rep
+    return (StaggeredState(mesh, u.copy(), k_base, Parity.BASE, time, end) if n_steps
+            else initial), rep

@@ -87,8 +87,6 @@ def suite_maxprinciple() -> SuiteResult:
         t_final = max(spec.output_times)
         for scheme in (Scheme.NESSYAHU_TADMOR, Scheme.LAX_FRIEDRICHS):
             run = run_experiment(spec, scheme, times=(t_final,), collect_diagnostics=False)
-            if None in (run.report.u_min, run.report.u_max):
-                return _uncomputed("maxprinciple", "u_min" if run.report.u_min is None else "u_max")
             margins += [run.report.u_min - (0.0 - TOL), (1.0 + TOL) - run.report.u_max]
             detail.append(f"ex{ex_id}/{scheme.value}: [{run.report.u_min:.3e}, {run.report.u_max:.6f}]")
     worst = float(np.min(margins))  # a NaN extreme fails: np.min keeps it, Python's min skips it

@@ -510,7 +510,8 @@ class TestFusedCollector:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_observes_the_march_blocks(self, rows, scheme):
         # `observe` folds the rows the steps wrote: views of the march's own blocks, the
-        # last Base rows holding the final state, never copies
+        # last Base rows holding the final state, never copies; the march returns a copy of
+        # that row, so that the final state keeps no block alive
         model, coeff = builtin_multiplicative(3.0, 1.0)
         mesh = Mesh.from_cells(-1.0, 1.0, 30)
         initial = StaggeredState(mesh=mesh, values=np.linspace(0.9, 0.1, 30),
@@ -526,7 +527,8 @@ class TestFusedCollector:
                                              14 * 0.05 * mesh.dx)
         assert report.steps == 14 and len(calls) == (1 if rows is None else -(-7 // rows))
         a, b, _, sig, _ = calls[-1]
-        assert np.shares_memory(a, final.values) and a[-1].tobytes() == final.values.tobytes()
+        assert a.base is not None and b.base is not None  # views
+        assert not np.shares_memory(a, final.values) and a[-1].tobytes() == final.values.tobytes()
         for args in calls[:-1]:  # every block lies in the same two buffers
             assert np.shares_memory(args[0], a) and np.shares_memory(args[1], b)
             if sig is not None:

@@ -186,15 +186,3 @@ class TestSuitesOnUncomputedFigures:
     def test_maxprinciple_reads_extremes_that_every_report_takes(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "CLAIMS", {})
         assert suite_maxprinciple().passed
-
-    @pytest.mark.parametrize("key", ["u_min", "u_max"])
-    def test_maxprinciple_fails_on_an_uncomputed_extreme(self, monkeypatch, key):
-        def run_experiment(spec, scheme, **kwargs):
-            report = DiagnosticsReport(u_min=0.2, u_max=0.8)
-            setattr(report, key, None)
-            return SimpleNamespace(report=report)
-
-        monkeypatch.setattr(verify, "run_experiment", run_experiment)
-        result = suite_maxprinciple()
-        assert not result.passed and math.isnan(result.worst_margin)
-        assert key in result.detail
