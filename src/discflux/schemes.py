@@ -44,9 +44,9 @@ MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 wo
 _BLOCK_VALUES, _FOLD_VALUES = 16384, 1024
 _MARGIN = 2  # far-field cells a windowed step keeps inside its slice at each end
 _STRIP = 4  # cells of the strip that checks that a step maps a far field to itself
-# cells the range of values that may differ from the far fields gains on the left and on
-# the right with a step from Base and with one from Half: a Half value is stepped from Base
-# cells j-1 ... j+2 (LF: j, j+1), a Base value from Half values j-2 ... j+1 (LF: j-1, j)
+# the most cells the range of values that may differ from the far fields can gain on the left
+# and on the right with a step from Base and with one from Half: a Half value is stepped from
+# Base cells j-1 ... j+2 (LF: j, j+1), a Base value from Half values j-2 ... j+1 (LF: j-1, j)
 _GROWTH = {False: ((1, 0), (0, 1)), True: ((2, 1), (1, 2))}  # keyed by second order
 
 
@@ -271,6 +271,30 @@ def _run(a: np.ndarray) -> int:
     return int(differ[0]) if len(differ) else len(bits)
 
 
+def _aligned(shape: tuple) -> np.ndarray:
+    """A float array of zeros whose data starts at a 64-byte (cache line) boundary."""
+    size = math.prod(shape)
+    raw = np.zeros(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
+
+
+def _widened(window: tuple, growth: tuple, bits: np.ndarray, far: tuple) -> tuple:
+    """The cells of a stepped row (`bits`, its values as uint64) that can differ from the far
+    fields (`far`, their bits): the `window` of the row stepped from, widened on each side by
+    the `growth` the stencil allows, less the outer cells that hold their far field's bits."""
+    lo, hi = window
+    for j in range(max(lo - growth[0], 0), lo):
+        if bits[j] != far[0]:
+            lo = j
+            break
+    for j in range(min(hi + growth[1], len(bits)) - 1, hi - 1, -1):
+        if bits[j] != far[1]:
+            hi = j + 1
+            break
+    return lo, hi
+
+
 def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bool:
     """Whether a step maps a strip of the value `c` with coefficient `k` on `parity`'s grid
     (on Half, _STRIP - 2 values and their slots) to `c`, bit for bit, with +0.0 corrections.
@@ -333,10 +357,11 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     values and the step kernel takes the slice of the cells that can differ, with 2
     far-field cells more at each end, so that its edges compute what the whole step
     computes there (a slice of a Half row takes its ends' real neighbours for the slots:
-    far-field bits, equal to them).  The range grows by the stencil's reach on every step (by
-    geometry alone: a value is never compared to decide it), and once the slice covers
-    the mesh the march steps the whole arrays.  States, snapshots and the report are the
-    same bits as those of a march that steps the whole mesh.
+    far-field bits, equal to them).  After each step the range gains at most the stencil's
+    reach on each side (`_GROWTH`), less the outer cells of that gain whose new values hold
+    their far field's bits, so it never shrinks; once the slice covers the mesh the march
+    steps the whole arrays.  States, snapshots and the report are the same bits as those of
+    a march that steps the whole mesh.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
@@ -387,18 +412,20 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     end = index + n_steps
     # the blocks of the Base states (n values, after a head row) and of the Half states (n - 1
     # values and a ghost slot at each end); |corrections| and slopes are on the cells stepped from
-    base_rows, half_rows = np.empty((rows + 1, n)), np.empty((rows, n + 1))
+    base_rows, half_rows = _aligned((rows + 1, n)), _aligned((rows, n + 1))
     stepped = half_rows[:, 1:-1], base_rows[1:]
     # zeros: the correction and the slope of a cell outside the window are +0.0
-    a_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
+    a_blocks = ((_aligned((rows, n)), _aligned((rows, n + 1)))
                 if stepper.corrections and second_order else ())
-    sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
+    sig_blocks = ((_aligned((rows, n)), _aligned((rows, n + 1)))
                   if collect and second_order else ())
     window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
     if window is not None:  # no step writes a value outside its window: fill in the far fields
         for b in (base_rows, half_rows):
             b[:, :window[0]], b[:, window[0]:] = u[0], u[-1]
         growth = _GROWTH[second_order]
+        far = tuple(np.asarray(u[[0, -1]], dtype=float).view(np.uint64).tolist())
+        stepped_bits = tuple(b.view(np.uint64) for b in stepped)
     # across the whole mesh, Base row r steps into Half row r and that into Base row r + 1; a
     # block starts from the head row (without a collector, from the last row of the one before)
     head = 0 if collector is not None else rows
@@ -418,11 +445,12 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
                 lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n - from_half)
                 if lo or hi < n - from_half:  # a Half row's pairs take its slots' neighbours
                     cols, cells = (lo, hi), slice(lo, hi + 2 * from_half)
-                    window = window[0] - growth[from_half][0], window[1] + growth[from_half][1]
                     k, views = k[cells], stepper.views(views[0][cells], views[3][lo:hi + 1])
                 else:  # the window covers the mesh from here on
                     window = None
             corrections, sig = step(k, views)
+            if cols is not None:
+                window = _widened(window, growth[from_half], stepped_bits[from_half][row], far)
             if corrections is not None:  # an NT step that computes `correction_max`
                 np.abs(corrections, out=a_blocks[from_half][row][cells])
             if sig_blocks:  # an NT step with a collector

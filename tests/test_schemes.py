@@ -458,6 +458,26 @@ class TestStepKernel:
         plain, _ = march(state, model, coeff, cfg, two_steps)
         assert final.values.tobytes() != plain.values.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 41), (17, 1001)])
+    def test_aligned_blocks_are_zeros_from_a_cache_line(self, shape):
+        for _ in range(8):  # at whatever addresses the heap hands out
+            block = schemes._aligned(shape)
+            assert block.shape == shape and block.flags.c_contiguous
+            assert block.ctypes.data % 64 == 0 and not block.view(np.uint64).any()
+
+    def test_march_blocks_start_on_a_cache_line(self, monkeypatch):
+        model, coeff, state, cfg = _kernel_run(41)
+        cfg = dataclasses.replace(cfg, collect_diagnostics="all")  # corrections and slopes too
+        blocks, real = [], schemes._aligned
+        monkeypatch.setattr(schemes, "_aligned",
+                            lambda shape: blocks.append(real(shape)) or blocks[-1])
+        march(state, model, coeff, cfg, 0.1)
+        rows = schemes._FOLD_VALUES // 41
+        # the Base and the Half block, then those of the |corrections| and of the slopes
+        assert [b.shape for b in blocks] == [(rows + 1, 41), (rows, 42)] + [(rows, 41),
+                                                                           (rows, 42)] * 2
+        assert all(b.ctypes.data % 64 == 0 for b in blocks)
+
     @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES[:2])
     def test_cfl_checked_once_per_march(self, monkeypatch, scheme, limiter):
         model, coeff, state, cfg = _kernel_run(40, scheme, limiter)

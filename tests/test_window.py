@@ -1,8 +1,9 @@
 """The march steps only the cells that can differ from the far fields.
 
-A march of Riemann data steps a window that grows by the stencil's reach, and must
-give the same bits as chained public steps, which step the whole mesh, and the same
-report as a march that steps the whole mesh.
+A march of Riemann data steps a window that grows by at most the stencil's reach, up to the
+outermost cell whose bits differ from its far field's, and must give the same bits as
+chained public steps, which step the whole mesh, and the same report as a march that steps
+the whole mesh.
 """
 
 import dataclasses
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import discflux.schemes as schemes
 from discflux import (LimiterConfig, LimiterKind, Mesh, Parity, Scheme, SchemeConfig,
                       StaggeredState, builtin_burgers_const_k, builtin_multiplicative,
-                      cell_average_coefficient, lf_step, march, nt_step, run_experiment)
+                      cell_average_coefficient, example_2, lf_step, march, nt_step,
+                      reference_run, run_experiment)
 from discflux.cli import load_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -81,6 +83,30 @@ def _report_bits(report):
     return {k: _hex(v) for k, v in dataclasses.asdict(report).items()}
 
 
+def _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows=None,
+                                         wanted=(), report=True):
+    """A windowed march of `steps` steps gives the states, the snapshots at the `wanted`
+    step indices and the report of a march that steps the whole mesh, bit for bit, and the
+    states of chained public steps."""
+    t_end = steps * cfg.lam * initial.mesh.dx
+    with np.errstate(all="ignore"):
+        snapshots = dict.fromkeys(wanted)
+        final, rep = _march(initial, model, coeff, cfg, t_end, rows, snapshots=snapshots,
+                            report=report)
+        whole, whole_rep = _march(initial, model, coeff, cfg, t_end, rows, windowed=False,
+                                  report=report)
+        chained = [initial]  # the public steps step the whole mesh
+        for _ in range(steps):
+            chained.append(nt_step(chained[-1], model, coeff, cfg)[0]
+                           if cfg.scheme is Scheme.NESSYAHU_TADMOR
+                           else lf_step(chained[-1], model, coeff, cfg.lam))
+    assert rep.steps == steps
+    assert final.values.tobytes() == chained[-1].values.tobytes() == whole.values.tobytes()
+    for n in wanted:
+        assert snapshots[n].values.tobytes() == chained[n].values.tobytes()
+    assert _report_bits(rep) == _report_bits(whole_rep)
+
+
 class TestWindowedMarchEqualsWholeMesh:
     @given(st.sampled_from(MODELS), st.sampled_from(list(Scheme)),
            st.sampled_from([LimiterKind.MINMOD, LimiterKind.MINMOD_MODIFIED]),
@@ -102,23 +128,29 @@ class TestWindowedMarchEqualsWholeMesh:
                            collect_diagnostics="all" if report else False)
         steps = 2 * pairs
         wanted = data.draw(st.lists(st.integers(0, steps), max_size=4))
-        t_end = steps * lam * initial.mesh.dx
-        with np.errstate(all="ignore"):
-            snapshots = dict.fromkeys(wanted)
-            final, rep = _march(initial, model, coeff, cfg, t_end, rows, snapshots=snapshots,
-                                report=report)
-            whole, whole_rep = _march(initial, model, coeff, cfg, t_end, rows, windowed=False,
-                                      report=report)
-            chained = [initial]  # the public steps step the whole mesh
-            for _ in range(steps):
-                chained.append(nt_step(chained[-1], model, coeff, cfg)[0]
-                               if scheme is Scheme.NESSYAHU_TADMOR
-                               else lf_step(chained[-1], model, coeff, cfg.lam))
-        assert rep.steps == steps
-        assert final.values.tobytes() == chained[-1].values.tobytes() == whole.values.tobytes()
-        for n in wanted:
-            assert snapshots[n].values.tobytes() == chained[n].values.tobytes()
-        assert _report_bits(rep) == _report_bits(whole_rep)
+        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows, wanted,
+                                             report)
+
+
+# cells whose bits the value check must tell from the far field's: far-field values with a
+# value beside them that differs in its last bit or only in its sign, and the least subnormal
+NEXT = float(np.nextafter(0.9, 1.0))
+VALUE_CHECKED = {
+    "1 ulp off at the window edge": [0.9, NEXT, 0.5, NEXT, 0.9],
+    "-0.0 beside a +0.0 far field": [0.0, -0.0, 0.5, -0.0, 0.0],
+    "+0.0 beside a -0.0 far field": [-0.0, 0.0, 0.5, 0.0, -0.0],
+    "a 5e-324 far field": [5e-324, 0.0, 0.5, 0.0, 5e-324],
+}
+
+
+class TestValueCheckedWindow:
+    @pytest.mark.parametrize("levels", VALUE_CHECKED.values(), ids=VALUE_CHECKED.keys())
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("model_coeff", MODELS, ids=["multiplicative", "burgers"])
+    def test_states_and_report_bitwise(self, levels, scheme, model_coeff):
+        model, coeff, initial = _riemann(model_coeff(), levels, [19, 20, 40, 41], 60)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, wanted=(1, 2, 7))
 
 
 class TestWindow:
@@ -137,9 +169,11 @@ class TestWindow:
         widths, whole = self._riemann_march(0.9, scheme)
         assert len(widths) == len(whole) == 8
         assert all(w < n for w, n in zip(widths, whole))
-        # the cells that can differ gain 1 1/2 (LF: 1/2) on each side per step
+        # the cells that can differ gain at most the stencil's reach, 1 1/2 (LF: 1/2) on each
+        # side per step; the cells that do differ gain 1/2 with either scheme
         grow = {Scheme.NESSYAHU_TADMOR: 3, Scheme.LAX_FRIEDRICHS: 1}[scheme]
-        assert widths[0] == 10 + 4 and np.diff(widths).tolist() == [grow] * 7
+        assert all(w <= 10 + 4 + grow * i for i, w in enumerate(widths))
+        assert widths == list(range(14, 22))
 
     @pytest.mark.parametrize("far", [math.nan, math.inf, -math.inf, 1e308])
     def test_a_far_field_a_step_does_not_keep_makes_it_step_the_whole_mesh(self, far):
@@ -175,5 +209,17 @@ def test_fine_run_steps_fewer_cells_than_the_mesh():
         run = run_experiment(config.spec, config.scheme)
     n_cells, steps = run.final.mesh.n_cells, run.report.steps
     assert (n_cells, steps, len(widths.widths)) == (8000, 600, 600)
-    # the window holds the 2000 cells between the jumps of u and k, 3 more per step pair
+    # the window holds the 2000 cells between the jumps of u and k, at most 3 more per step
+    # pair (0.363 of the cell-steps), and the cells that differ gain 1 per pair (0.275)
     assert sum(widths.widths) < 0.4 * n_cells * steps
+    assert sum(widths.widths) < 0.3 * n_cells * steps
+
+
+def test_example_2_reference_steps_fewer_cells_than_the_mesh():
+    with pytest.MonkeyPatch.context() as mp:
+        widths = _Widths(mp)
+        run = reference_run(example_2())
+    n_cells, steps = run.final.mesh.n_cells, run.report.steps
+    assert (n_cells, steps, len(widths.widths)) == (2000, 10000, 10000)
+    # 0.900 of the cell-steps when the window grows by the stencil's reach, 0.678 by value
+    assert sum(widths.widths) < 0.75 * n_cells * steps
