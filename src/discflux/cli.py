@@ -10,11 +10,11 @@ Config files are flat `key = value` lines with dotted section keys
 (`limiter.alpha = 0.75`) and `#` comments.  A config parses into an
 `ExperimentSpec`, and `run`, `reproduce` and `study` all march through
 `experiments.run_experiment`, so `study` applies the config's `limiter.*`
-and `cfl_level` on every level.  A key that the run does not read is a
-config error.  Exit codes: 0 success, 1 config or usage error, 2 CFL
-refusal, 3 verification failure, 4 a `run` whose solution left [u_lo, u_hi]
-(a NaN included) or a `study` with a non-finite L1 error (their files are
-written).  The environment variable DISCFLUX_OUTDIR overrides the output
+and `cfl_level` on every level.  A key that the run does not read, or one
+given twice, is a config error.  Exit codes: 0 success, 1 config or usage
+error, 2 CFL refusal, 3 verification failure, 4 a `run` whose solution left
+[u_lo, u_hi] (a NaN included) or a `study` with a non-finite L1 error (their
+files are written).  The environment variable DISCFLUX_OUTDIR overrides the output
 directory.  The `diagnostics` key takes `true` (the default: the estimates
 the paper claims for the run), `all` (every estimate) or `false` (of the
 estimates, only a claimed correction bound); `diagnostics.json` writes `null`
@@ -58,6 +58,7 @@ class ConfigError(ValueError):
 
 def parse_config_text(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -67,7 +68,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value")
-        entries[key] = value
+        if key in entries:
+            raise ConfigError(f"line {lineno}: key {key!r} is given again (first on line "
+                              f"{first_line[key]})")
+        entries[key], first_line[key] = value, lineno
     return entries
 
 

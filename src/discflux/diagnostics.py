@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .flux_model import Coefficient, Convexity, FluxModel
-from .grid import Mesh, Parity, StaggeredState, _replicate
+from .grid import Mesh, Parity, StaggeredState, extend_absorbing
 from .limiter import LimiterKind, slopes  # noqa: F401  (bench/child.py wraps diagnostics.slopes)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -232,7 +232,7 @@ def entropy_residual_lf(prev: StaggeredState, next: StaggeredState, model: FluxM
     if next.parity is prev.parity or next.step_index != prev.step_index + 1:
         raise ValueError("states are not a consecutive staggered transition")
     u, k = ((prev.values, prev.kbar) if prev.parity is Parity.BASE
-            else (_replicate(a, 1) for a in (prev.values, prev.kbar)))
+            else extend_absorbing(prev, 1))
     maxima = _entropy_residuals(u, next.values, model, lam, k,
                                 *_kruzkov_table(k, model, lam, c_grid)).max(axis=-1)
     return max(-math.inf, *maxima.tolist())  # a NaN constant is skipped
@@ -285,24 +285,16 @@ class DiagnosticsCollector:
     """Folds the full check suite over the steps of one march into `report`; the cell
     entropy inequality is judged on first-order (Lax-Friedrichs) marches only.
 
-    `march` is the only caller.  It hands `observe` each block of at most `rows` pairs of
-    steps, in order, as views of the rows it stepped into: the collector copies no state.
-    Each check runs once per block and parity on the block's states as the rows of one
-    array, and the per-step figures enter the report in step order, so the report does not
-    depend on the block size.  The last state of a block heads the next one; its one-sided
-    sums and its jumps carry over.  What is fixed for the run is computed once.
-
-    While the march steps a window of the mesh (see `march`), the per-cell terms (jumps,
-    one-sided parts and cubes, nu and nu*du^2, Kruzkov residuals) are computed on the
-    window's columns only, into rows of the full width that the collector keeps.  Outside
-    the window every term keeps its far-field value: the jump terms are +0.0 from the
-    start, and the fold of the first block computes nu, nu*du^2 and the residuals on the
-    whole width.  Every sum, minimum and maximum still reduces whole rows, so the report is
-    the same bits as that of a march that steps the whole mesh.
+    `march` is the only caller.  It hands `observe` each block of pairs of steps, in order,
+    as views of the rows it stepped into: the collector copies no state.  Each check runs
+    once per block and parity on whole rows, the block's states as the rows of one array,
+    and the per-step figures enter the report in step order, so the report does not depend
+    on the block size.  The last state of a block heads the next one.  What is fixed for
+    the run is computed once.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
-                 report: DiagnosticsReport, rows: int):
+                 report: DiagnosticsReport):
         from .schemes import Scheme  # local import keeps module load acyclic
 
         self.model, self.cfg, self.mesh, self.report = model, cfg, mesh, report
@@ -311,16 +303,6 @@ class DiagnosticsCollector:
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
         self._masks = {p: _window_mask(mesh, p, cfg.window_x) for p in Parity}
         self._fixed: dict[Parity, tuple] = {}
-        self._carry: tuple | None = None  # the last folded state's one-sided sums
-        n = {p: mesh.n_values(p) for p in Parity}
-        self._whole = {p: (0, n[p]) for p in Parity}
-        states = {Parity.BASE: rows + 1, Parity.HALF: rows}  # a block's states per parity
-        self._du = {p: np.zeros((states[p], n[p] - 1)) for p in Parity}
-        self._sums = {p: np.zeros((states[p], n[p] - 1)) for p in Parity}  # jump terms, summed
-        self._nu = {p: np.empty((rows, n[p] - 1)) for p in Parity}
-        self._quad = {p: np.empty((rows, n[p] - 1)) for p in Parity}
-        self._res = ({p: np.empty((rows, ENTROPY_C_COUNT, n[_other(p)])) for p in Parity}
-                     if lf else None)
 
     def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
         """The midpoints of kbar (on Half with its ghost slots) as a row and, for LF, the
@@ -334,33 +316,23 @@ class DiagnosticsCollector:
                                            (kbar, *table) if lf else None)
         return fixed[1:]
 
-    def observe(self, a: np.ndarray, b: np.ndarray, kbars: list, sig, cols):
+    def observe(self, a: np.ndarray, b: np.ndarray, kbars: list, sig):
         """Fold the steps s0 -> s1 -> ... -> s_2m of one block into the report: `a` holds the
         Base states s0, s2, ..., s_2m as rows (s0 is the march's initial state or the last
         state of the previous block), `b` the Half states s1, s3, ..., s_2m-1 with a ghost
         slot at each end, `kbars` the coefficient each step started from (on Half with its
         slots), and `sig` the slopes the steps took on the rows of a[:m] and of `b`, or None
-        (Lax-Friedrichs).  `cols` (lo, hi) says that the block's last step took only the Half
-        cells lo ... hi-1 (an earlier one no more); None, that it took every cell."""
-        rep, base, half, m = self.report, Parity.BASE, Parity.HALF, len(b)
-        # the columns of each parity's values that a step may have changed: all but far fields
-        self._cols = self._whole if cols is None else {half: cols, base: (cols[0], cols[1] + 1)}
-        # the jumps and one-sided sums of s0 ... s_2m in state order; s0's carry over from
-        # the previous block
-        du_a, du_b = self._du[base][:m + 1], self._du[half][:m]
-        m2, cubes = [0.0] * (2 * m + 1), [0.0] * (2 * m + 1)
-        head = self._carry is not None
-        if head:
-            m2[0], cubes[0] = self._carry
-        m2[2 * head::2], cubes[2 * head::2] = self._jump_sums(base, a[head:], du_a[head:])
-        m2[1::2], cubes[1::2] = self._jump_sums(half, b[:, 1:-1], du_b)
+        (Lax-Friedrichs)."""
+        rep, m = self.report, len(b)
+        # the jumps and one-sided sums of s0 ... s_2m in state order
+        du_a, du_b = _jumps(a), _jumps(b[:, 1:-1])
+        m2, cubes = (_interleave(x.tolist(), y.tolist()) for x, y in zip(
+            _one_sided_sums(du_a, self.model), _one_sided_sums(du_b, self.model)))
         sig_a, sig_b = (None, None) if sig is None else sig
         # the steps alternate between the two grids: interleave their terms
         cubic, quad, low, maxima = (_interleave(x, y) for x, y in zip(
-            self._step_terms(base, a[:m], du_a[:m], b[:, 1:-1], sig_a, kbars[0::2]),
-            self._step_terms(half, b, du_b, a[1:], sig_b, kbars[1::2])))
-        lo, hi = self._cols[base]  # s_2m heads the next block: its jumps lie in these columns
-        du_a[0, lo:hi - 1], self._carry = du_a[m, lo:hi - 1], (m2[-1], cubes[-1])
+            self._step_terms(Parity.BASE, a[:m], du_a[:m], b[:, 1:-1], sig_a, kbars[0::2]),
+            self._step_terms(Parity.HALF, b, du_b, a[1:], sig_b, kbars[1::2])))
         rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
                for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
         rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
@@ -376,63 +348,27 @@ class DiagnosticsCollector:
         rep.entropy_max_residual = _greatest(rep.entropy_max_residual,
                                              chain.from_iterable(maxima))
 
-    def _jump_sums(self, parity: Parity, states: np.ndarray, du: np.ndarray) -> tuple:
-        """The jumps of the rows of `states` on `parity`'s grid into the kept columns of `du`'s
-        rows, and per row the sums of their squared and cubed one-sided parts, as lists."""
-        lo, hi = self._cols[parity]
-        m = _one_sided(np.subtract(states[:, lo + 1:hi], states[:, lo:hi - 1],
-                                   out=du[:, lo:hi - 1]), self.model)
-        rows = self._sums[parity][:len(du)]
-        np.square(m, out=rows[:, lo:hi - 1])
-        squares = np.add.reduce(rows, axis=-1).tolist()
-        _cube(m, out=rows[:, lo:hi - 1])
-        return squares, np.add.reduce(rows, axis=-1).tolist()
-
     def _step_terms(self, parity: Parity, u, du, v, sig, kbars: list) -> tuple:
         """Lists with one entry per step from a row of `u` (jumps `du`, slopes `sig`, both on
         Half with the ghost slots) on `parity`'s grid to the row of `v`: the cubic and the
         quadratic terms, the least nu (inf where there is no jump) and, for LF, each Kruzkov
         constant's worst residual (else empty)."""
         model, lam, dx = self.model, self.cfg.lam, self.mesh.dx
-        steps, other = len(kbars), _other(parity)
-        first = self._carry is None  # `observe` sets the carry once the step terms are in
-        cols = self._whole if first else self._cols  # the first block takes every column
-        (lo, hi), (v_lo, v_hi) = cols[parity], cols[other]
-        shift = int(parity is Parity.HALF)  # the left ghost slot
-        cells, jumps = slice(lo + shift, hi + shift), slice(lo, hi - 1)
-        nu_rows, quad_rows = self._nu[parity][:steps], self._quad[parity][:steps]
-        start = 0
+        cells = slice(1, -1) if parity is Parity.HALF else slice(None)  # without the slots
+        quad, low, maxima, start = [], [], [], 0
         for _, run in groupby(kbars, key=id):  # rows that share a kbar
             rows = slice(start, start + len(list(run)))
             kt, kruzkov = self._constants(kbars[start], parity)
-            d = du[rows, jumps]
-            nu = _nu(u[rows, cells], d, kt[:, jumps], None if sig is None else sig[rows, cells],
-                     model, lam)
-            nu_rows[rows, jumps] = nu
-            np.multiply(nu, np.square(d), out=quad_rows[rows, jumps])
+            d = du[rows]
+            nu = _nu(u[rows, cells], d, kt, None if sig is None else sig[rows, cells], model, lam)
+            low += (np.minimum.reduce(nu, axis=-1).tolist() if nu.shape[-1]
+                    else [math.inf] * len(d))
+            quad += (dx * np.add.reduce(nu * np.square(d), axis=-1)).tolist()
             if kruzkov:
-                k_in, c, f_c, jump = kruzkov
-                span = slice(v_lo, v_hi + 1)  # the pairs stepped to v's columns
-                self._res[parity][rows, :, v_lo:v_hi] = _entropy_residuals(
-                    u[rows, span], v[rows, v_lo:v_hi], model, lam, k_in[span], c, f_c[:, span],
-                    jump[:, v_lo:v_hi])
+                maxima += _entropy_residuals(u[rows], v[rows], model, lam,
+                                             *kruzkov).max(axis=-1).tolist()
             start = rows.stop
-        if first:  # the far-field columns now hold for every step
-            for kept in (self._nu, self._quad) + ((self._res,) if self._res is not None
-                                                     else ()):
-                kept[parity][steps:] = kept[parity][0]
-        cubes = self._sums[parity][:steps]
-        _cube(np.abs(du[:, jumps]), out=cubes[:, jumps])
-        low = (np.minimum.reduce(nu_rows, axis=-1).tolist() if nu_rows.shape[-1]
-               else [math.inf] * steps)
-        maxima = ([] if self._res is None
-                  else self._res[parity][:steps].max(axis=-1).tolist())
-        return (_cubic(cubes, dx, self._masks[parity]).tolist(),
-                (dx * np.add.reduce(quad_rows, axis=-1)).tolist(), low, maxima)
-
-
-def _other(parity: Parity) -> Parity:
-    return Parity.HALF if parity is Parity.BASE else Parity.BASE
+        return _cubic(_cube(np.abs(du)), dx, self._masks[parity]).tolist(), quad, low, maxima
 
 
 def _interleave(even: list, odd: list) -> list:

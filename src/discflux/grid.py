@@ -152,13 +152,8 @@ def extend_absorbing(state: StaggeredState, ghost: int) -> tuple[np.ndarray, np.
         raise ValueError("ghost must be >= 1")
     if len(state.values) == 0:
         raise ValueError("cannot extend an empty state")
-    return (_replicate(state.values, ghost), _replicate(state.kbar, ghost))
-
-
-def _replicate(arr: np.ndarray, ghost: int) -> np.ndarray:
-    """Pad the last axis with `ghost` copies of its edge entries on each side."""
-    return np.concatenate([arr[..., :1].repeat(ghost, axis=-1), arr,
-                           arr[..., -1:].repeat(ghost, axis=-1)], axis=-1)
+    return tuple(np.concatenate([a[:1].repeat(ghost), a, a[-1:].repeat(ghost)])
+                 for a in (state.values, state.kbar))
 
 
 def initial_state(mesh: Mesh, coeff: Coefficient, u0: Callable,

@@ -271,14 +271,6 @@ def _run(a: np.ndarray) -> int:
     return int(differ[0]) if len(differ) else len(bits)
 
 
-def _aligned(shape: tuple) -> np.ndarray:
-    """A float array of zeros whose data starts at a 64-byte (cache line) boundary."""
-    size = math.prod(shape)
-    raw = np.zeros(size + 8)
-    start = -raw.ctypes.data % 64 // 8
-    return raw[start:start + size].reshape(shape)
-
-
 def _widened(window: tuple, growth: tuple, bits: np.ndarray, far: tuple) -> tuple:
     """The cells of a stepped row (`bits`, its values as uint64) that can differ from the far
     fields (`far`, their bits): the `window` of the row stepped from, widened on each side by
@@ -360,8 +352,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     far-field bits, equal to them).  After each step the range gains at most the stencil's
     reach on each side (`_GROWTH`), less the outer cells of that gain whose new values hold
     their far field's bits, so it never shrinks; once the slice covers the mesh the march
-    steps the whole arrays.  States, snapshots and the report are the same bits as those of
-    a march that steps the whole mesh.
+    steps the whole arrays.  Only the march knows the window: its blocks hold whole rows
+    (those of the corrections and slopes start as zeros, the +0.0 that a far field's step
+    gives), and the report fold and the collector read them whole.  States, snapshots and
+    the report are the same bits as those of a march that steps the whole mesh.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
@@ -401,7 +395,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
                             cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
                             kappa_bound=kappa)
     rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n) if report else 1
-    collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep, rows) if collect else None
+    collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep) if collect else None
     snapshots = {} if snapshots is None else snapshots
     if initial.step_index in snapshots:
         snapshots[initial.step_index] = initial
@@ -412,12 +406,12 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     end = index + n_steps
     # the blocks of the Base states (n values, after a head row) and of the Half states (n - 1
     # values and a ghost slot at each end); |corrections| and slopes are on the cells stepped from
-    base_rows, half_rows = _aligned((rows + 1, n)), _aligned((rows, n + 1))
+    base_rows, half_rows = np.zeros((rows + 1, n)), np.zeros((rows, n + 1))
     stepped = half_rows[:, 1:-1], base_rows[1:]
     # zeros: the correction and the slope of a cell outside the window are +0.0
-    a_blocks = ((_aligned((rows, n)), _aligned((rows, n + 1)))
+    a_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
                 if stepper.corrections and second_order else ())
-    sig_blocks = ((_aligned((rows, n)), _aligned((rows, n + 1)))
+    sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
                   if collect and second_order else ())
     window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
     if window is not None:  # no step writes a value outside its window: fill in the far fields
@@ -440,16 +434,16 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     for _ in range(n_steps // 2):
         pair = whole[row]
         for from_half, views, k in zip((0, 1), pair, (kbar, k_slotted)):
-            cols, cells = None, every
+            cells = every
             if window is not None:  # step the cells [lo, hi) that reach the changing ones
                 lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n - from_half)
                 if lo or hi < n - from_half:  # a Half row's pairs take its slots' neighbours
-                    cols, cells = (lo, hi), slice(lo, hi + 2 * from_half)
+                    cells = slice(lo, hi + 2 * from_half)
                     k, views = k[cells], stepper.views(views[0][cells], views[3][lo:hi + 1])
                 else:  # the window covers the mesh from here on
                     window = None
             corrections, sig = step(k, views)
-            if cols is not None:
+            if window is not None:  # a step of the window
                 window = _widened(window, growth[from_half], stepped_bits[from_half][row], far)
             if corrections is not None:  # an NT step that computes `correction_max`
                 np.abs(corrections, out=a_blocks[from_half][row][cells])
@@ -471,7 +465,7 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
             if collector is not None:
                 collector.observe(base_rows[:row + 1], half_rows[:row],
                                   [head_kbar, k_slotted] + [k_base, k_slotted] * (row - 1),
-                                  tuple(b[:row] for b in sig_blocks) or None, cols)
+                                  tuple(b[:row] for b in sig_blocks) or None)
                 base_rows[0], head_kbar = base_rows[row], k_base  # heads the next block
             u, row = base_rows[row], 0
     if report:

@@ -57,6 +57,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig.from_entries(entries)
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # a second dx must not override the first without a word
+        text = EX1_CONFIG + "dx = 0.02\n"
+        with pytest.raises(ConfigError, match=r"line 15: key 'dx' is given again \(first on "
+                                              r"line 7\)"):
+            parse_config_text(text)
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+        assert "'dx'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_entries(parse_config_text(EX1_CONFIG + "tpyo = 3\n"))

@@ -526,7 +526,7 @@ class TestFusedCollector:
             final, report = _march_in_blocks(rows, initial, model, coeff, cfg,
                                              14 * 0.05 * mesh.dx)
         assert report.steps == 14 and len(calls) == (1 if rows is None else -(-7 // rows))
-        a, b, _, sig, _ = calls[-1]
+        a, b, _, sig = calls[-1]
         assert a.base is not None and b.base is not None  # views
         assert not np.shares_memory(a, final.values) and a[-1].tobytes() == final.values.tobytes()
         for args in calls[:-1]:  # every block lies in the same two buffers

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import discflux.diagnostics as diagnostics
 import discflux.schemes as schemes
 from discflux import (CflError, CflLevel, Coefficient, Convexity, ExperimentSpec, FluxModel,
                       InitialData, LimiterConfig, LimiterKind, Mesh, Parity, Scheme,
@@ -458,25 +459,18 @@ class TestStepKernel:
         plain, _ = march(state, model, coeff, cfg, two_steps)
         assert final.values.tobytes() != plain.values.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1, 2), (3, 41), (17, 1001)])
-    def test_aligned_blocks_are_zeros_from_a_cache_line(self, shape):
-        for _ in range(8):  # at whatever addresses the heap hands out
-            block = schemes._aligned(shape)
-            assert block.shape == shape and block.flags.c_contiguous
-            assert block.ctypes.data % 64 == 0 and not block.view(np.uint64).any()
-
-    def test_march_blocks_start_on_a_cache_line(self, monkeypatch):
+    def test_collector_folds_whole_rows_of_the_march_blocks(self, monkeypatch):
         model, coeff, state, cfg = _kernel_run(41)
-        cfg = dataclasses.replace(cfg, collect_diagnostics="all")  # corrections and slopes too
-        blocks, real = [], schemes._aligned
-        monkeypatch.setattr(schemes, "_aligned",
-                            lambda shape: blocks.append(real(shape)) or blocks[-1])
+        cfg = dataclasses.replace(cfg, collect_diagnostics="all")  # the slopes too
+        calls, real = [], diagnostics.DiagnosticsCollector.observe
+        monkeypatch.setattr(diagnostics.DiagnosticsCollector, "observe",
+                            lambda self, *args: calls.append(args) or real(self, *args))
         march(state, model, coeff, cfg, 0.1)
         rows = schemes._FOLD_VALUES // 41
-        # the Base and the Half block, then those of the |corrections| and of the slopes
-        assert [b.shape for b in blocks] == [(rows + 1, 41), (rows, 42)] + [(rows, 41),
-                                                                           (rows, 42)] * 2
-        assert all(b.ctypes.data % 64 == 0 for b in blocks)
+        # the Base block and its head row, the Half block with its slots, then the slopes'
+        a, b, _, sig = calls[0]
+        assert [x.base.shape for x in (a, b, *sig)] == [(rows + 1, 41), (rows, 42), (rows, 41),
+                                                        (rows, 42)]
 
     @pytest.mark.parametrize("scheme,limiter", KERNEL_CASES[:2])
     def test_cfl_checked_once_per_march(self, monkeypatch, scheme, limiter):
