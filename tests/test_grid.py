@@ -220,6 +220,17 @@ class TestExtendAbsorbing:
         assert ev.tolist() == [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
         assert ek.tolist() == [3.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0]
 
+    def test_half_state_takes_one_copy_of_each_edge(self):
+        # the padding entropy_residual_lf gives a Half state: new arrays, the edges' bits
+        mesh = Mesh.from_cells(0.0, 3.0, 3)
+        state = StaggeredState(mesh=mesh, values=np.array([-0.0, 2.0]),
+                               kbar=np.array([3.0, 1.0]),
+                               parity=Parity.HALF, time=0.1, step_index=1)
+        ev, ek = extend_absorbing(state, 1)
+        assert ev.tobytes() == np.array([-0.0, -0.0, 2.0, 2.0]).tobytes()
+        assert ek.tolist() == [3.0, 3.0, 1.0, 1.0]
+        assert not np.shares_memory(ev, state.values) and not np.shares_memory(ek, state.kbar)
+
     def test_ghost_count_validated(self):
         mesh = Mesh.from_cells(0.0, 3.0, 3)
         state = StaggeredState(mesh=mesh, values=np.ones(3), kbar=np.ones(3),

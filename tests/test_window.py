@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discflux.diagnostics as diagnostics
 import discflux.schemes as schemes
 from discflux import (LimiterConfig, LimiterKind, Mesh, Parity, Scheme, SchemeConfig,
                       StaggeredState, builtin_burgers_const_k, builtin_multiplicative,
@@ -151,6 +152,34 @@ class TestValueCheckedWindow:
         model, coeff, initial = _riemann(model_coeff(), levels, [19, 20, 40, 41], 60)
         cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
         _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, wanted=(1, 2, 7))
+
+
+class TestWholeRowCollector:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_observes_the_rows_of_a_whole_mesh_march(self, scheme):
+        # the collector is not told the window: a march that steps a window hands it every
+        # cell of every row, the bits that a march stepping the whole mesh hands it
+        model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0), [0.9, 0.5, 0.2],
+                                         [20, 30], 60)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        observed, stepped, real = {}, {}, diagnostics.DiagnosticsCollector.observe
+        for windowed in (True, False):
+            calls = observed[windowed] = []
+
+            def recorded(self, a, b, kbars, sig):
+                arrays = (a, b, *kbars, *(sig or ()))
+                calls.append([(x.shape, x.tobytes()) for x in arrays])  # the blocks are reused
+                return real(self, a, b, kbars, sig)
+
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                mp.setattr(diagnostics.DiagnosticsCollector, "observe", recorded)
+                widths = _Widths(mp)
+                _march(initial, model, coeff, cfg, 8 * cfg.lam * initial.mesh.dx, rows=2,
+                       windowed=windowed)
+            stepped[windowed] = sum(widths.widths)
+        assert stepped[True] < stepped[False] == 4 * (60 + 59)
+        assert len(observed[True]) == 2 and all(c[0][0] == (3, 60) for c in observed[True])
+        assert observed[True] == observed[False]
 
 
 class TestWindow:
