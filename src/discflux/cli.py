@@ -48,6 +48,7 @@ _LIMITERS = {kind.value: kind for kind in LimiterKind}
 _INITIAL = {"constant": lambda r: InitialData.constant(r.number("u0.value")),
             "step": lambda r: InitialData.step(r.number("u0.left"), r.number("u0.right"),
                                                at=r.number("u0.jump", "0"))}
+_SOLUTION = "u_t{:.6f}.csv"  # the solution file of `run` at each output time
 _DIAGNOSTICS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
                 **dict.fromkeys(("false", "0", "no", "off"), False), "all": "all"}
 
@@ -158,6 +159,12 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if unread := sorted(set(entries) - r.read):
             raise ConfigError("keys this run does not read: " + ", ".join(map(repr, unread)))
+        first = {}  # the solution of a time that shares its file with another would be lost
+        for t in spec.output_times:
+            if (name := _SOLUTION.format(t)) in first:
+                raise ConfigError(f"t_end {first[name]!r} and {t!r} share the solution file "
+                                  f"{name}")
+            first[name] = t
         out_dir = Path(out_override or os.environ.get("DISCFLUX_OUTDIR") or out_dir)
         return cls(spec=spec, scheme=scheme, output_dir=out_dir,
                    diagnostics=diagnostics, reference_given=ref_dx is not None)
@@ -195,7 +202,7 @@ def cmd_run(args) -> int:
     run = run_experiment(config.spec, config.scheme, collect_diagnostics=config.diagnostics)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for t, state in run.states.items():
-        write_state_csv(state, config.output_dir / f"u_t{t:.6f}.csv")
+        write_state_csv(state, config.output_dir / _SOLUTION.format(t))
     _write_report(run.report, config.output_dir / "diagnostics.json")
     print(f"wrote {len(config.spec.output_times)} solution file(s) and diagnostics.json "
           f"to {config.output_dir} ({run.report.steps} steps)")

@@ -42,9 +42,12 @@ MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 wo
 # // n_cells) when a collector folds it: the collector's per-cell terms of a whole block, 11 per
 # cell for the LF Kruzkov residuals, would take megabytes at the larger size
 _BLOCK_VALUES, _FOLD_VALUES = 16384, 1024
-_MARGIN = 2  # far-field cells a windowed step keeps inside its slice at each end
-_STRIP = 4  # cells of the strip that checks that a step maps a far field to itself
-# the most cells the range of values that may differ from the far fields can gain on the left
+_MARGIN = 2  # plateau cells a windowed step keeps inside its slice at each end
+# by second order, the fewest cells of a plateau between the far fields that a march cuts out
+# of its steps: where one step of several slices breaks even with one slice over the plateau
+_PLATEAU = {False: 2200, True: 550}
+_STRIP = 4  # cells of the strip that checks that a step maps a plateau to itself
+# the most cells a range of values that may differ from the plateaus can gain on the left
 # and on the right with a step from Base and with one from Half: a Half value is stepped from
 # Base cells j-1 ... j+2 (LF: j, j+1), a Base value from Half values j-2 ... j+1 (LF: j-1, j)
 _GROWTH = {False: ((1, 0), (0, 1)), True: ((2, 1), (1, 2))}  # keyed by second order
@@ -271,20 +274,29 @@ def _run(a: np.ndarray) -> int:
     return int(differ[0]) if len(differ) else len(bits)
 
 
-def _widened(window: tuple, growth: tuple, bits: np.ndarray, far: tuple) -> tuple:
-    """The cells of a stepped row (`bits`, its values as uint64) that can differ from the far
-    fields (`far`, their bits): the `window` of the row stepped from, widened on each side by
-    the `growth` the stencil allows, less the outer cells that hold their far field's bits."""
-    lo, hi = window
-    for j in range(max(lo - growth[0], 0), lo):
-        if bits[j] != far[0]:
-            lo = j
-            break
-    for j in range(min(hi + growth[1], len(bits)) - 1, hi - 1, -1):
-        if bits[j] != far[1]:
-            hi = j + 1
-            break
-    return lo, hi
+def _widened(window: list, growth: tuple, bits: np.ndarray, plateaus: list) -> tuple:
+    """The ranges of cells of a stepped row (`bits`, its values as uint64) that can differ from
+    the plateaus around them, and their bits: each range of the `window` of the row stepped
+    from, between `plateaus[i]` and `plateaus[i + 1]`, widened on each side by the `growth` the
+    stencil allows, less the outer cells that hold their plateau's bits.  Two ranges merge
+    once the plateau between them is too short to keep their slices apart: a slice of a Half
+    row takes 3 cells more at each end of its range (so a plateau must hold 2 * _MARGIN + 2)."""
+    ranges, kept = [], [plateaus[0]]
+    for (lo, hi), left, right in zip(window, plateaus, plateaus[1:]):
+        for j in range(max(lo - growth[0], 0), lo):
+            if bits[j] != left:
+                lo = j
+                break
+        for j in range(min(hi + growth[1], len(bits)) - 1, hi - 1, -1):
+            if bits[j] != right:
+                hi = j + 1
+                break
+        if ranges and lo - ranges[-1][1] < 2 * _MARGIN + 2:
+            ranges[-1], kept[-1] = (ranges[-1][0], hi), right
+        else:
+            ranges.append((lo, hi))
+            kept.append(right)
+    return ranges, kept
 
 
 def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bool:
@@ -300,11 +312,14 @@ def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bo
 
 
 def _far_fields(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray) -> tuple | None:
-    """The Base cells (lo, hi) between the left and right far fields of a march from Base
-    values `u` with `kbar`, outside of which `u` and the averaged coefficient of both
-    parities hold their edge values, bit for bit; None when the march must step the whole
-    mesh from the start (no far field, one that a step does not map to itself, or a range
-    whose stepped window covers the mesh)."""
+    """The sorted ranges [lo, hi) of Base cells of a march from Base values `u` with `kbar`
+    that can differ from the plateaus around them, and those plateaus' bits (one left of each
+    range, one right of the last); None when the march must step the whole mesh from the
+    start (no far field, one that a step does not map to itself, or one range whose stepped
+    window covers the mesh).  The far fields are the longest runs from the edges where `u` and
+    the averaged coefficient of both parities hold one value each, bit for bit, with a cell
+    between them; between them, so is each run of at least _PLATEAU cells that hold one value
+    with both neighbours, a cell apart from the far fields, and that a step maps to itself."""
     n, k_base, k_half = len(u), stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
     if kbar is not k_base and kbar.tobytes() != k_base.tobytes():
         return None
@@ -315,13 +330,27 @@ def _far_fields(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray) -> tuple | N
     left = min(left, n - 1 - min(right, n - 1))
     right = min(right, n - 1 - left)
     lo, hi = left, n - right
-    if lo <= _MARGIN and hi >= n - _MARGIN:
+
+    def kept(j: int) -> bool:  # a step maps the plateau of cell j to itself on both parities
+        return all(_maps_to_itself(stepper, u[j], k[j], parity)
+                   for parity, k in ((Parity.BASE, k_base), (Parity.HALF, k_half)))
+
+    ub, kb, kh = (np.ascontiguousarray(a, dtype=float).view(np.uint64)
+                  for a in (u, k_base, k_half))
+    m = max(hi - lo - 2, 0)  # the cells lo + 1 ... hi - 2 and their neighbours
+    prev, mid, nxt = (slice(lo + d, lo + d + m) for d in range(3))
+    inner = ((ub[prev] == ub[mid]) & (ub[mid] == ub[nxt]) & (kb[prev] == kb[mid])
+             & (kb[mid] == kb[nxt]) & (kh[prev] == kh[mid]))
+    edges = (np.flatnonzero(np.diff(inner, prepend=False, append=False)) + lo + 1).tolist()
+    fewest = _PLATEAU[stepper.limiter is not None]
+    cut = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if b - a >= fewest and kept(a)]
+    if not cut and lo <= _MARGIN and hi >= n - _MARGIN:
         return None
-    for size, edge in ((left, 0), (right, -1)):
-        if size and not all(_maps_to_itself(stepper, u[edge], k[edge], parity)
-                            for parity, k in ((Parity.BASE, k_base), (Parity.HALF, k_half))):
-            return None
-    return lo, hi
+    if not all(kept(edge) for size, edge in ((left, 0), (right, -1)) if size):
+        return None
+    bounds = [lo, *sum(cut, ()), hi]
+    return (list(zip(bounds[::2], bounds[1::2])),
+            [int(ub[j]) for j in (0, *(a for a, _ in cut), -1)])
 
 
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
@@ -340,20 +369,23 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     too (so that it keeps no block alive), and the initial values are never written.
 
     A step changes a value only inside its stencil, so the march steps only the cells
-    that can differ from the far fields.  The left (right) far field is the longest
-    prefix (suffix) of cells where the initial values and the averaged coefficient of
-    both parities hold the edge values, bit for bit.  Once per march a step of a short
-    strip of each far field, on each parity, must give back its value bit for bit with
-    +0.0 corrections (not so for NaN, +-inf or 1e308); else, or without a far field, the
-    march steps the whole mesh.  Otherwise the blocks start out holding the far-field
-    values and the step kernel takes the slice of the cells that can differ, with 2
-    far-field cells more at each end, so that its edges compute what the whole step
-    computes there (a slice of a Half row takes its ends' real neighbours for the slots:
-    far-field bits, equal to them).  After each step the range gains at most the stencil's
-    reach on each side (`_GROWTH`), less the outer cells of that gain whose new values hold
-    their far field's bits, so it never shrinks; once the slice covers the mesh the march
-    steps the whole arrays.  Only the march knows the window: its blocks hold whole rows
-    (those of the corrections and slopes start as zeros, the +0.0 that a far field's step
+    that can differ from the plateaus of the initial data (`_far_fields`): runs of cells
+    where the values and the averaged coefficient of both parities each hold one value, bit
+    for bit, that a step maps to itself (not so for NaN, +-inf or 1e308), found once per
+    march.  They are the far fields at the edges and, between them, runs of at least
+    `_PLATEAU` cells, a break-even per scheme; without a far field, or with one that a step
+    changes, the march steps the whole mesh.  Otherwise the blocks start out holding the
+    initial values and the window is a sorted list of ranges between plateaus.  The kernel
+    takes each range's slice with 2 plateau cells more at each end, so that its edges compute
+    what the whole step computes there (a slice of a Half row takes its ends' real neighbours
+    for the slots: plateau bits, equal to them).  One range is stepped in place; several are
+    joined end to end in buffers of the march and stepped in one call, and each slice's
+    values, corrections and slopes are copied back (the pair where two slices meet, 2 + 2
+    cells of one plateau, is dropped).  After each step a range gains at most the stencil's
+    reach on each side (`_GROWTH`), less the outer cells of that gain that hold their
+    plateau's bits, so it never shrinks (`_widened`); once one slice covers the mesh the
+    march steps the whole arrays.  Only the march knows the window: its blocks hold whole
+    rows (those of the corrections and slopes start as zeros, the +0.0 that a plateau's step
     gives), and the report fold and the collector read them whole.  States, snapshots and
     the report are the same bits as those of a march that steps the whole mesh.
 
@@ -414,12 +446,13 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
                   if collect and second_order else ())
     window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
-    if window is not None:  # no step writes a value outside its window: fill in the far fields
-        for b in (base_rows, half_rows):
-            b[:, :window[0]], b[:, window[0]:] = u[0], u[-1]
+    if window is not None:  # no step writes a value outside its ranges: fill in the plateaus
+        window, plateaus = window
+        base_rows[:], half_rows[:, :-1], half_rows[:, -1] = u, u, u[-1]
         growth = _GROWTH[second_order]
-        far = tuple(np.asarray(u[[0, -1]], dtype=float).view(np.uint64).tolist())
         stepped_bits = tuple(b.view(np.uint64) for b in stepped)
+        if len(window) > 1:  # ranges only merge: a march of one range never joins slices
+            u_joined, k_joined, v_joined = np.empty(n + 1), np.empty(n + 1), np.empty(n + 2)
     # across the whole mesh, Base row r steps into Half row r and that into Base row r + 1; a
     # block starts from the head row (without a collector, from the last row of the one before)
     head = 0 if collector is not None else rows
@@ -434,21 +467,38 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     for _ in range(n_steps // 2):
         pair = whole[row]
         for from_half, views, k in zip((0, 1), pair, (kbar, k_slotted)):
-            cells = every
-            if window is not None:  # step the cells [lo, hi) that reach the changing ones
-                lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n - from_half)
+            cells, spans = every, None  # spans: (cells of the row, of the kernel's arrays)
+            if window is not None and len(window) > 1:  # one step of the slices, joined
+                spans, size = [], 0
+                for lo, hi in window:  # each range's slice, as below
+                    cells = slice(max(lo - _MARGIN, 0),
+                                  min(hi + _MARGIN, n - from_half) + 2 * from_half)
+                    at = slice(size, size + cells.stop - cells.start)
+                    u_joined[at], k_joined[at], size = views[0][cells], k[cells], at.stop
+                    spans.append((cells, at))
+                k = k_joined[:size]
+                views = stepper.views(u_joined[:size], v_joined[:size + 1 - 2 * from_half])
+            elif window is not None:  # step the cells [lo, hi) that reach the changing ones
+                lo, hi = max(window[0][0] - _MARGIN, 0), min(window[0][1] + _MARGIN, n - from_half)
                 if lo or hi < n - from_half:  # a Half row's pairs take its slots' neighbours
                     cells = slice(lo, hi + 2 * from_half)
                     k, views = k[cells], stepper.views(views[0][cells], views[3][lo:hi + 1])
                 else:  # the window covers the mesh from here on
                     window = None
             corrections, sig = step(k, views)
+            if spans:  # each slice's values, less the pair where two slices meet
+                more = 1 - 2 * from_half  # the values a step gives less the values it takes
+                for cells, at in spans:
+                    pair[from_half][3][cells.start:cells.stop + more] = \
+                        views[3][at.start:at.stop + more]
             if window is not None:  # a step of the window
-                window = _widened(window, growth[from_half], stepped_bits[from_half][row], far)
-            if corrections is not None:  # an NT step that computes `correction_max`
-                np.abs(corrections, out=a_blocks[from_half][row][cells])
-            if sig_blocks:  # an NT step with a collector
-                sig_blocks[from_half][row][cells] = sig
+                window, plateaus = _widened(window, growth[from_half],
+                                            stepped_bits[from_half][row], plateaus)
+            for cells, at in spans or ((cells, every),):
+                if corrections is not None:  # an NT step that computes `correction_max`
+                    np.abs(corrections[at], out=a_blocks[from_half][row][cells])
+                if sig_blocks:  # an NT step with a collector
+                    sig_blocks[from_half][row][cells] = sig[at]
             time += dt
             index += 1
             if index in snapshots:  # the values without the slots

@@ -67,6 +67,20 @@ class TestConfigParsing:
         assert "'dx'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("times, shared", [
+        ("0.1, 0.1000001, 0.1", r"t_end 0\.1 and 0\.1000001 share the solution file "
+                                r"u_t0\.100000\.csv"),
+        ("0.8, 1.6, 0.8", r"t_end 0\.8 and 0\.8 share the solution file u_t0\.800000\.csv"),
+    ])
+    def test_times_that_share_a_solution_file_rejected(self, tmp_path, capsys, times, shared):
+        # each time's file would overwrite the last, and the run said it wrote them all
+        text = EX1_CONFIG.replace("t_end = 0.8, 1.6", f"t_end = {times}")
+        with pytest.raises(ConfigError, match=shared):
+            RunConfig.from_entries(parse_config_text(text))
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+        assert "share the solution file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_entries(parse_config_text(EX1_CONFIG + "tpyo = 3\n"))

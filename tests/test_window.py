@@ -1,29 +1,34 @@
-"""The march steps only the cells that can differ from the far fields.
+"""The march steps only the cells that can differ from the plateaus of its initial data.
 
-A march of Riemann data steps a window that grows by at most the stencil's reach, up to the
-outermost cell whose bits differ from its far field's, and must give the same bits as
-chained public steps, which step the whole mesh, and the same report as a march that steps
-the whole mesh.
+A march of piecewise-constant data steps a window that grows by at most the stencil's reach,
+up to the outermost cell whose bits differ from its plateau's: the far fields at the edges
+and, between them, each plateau of at least `schemes._PLATEAU` cells, which splits the window
+into ranges stepped in one kernel call.  It must give the same bits as chained public steps,
+which step the whole mesh, and the same report as a march that steps the whole mesh.  Marches
+with one range (a front, or fronts closer than `_PLATEAU`) step exactly the cells they
+stepped before plateaus were cut out.
 """
 
 import dataclasses
+import importlib.util
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import discflux.diagnostics as diagnostics
 import discflux.schemes as schemes
 from discflux import (LimiterConfig, LimiterKind, Mesh, Parity, Scheme, SchemeConfig,
                       StaggeredState, builtin_burgers_const_k, builtin_multiplicative,
-                      cell_average_coefficient, example_2, lf_step, march, nt_step,
-                      reference_run, run_experiment)
-from discflux.cli import load_config
+                      cell_average_coefficient, example_1, example_2, lf_step, march, nt_step,
+                      reference_run, refinement_study, run_experiment)
+from discflux.cli import RunConfig, load_config, parse_config_text
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 FAR_SPECIAL = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]
 MODELS = [lambda: builtin_multiplicative(3.0, 1.0), builtin_burgers_const_k]
 
@@ -63,15 +68,33 @@ class _Widths:
         mp.setattr(schemes, "_maps_to_itself", unrecorded)
 
 
-def _march(initial, model, coeff, cfg, t_end, rows=None, windowed=True, **kwargs):
+def _plateau(mp, cells):
+    """Cut out interior plateaus of at least `cells` cells (None: the default) in both schemes."""
+    if cells is not None:
+        mp.setattr(schemes, "_PLATEAU", {False: cells, True: cells})
+
+
+def _ranges(model, coeff, initial, cfg, plateau=None):
+    """The ranges a march of `initial` starts from, None when it steps the whole mesh."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        _plateau(mp, plateau)
+        limiter = cfg.limiter if cfg.scheme is Scheme.NESSYAHU_TADMOR else None
+        stepper = schemes._Stepper(model, coeff, initial.mesh, cfg.lam, limiter)
+        found = schemes._far_fields(stepper, initial.values, initial.kbar)
+    return None if found is None else found[0]
+
+
+def _march(initial, model, coeff, cfg, t_end, rows=None, windowed=True, plateau=None, **kwargs):
     """`march` with blocks of `rows` pairs of steps, with or without a collector (None: the
-    default sizes), stepping the whole mesh unless `windowed`."""
+    default sizes), stepping the whole mesh unless `windowed`, cutting out the plateaus of at
+    least `plateau` cells (None: the default)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             for name in ("_BLOCK_VALUES", "_FOLD_VALUES"):
                 mp.setattr(schemes, name, rows * initial.mesh.n_cells)
         if not windowed:
             mp.setattr(schemes, "_far_fields", lambda *args: None)
+        _plateau(mp, plateau)
         return march(initial, model, coeff, cfg, t_end, **kwargs)
 
 
@@ -85,15 +108,15 @@ def _report_bits(report):
 
 
 def _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows=None,
-                                         wanted=(), report=True):
-    """A windowed march of `steps` steps gives the states, the snapshots at the `wanted`
-    step indices and the report of a march that steps the whole mesh, bit for bit, and the
-    states of chained public steps."""
+                                         wanted=(), report=True, plateau=None):
+    """A windowed march of `steps` steps (cutting out plateaus of at least `plateau` cells)
+    gives the states, the snapshots at the `wanted` step indices and the report of a march
+    that steps the whole mesh, bit for bit, and the states of chained public steps."""
     t_end = steps * cfg.lam * initial.mesh.dx
     with np.errstate(all="ignore"):
         snapshots = dict.fromkeys(wanted)
         final, rep = _march(initial, model, coeff, cfg, t_end, rows, snapshots=snapshots,
-                            report=report)
+                            report=report, plateau=plateau)
         whole, whole_rep = _march(initial, model, coeff, cfg, t_end, rows, windowed=False,
                                   report=report)
         chained = [initial]  # the public steps step the whole mesh
@@ -133,6 +156,36 @@ class TestWindowedMarchEqualsWholeMesh:
                                              report)
 
 
+class TestSeveralRangesEqualWholeMesh:
+    @given(st.sampled_from(MODELS), st.sampled_from(list(Scheme)),
+           st.sampled_from([LimiterKind.MINMOD, LimiterKind.MINMOD_MODIFIED]),
+           st.integers(min_value=6, max_value=10), st.integers(min_value=1, max_value=20),
+           st.booleans(), st.sampled_from([None, 1, 2, 3]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_states_and_report_bitwise(self, model_coeff, scheme, kind, plateau, pairs, report,
+                                       rows, data):
+        # piecewise-constant data on 20 to 120 cells with a level between the far fields that
+        # spans at least `plateau` + 2 cells, so that it can be cut out of the steps
+        level = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 1.0))
+        levels = data.draw(st.lists(level, min_size=3, max_size=5))
+        long = data.draw(st.integers(1, len(levels) - 2))
+        cells = [data.draw(st.integers(plateau + 2, 40) if i == long else
+                           st.integers(1, 25 if i in (0, len(levels) - 1) else 15))
+                 for i in range(len(levels))]
+        cells[-1] += max(20 - sum(cells), 0)
+        model, coeff, initial = _riemann(model_coeff(), levels, np.cumsum(cells)[:-1],
+                                         sum(cells))
+        limiter = LimiterConfig(kind=kind, k_tilde=data.draw(st.floats(0.01, 2.0)))
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=0.5 * 0.2 / model.sup_fu,
+                           collect_diagnostics="all" if report else False)
+        ranges = _ranges(model, coeff, initial, cfg, plateau)
+        assume(ranges is not None and len(ranges) >= 2)  # a level beside it may be its equal
+        steps = 2 * pairs
+        wanted = data.draw(st.lists(st.integers(0, steps), max_size=4))
+        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows, wanted,
+                                             report, plateau)
+
+
 # cells whose bits the value check must tell from the far field's: far-field values with a
 # value beside them that differs in its last bit or only in its sign, and the least subnormal
 NEXT = float(np.nextafter(0.9, 1.0))
@@ -154,14 +207,71 @@ class TestValueCheckedWindow:
         _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, wanted=(1, 2, 7))
 
 
-class TestWholeRowCollector:
+# an interior plateau (cells 21 to 58, split at the multiplicative model's coefficient jump at
+# cell 40) with a value beside it that differs in its last bit or only in its sign, and the
+# least subnormal plateau
+PLATEAU_CHECKED = {
+    "1 ulp off at a plateau's edge": (0.9, NEXT),
+    "-0.0 beside a +0.0 plateau": (0.0, -0.0),
+    "+0.0 beside a -0.0 plateau": (-0.0, 0.0),
+    "a 5e-324 plateau": (5e-324, 0.0),
+}
+
+
+def _plateau_riemann(model_coeff, value, beside):
+    return _riemann(model_coeff, [0.3, 0.6, beside, value, beside, 0.6, 0.3],
+                    [10, 20, 21, 59, 60, 70], 80)
+
+
+class TestValueCheckedPlateau:
+    @pytest.mark.parametrize("value, beside", PLATEAU_CHECKED.values(),
+                             ids=PLATEAU_CHECKED.keys())
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_observes_the_rows_of_a_whole_mesh_march(self, scheme):
-        # the collector is not told the window: a march that steps a window hands it every
-        # cell of every row, the bits that a march stepping the whole mesh hands it
-        model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0), [0.9, 0.5, 0.2],
-                                         [20, 30], 60)
+    @pytest.mark.parametrize("model_coeff", MODELS, ids=["multiplicative", "burgers"])
+    def test_states_and_report_bitwise(self, value, beside, scheme, model_coeff):
+        model, coeff, initial = _plateau_riemann(model_coeff(), value, beside)
         cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        assert len(_ranges(model, coeff, initial, cfg, 10)) >= 2
+        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, wanted=(1, 2, 7),
+                                             plateau=10)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_plateau_a_step_changes_is_not_cut_out(self, value, scheme):
+        model, coeff, initial = _plateau_riemann(builtin_multiplicative(3.0, 1.0), value, 0.5)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        assert _ranges(model, coeff, initial, cfg, 10) == [(10, 70)]
+        assert len(_ranges(*_plateau_riemann(builtin_multiplicative(3.0, 1.0), 0.9, 0.5)[:3],
+                           cfg, 10)) == 3  # a finite plateau, cut out on each side of x = 0
+        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, wanted=(1, 2, 7),
+                                             plateau=10)
+
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_half_coefficient_that_changes_splits_a_plateau(self, scheme):
+        # Base averages that hold one value around a Half average that does not (no builtin
+        # coefficient gives such averages): the plateau is cut out on each side of that value
+        model, coeff, initial = _plateau_riemann(builtin_burgers_const_k(), 0.9, 0.5)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        real = schemes.cell_average_coefficient
+
+        def bumped(mesh, coeff, parity):
+            k = real(mesh, coeff, parity)
+            k[40] += 0.5 * (parity is Parity.HALF)
+            return k
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "cell_average_coefficient", bumped)
+            assert _ranges(model, coeff, initial, cfg, 10) == [(10, 22), (40, 42), (58, 70)]
+            _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24,
+                                                 wanted=(1, 2, 7), plateau=10)
+
+
+class TestWholeRowCollector:
+    @staticmethod
+    def _observed(model, coeff, initial, cfg, plateau=None):
+        """The arrays each `observe` of a windowed march and of a march of the whole mesh
+        receives, and the cells each steps, keyed by windowed."""
         observed, stepped, real = {}, {}, diagnostics.DiagnosticsCollector.observe
         for windowed in (True, False):
             calls = observed[windowed] = []
@@ -175,10 +285,32 @@ class TestWholeRowCollector:
                 mp.setattr(diagnostics.DiagnosticsCollector, "observe", recorded)
                 widths = _Widths(mp)
                 _march(initial, model, coeff, cfg, 8 * cfg.lam * initial.mesh.dx, rows=2,
-                       windowed=windowed)
+                       windowed=windowed, plateau=plateau)
             stepped[windowed] = sum(widths.widths)
+        return observed, stepped
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_observes_the_rows_of_a_whole_mesh_march(self, scheme):
+        # the collector is not told the window: a march that steps a window hands it every
+        # cell of every row, the bits that a march stepping the whole mesh hands it
+        model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0), [0.9, 0.5, 0.2],
+                                         [20, 30], 60)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        observed, stepped = self._observed(model, coeff, initial, cfg)
         assert stepped[True] < stepped[False] == 4 * (60 + 59)
         assert len(observed[True]) == 2 and all(c[0][0] == (3, 60) for c in observed[True])
+        assert observed[True] == observed[False]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_observes_the_rows_of_a_march_of_several_ranges(self, scheme):
+        # nor the ranges: the march copies each slice's values, corrections and slopes back
+        model, coeff, initial = _plateau_riemann(builtin_multiplicative(3.0, 1.0), 0.9, 0.5)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        assert len(_ranges(model, coeff, initial, cfg, 10)) == 3
+        observed, stepped = self._observed(model, coeff, initial, cfg, plateau=10)
+        one_range = self._observed(model, coeff, initial, cfg)[1][True]
+        assert stepped[True] < one_range < stepped[False] == 4 * (80 + 79)
+        assert len(observed[True]) == 2 and all(c[0][0] == (3, 80) for c in observed[True])
         assert observed[True] == observed[False]
 
 
@@ -220,7 +352,9 @@ class TestWindow:
         u = np.where(np.arange(60) < 20, far, 0.2)
         assert schemes._far_fields(stepper, u, k) is None
         # the right far field starts at the coefficient's jump
-        assert schemes._far_fields(stepper, np.where(np.arange(60) < 20, 0.9, 0.2), k) == (20, 30)
+        bits = [int(np.float64(x).view(np.uint64)) for x in (0.9, 0.2)]
+        assert (schemes._far_fields(stepper, np.where(np.arange(60) < 20, 0.9, 0.2), k)
+                == ([(20, 30)], bits))
 
     def test_an_initial_kbar_of_its_own_makes_it_step_the_whole_mesh(self):
         model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0), [0.9, 0.2], [20], 60)
@@ -239,9 +373,11 @@ def test_fine_run_steps_fewer_cells_than_the_mesh():
     n_cells, steps = run.final.mesh.n_cells, run.report.steps
     assert (n_cells, steps, len(widths.widths)) == (8000, 600, 600)
     # the window holds the 2000 cells between the jumps of u and k, at most 3 more per step
-    # pair (0.363 of the cell-steps), and the cells that differ gain 1 per pair (0.275)
+    # pair (0.363 of the cell-steps), and the cells that differ gain 1 per pair (0.275); the
+    # plateau u = 0.2, k = 3 between them is cut out, so the two fronts alone are stepped (0.037)
     assert sum(widths.widths) < 0.4 * n_cells * steps
     assert sum(widths.widths) < 0.3 * n_cells * steps
+    assert sum(widths.widths) < 0.04 * n_cells * steps
 
 
 def test_example_2_reference_steps_fewer_cells_than_the_mesh():
@@ -252,3 +388,46 @@ def test_example_2_reference_steps_fewer_cells_than_the_mesh():
     assert (n_cells, steps, len(widths.widths)) == (2000, 10000, 10000)
     # 0.900 of the cell-steps when the window grows by the stencil's reach, 0.678 by value
     assert sum(widths.widths) < 0.75 * n_cells * steps
+
+
+def _study():
+    """`study --halvings 4` on bench/run.py's study config at its seed-0 value."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    entries = parse_config_text(bench.STUDY_CFG.format(value="0.15"))
+    config = RunConfig.from_entries(entries)
+    refinement_study(config.spec, config.scheme, 4)
+
+
+def _reproduce(example):
+    spec = example()
+    for scheme in (Scheme.NESSYAHU_TADMOR, Scheme.LAX_FRIEDRICHS):
+        run_experiment(spec, scheme)
+    reference_run(spec)
+
+
+# (steps, summed widths) of each march in the order run, recorded before interior plateaus were
+# cut out: none of these marches has a plateau of _PLATEAU cells between its far fields
+SINGLE_FRONT = {
+    "reproduce 1": (lambda: _reproduce(example_1),
+                    [(1200, 58343), (1200, 58343), (24000, 23491993)]),
+    "reproduce 2": (lambda: _reproduce(example_2),
+                    [(250, 11846), (250, 11846), (10000, 13560387)]),
+    "study": (_study, [(38400, 117753593), (600, 28643), (1200, 114793), (2400, 459593),
+                       (4800, 1839193)]),
+}
+
+
+@pytest.mark.parametrize("name", SINGLE_FRONT)
+def test_marches_of_one_range_step_the_cells_they_stepped_before(name):
+    run, expected = SINGLE_FRONT[name]
+    with pytest.MonkeyPatch.context() as mp:
+        widths = _Widths(mp)
+        run()
+    sums, at = [], 0
+    for steps, _ in expected:
+        sums.append((steps, sum(widths.widths[at:at + steps])))
+        at += steps
+    assert at == len(widths.widths)
+    assert sums == expected
