@@ -209,32 +209,34 @@ def reference_run(spec: ExperimentSpec, times: tuple[float, ...] | None = None, 
 
 
 def refinement_study(spec: ExperimentSpec, scheme: Scheme, halvings: int,
-                     time: float | None = None,
+                     times: tuple[float, ...] | None = None,
                      reference: ExperimentRun | None = None) -> ErrorTable:
-    """Errors and observed orders across successive mesh halvings.
+    """Errors and observed orders across successive mesh halvings at each of `times` (default:
+    the first output time).
 
     Runs the scheme at dx, dx/2, ..., dx/2^(halvings-1) against the
     first-order fine reference; the reference mesh must nest every level.
-    Orders are log2(e_i / e_{i+1}); the finest row is left blank.  Only the
-    states are read, so no march it runs fills a report.
+    The reference and each level march once, keeping a state per time.  The rows come grouped
+    by time, in the order given; within a group, orders are log2(e_i / e_{i+1}) and the finest
+    row is left blank.  Only the states are read, so no march it runs fills a report.
     """
     if halvings < 2:
         raise ValueError("halvings must be >= 2")
-    t = spec.output_times[0] if time is None else time
+    times = spec.output_times[:1] if times is None else tuple(times)
+    if not times:
+        raise ValueError("no time to study: the spec has no output time")
     if reference is None:
-        reference = reference_run(spec, times=(t,), report=False)
-    ref_state = reference.states[t]
-    runs = []
-    for i in range(halvings):
-        run = run_experiment(spec, scheme, dx=spec.dx / 2**i, times=(t,),
-                             collect_diagnostics=False, report=False)
-        state = run.states[t]
-        runs.append((spec.dx / 2**i, state.time, l1_error(state, ref_state)))
+        reference = reference_run(spec, times=times, report=False)
+    levels = [run_experiment(spec, scheme, dx=spec.dx / 2**i, times=times,
+                             collect_diagnostics=False, report=False) for i in range(halvings)]
     table = ErrorTable()
-    for i, (dx, at, err) in enumerate(runs):
-        order = None
-        if i + 1 < len(runs) and runs[i + 1][2] > 0:
-            order = math.log2(err / runs[i + 1][2])
-        table.rows.append(ErrorRow(dx=dx, scheme=scheme.value, time=at,
-                                   l1_error=err, observed_order=order))
+    for t in times:
+        runs = [(spec.dx / 2**i, run.states[t].time, l1_error(run.states[t], reference.states[t]))
+                for i, run in enumerate(levels)]
+        for i, (dx, at, err) in enumerate(runs):
+            order = None
+            if i + 1 < len(runs) and runs[i + 1][2] > 0:
+                order = math.log2(err / runs[i + 1][2])
+            table.rows.append(ErrorRow(dx=dx, scheme=scheme.value, time=at,
+                                       l1_error=err, observed_order=order))
     return table

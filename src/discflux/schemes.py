@@ -42,9 +42,12 @@ MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 wo
 # // n_cells) when a collector folds it: the collector's per-cell terms of a whole block, 11 per
 # cell for the LF Kruzkov residuals, would take megabytes at the larger size
 _BLOCK_VALUES, _FOLD_VALUES = 16384, 1024
-_MARGIN = 2  # plateau cells a windowed step keeps inside its slice at each end
+# plateau cells a windowed step keeps inside its slice at each end, and a span's pieces beyond
+# the reach of its pairs
+_MARGIN = 2
 # by second order, the fewest cells of a plateau between the far fields that a march cuts out
-# of its steps: where one step of several slices breaks even with one slice over the plateau
+# of its steps: where a step of several ranges broke even with one slice over the plateau when
+# each step joined the ranges' slices; stepped span by span, a plateau pays from fewer cells
 _PLATEAU = {False: 2200, True: 550}
 _STRIP = 4  # cells of the strip that checks that a step maps a plateau to itself
 # the most cells a range of values that may differ from the plateaus can gain on the left
@@ -259,12 +262,21 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
     return n - (n % 2)
 
 
-def _step_order(reduce, blocks: tuple, rows: int) -> list:
-    """`reduce` of each of the first `rows` rows of the blocks of the steps from Base and from
-    Half, in step order (the steps alternate, Base first); empty without blocks."""
-    if not blocks:
-        return []
-    return _interleave(*(reduce(b[:rows], axis=-1).tolist() for b in blocks))
+def _extremes(stepped: tuple, a_blocks: tuple, axis: int | None = -1) -> tuple:
+    """Each step's least and greatest value (`stepped`) and greatest |correction| (`a_blocks`)
+    in step order, one reduction per row of the 2-d blocks of the steps from Base and from Half
+    (the steps alternate, Base first); empty without blocks.  With `axis` None, one reduction
+    per block instead, which folds to the same extremes unless one is a NaN or a zero."""
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    return tuple([reduce(b, axis=None) for b in blocks] if axis is None else
+                 _interleave(*(reduce(b, axis=axis).tolist() for b in blocks)) if blocks else []
+                 for reduce, blocks in ((lowest, stepped), (highest, stepped), (highest, a_blocks)))
+
+
+def _folded(acc: tuple, extremes: tuple) -> tuple:
+    """(u_min, u_max, correction_max) `acc` folded with the `_extremes` of the next steps."""
+    lows, highs, peaks = extremes
+    return _least(acc[0], lows), _greatest(acc[1], highs), _greatest(acc[2], peaks)
 
 
 def _run(a: np.ndarray) -> int:
@@ -274,29 +286,57 @@ def _run(a: np.ndarray) -> int:
     return int(differ[0]) if len(differ) else len(bits)
 
 
-def _widened(window: list, growth: tuple, bits: np.ndarray, plateaus: list) -> tuple:
-    """The ranges of cells of a stepped row (`bits`, its values as uint64) that can differ from
-    the plateaus around them, and their bits: each range of the `window` of the row stepped
-    from, between `plateaus[i]` and `plateaus[i + 1]`, widened on each side by the `growth` the
-    stencil allows, less the outer cells that hold their plateau's bits.  Two ranges merge
-    once the plateau between them is too short to keep their slices apart: a slice of a Half
-    row takes 3 cells more at each end of its range (so a plateau must hold 2 * _MARGIN + 2)."""
-    ranges, kept = [], [plateaus[0]]
-    for (lo, hi), left, right in zip(window, plateaus, plateaus[1:]):
-        for j in range(max(lo - growth[0], 0), lo):
-            if bits[j] != left:
-                lo = j
-                break
-        for j in range(min(hi + growth[1], len(bits)) - 1, hi - 1, -1):
-            if bits[j] != right:
-                hi = j + 1
-                break
-        if ranges and lo - ranges[-1][1] < 2 * _MARGIN + 2:
-            ranges[-1], kept[-1] = (ranges[-1][0], hi), right
+def _widened(lo: int, hi: int, growth: tuple, bits: np.ndarray, left: int, right: int) -> tuple:
+    """The range of cells of a stepped row (`bits`, its values as uint64) that can differ from
+    the plateaus `left` and `right` around it: the range [lo, hi) of the row stepped from,
+    widened on each side by the `growth` the stencil allows, less the outer cells that hold
+    their plateau's bits."""
+    for j in range(max(lo - growth[0], 0), lo):
+        if bits[j] != left:
+            lo = j
+            break
+    for j in range(min(hi + growth[1], len(bits)) - 1, hi - 1, -1):
+        if bits[j] != right:
+            hi = j + 1
+            break
+    return lo, hi
+
+
+def _pieces(ranges: list, plateaus: list, r: int, n: int) -> tuple:
+    """The `ranges` and their `plateaus`, two ranges merged where their pieces meet, and the
+    pieces [lo - r, hi + r) of the ranges within the mesh's n cells."""
+    merged, kept = [ranges[0]], plateaus[:2]
+    for (lo, hi), right in zip(ranges[1:], plateaus[2:]):
+        if lo - merged[-1][1] <= 2 * r:
+            merged[-1], kept[-1] = (merged[-1][0], hi), right
         else:
-            ranges.append((lo, hi))
+            merged.append((lo, hi))
             kept.append(right)
-    return ranges, kept
+    return merged, kept, [(max(lo - r, 0), min(hi + r, n)) for lo, hi in merged]
+
+
+def _span_pairs(ranges: list, plateaus: list, reach: int, rows: int, n: int) -> int:
+    """The most step pairs e, up to `rows`, for which the pieces of `ranges` with R = e * reach
+    + _MARGIN plateau cells on each side hold fewer cells than the one slice over all of them
+    with _MARGIN; 0 when not even one pair's do."""
+    hull = min(ranges[-1][1] + _MARGIN, n) - max(ranges[0][0] - _MARGIN, 0)
+    e = 0
+    while e < rows and sum(b - a for a, b in _pieces(ranges, plateaus, (e + 1) * reach
+                                                     + _MARGIN, n)[2]) < hull:
+        e += 1
+    return e
+
+
+def _redrawn(ranges: list, plateaus: list, cuts: list, bits: np.ndarray) -> list:
+    """The `ranges` of a span, each widened to the outermost cell of its piece (`cuts`: its
+    cells [a, b) and where they start in the joined row) that differs from the plateau beside it
+    in the joined Base row (`bits`, its values as uint64) the span ends with."""
+    redrawn = []
+    for (lo, hi), (a, b, at), left, right in zip(ranges, cuts, plateaus, plateaus[1:]):
+        shift = a - at  # a cell's index in the mesh less its index in the joined row
+        lo, hi = _widened(lo - shift, hi - shift, (lo - a, b - hi), bits, left, right)
+        redrawn.append((lo + shift, hi + shift))
+    return redrawn
 
 
 def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bool:
@@ -362,11 +402,12 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     final state and the state at each step index that is a key of `snapshots` (march sets
     its value).  A pair writes the next row of each of two blocks the march owns, of
     max(1, 16384 // n_cells) rows, or of max(1, 1024 // n_cells) when a collector folds them
-    (one without a report): the Half values with a ghost slot at each end, and the Base
-    values after a head row, the state a block starts from (without a collector, a block
-    starts from the last row of the one before).  The views of a row that a step of the
-    whole mesh takes are built once per row.  A kept state holds a copy, the final state
-    too (so that it keeps no block alive), and the initial values are never written.
+    (of 1 row without a report, unless the march steps several ranges): the Half values with
+    a ghost slot at each end, and the Base values after a head row, the state a block starts
+    from (without a collector, a block starts from the last row of the one before).  The
+    views of a row that a step of the whole mesh takes are built once per row.  A kept state
+    holds a copy, the final state too (so that it keeps no block alive), and the initial
+    values are never written.
 
     A step changes a value only inside its stencil, so the march steps only the cells
     that can differ from the plateaus of the initial data (`_far_fields`): runs of cells
@@ -375,19 +416,31 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     march.  They are the far fields at the edges and, between them, runs of at least
     `_PLATEAU` cells, a break-even per scheme; without a far field, or with one that a step
     changes, the march steps the whole mesh.  Otherwise the blocks start out holding the
-    initial values and the window is a sorted list of ranges between plateaus.  The kernel
-    takes each range's slice with 2 plateau cells more at each end, so that its edges compute
-    what the whole step computes there (a slice of a Half row takes its ends' real neighbours
-    for the slots: plateau bits, equal to them).  One range is stepped in place; several are
-    joined end to end in buffers of the march and stepped in one call, and each slice's
-    values, corrections and slopes are copied back (the pair where two slices meet, 2 + 2
-    cells of one plateau, is dropped).  After each step a range gains at most the stencil's
-    reach on each side (`_GROWTH`), less the outer cells of that gain that hold their
-    plateau's bits, so it never shrinks (`_widened`); once one slice covers the mesh the
-    march steps the whole arrays.  Only the march knows the window: its blocks hold whole
-    rows (those of the corrections and slopes start as zeros, the +0.0 that a plateau's step
-    gives), and the report fold and the collector read them whole.  States, snapshots and
-    the report are the same bits as those of a march that steps the whole mesh.
+    initial values and the window is a sorted list of ranges between plateaus.
+
+    One range is stepped step by step, in place: the kernel takes its slice with _MARGIN = 2
+    plateau cells more at each end, so that its edges compute what the whole step computes
+    there (a slice of a Half row takes its ends' real neighbours for the slots: plateau
+    bits, equal to them).  After each step the range gains at most the stencil's reach on
+    each side (`_GROWTH`), less the outer cells of that gain that hold their plateau's bits,
+    so it never shrinks (`_widened`).  Several ranges are stepped span by span, a span being
+    e pairs of steps within a block, e fixed per march (`_span_pairs`: the most, up to the
+    block's pairs, for which the pieces below hold fewer cells than one slice over all the
+    ranges; with none, the march steps them as one range).  At a span's start the pieces
+    [lo - R, hi + R) of the ranges, R = e * reach + _MARGIN (reach: 3 cells a pair for NT, 1
+    for LF), are joined end to end into a row of blocks of the march's own, two ranges merged
+    once their pieces meet (`_pieces`).  That row is the mesh with each plateau between two
+    ranges cut down to 2R cells, which no change crosses within the span, and a plateau maps
+    to itself, so the kernel steps it like the whole mesh, through views built once per
+    span.  At the span's end the march folds the extremes over the joined rows, which hold
+    every plateau's value and every cell that changed, writes the rows into the whole rows
+    only for the collector, a snapshot or the next span's start (the last Base row), and
+    redraws each range to the outermost cell of its piece whose bits differ from the plateau
+    beside it (`_redrawn`).  Once one slice or piece covers the mesh the march steps the whole
+    arrays.  Only the march knows the window: its blocks hold whole rows (those of the
+    corrections and slopes start as zeros, the +0.0 that a plateau's step gives), and the
+    collector reads them whole.  States, snapshots and the report are the same bits as those
+    of a march that steps the whole mesh.
 
     The target time snaps to the nearest even multiple of dt = lam*dx at or
     below t_end (recorded in the report), so the final state is always on
@@ -395,7 +448,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     any state or correction holds a NaN.  `march` folds these itself, once per filled
     block and after the last step: a reduction per row (the NT corrections' magnitudes
     go into blocks of their own), then the row values in step order, so the result does
-    not depend on the block size.  The report holds None for each estimate not in
+    not depend on the block size.  A span of several ranges takes one reduction per joined
+    block instead, which gives the same bits unless an extreme is a NaN or a zero, whose
+    bits a reduction picks by where it lies: then the march writes the span's rows into the
+    whole rows and folds those row by row.  The report holds None for each estimate not in
     `computed_estimates(cfg)`; without `correction_max` the NT step skips its corrections.
     For the other estimates the march hands the block's rows, and the NT slopes it keeps in
     blocks of their own, to a `DiagnosticsCollector`, which folds those checks over them,
@@ -426,16 +482,26 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     rep = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
                             cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
                             kappa_bound=kappa)
-    rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n) if report else 1
+    u, kbar, time, index = initial.values, initial.kbar, initial.time, initial.step_index
+    end = index + n_steps
+    found = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
+    window = ranges = None  # one range [lo, hi), stepped step by step; several, span by span
+    rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n)
+    if found is not None:
+        ranges, plateaus = found
+        growth = _GROWTH[second_order]
+        reach = sum(g[0] for g in growth)  # the cells a pair of steps reaches on each side
+        if len(ranges) == 1 or not (pairs := _span_pairs(ranges, plateaus, reach,
+                                                         min(rows, n_steps // 2), n)):
+            window, plateaus, ranges = (ranges[0][0], ranges[-1][1]), plateaus[::len(ranges)], None
+    rows = rows if report or ranges else 1
     collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep) if collect else None
     snapshots = {} if snapshots is None else snapshots
     if initial.step_index in snapshots:
         snapshots[initial.step_index] = initial
     k_base, k_half = stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
     k_slotted = np.pad(k_half, 1, mode="edge")  # the coefficient of a ghost-slotted Half row
-    step, lowest, highest = stepper.step, np.minimum.reduce, np.maximum.reduce
-    u, kbar, time, index = initial.values, initial.kbar, initial.time, initial.step_index
-    end = index + n_steps
+    step = stepper.step
     # the blocks of the Base states (n values, after a head row) and of the Half states (n - 1
     # values and a ghost slot at each end); |corrections| and slopes are on the cells stepped from
     base_rows, half_rows = np.zeros((rows + 1, n)), np.zeros((rows, n + 1))
@@ -445,14 +511,24 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
                 if stepper.corrections and second_order else ())
     sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
                   if collect and second_order else ())
-    window = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
-    if window is not None:  # no step writes a value outside its ranges: fill in the plateaus
-        window, plateaus = window
+    if found is not None:  # no step writes a value outside its ranges: fill in the plateaus
         base_rows[:], half_rows[:, :-1], half_rows[:, -1] = u, u, u[-1]
-        growth = _GROWTH[second_order]
         stepped_bits = tuple(b.view(np.uint64) for b in stepped)
-        if len(window) > 1:  # ranges only merge: a march of one range never joins slices
-            u_joined, k_joined, v_joined = np.empty(n + 1), np.empty(n + 1), np.empty(n + 2)
+    if ranges is not None:  # a span's rows, joined: by block row, as the blocks
+        j_base, j_half = np.empty((rows + 1, n)), np.empty((rows, n + 1))
+        j_k = np.empty(n), np.empty(n + 1)
+        j_a, j_sig = (tuple(np.empty(b.shape) for b in blocks) for blocks in (a_blocks, sig_blocks))
+        outputs = (half_rows, j_half), (base_rows[1:], j_base[1:])  # the rows pair r writes
+
+        def expand(r0: int, r1: int, blocks: tuple) -> None:
+            """Write rows r0 ... r1 - 1 of each joined block of (whole, joined) `blocks` into
+            the cells of the span's pieces in its whole rows."""
+            for whole_rows, joined_rows in blocks:
+                for a, b, at in cuts:
+                    whole_rows[r0:r1, a:b] = joined_rows[r0:r1, at:at + b - a]
+                if whole_rows.shape[1] > n:  # a Half row: the slot after the last piece
+                    whole_rows[r0:r1, b] = joined_rows[r0:r1, size]
+
     # across the whole mesh, Base row r steps into Half row r and that into Base row r + 1; a
     # block starts from the head row (without a collector, from the last row of the one before)
     head = 0 if collector is not None else rows
@@ -461,66 +537,88 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
               stepper.views(half_rows[r], base_rows[r + 1]))
              for r in range(min(rows, n_steps // 2))]
     lands, every = ((k_half, Parity.HALF), (k_base, Parity.BASE)), slice(None)
-    if report:
-        u_min, u_max, correction_max = lowest(u), highest(u), 0.0
-    row, head_kbar = 0, kbar
+    acc = (np.minimum.reduce(u), np.maximum.reduce(u), 0.0) if report else None
+    row, start, head_kbar = 0, 0, kbar  # start: the first row of the span, or of the block
     for _ in range(n_steps // 2):
-        pair = whole[row]
-        for from_half, views, k in zip((0, 1), pair, (kbar, k_slotted)):
-            cells, spans = every, None  # spans: (cells of the row, of the kernel's arrays)
-            if window is not None and len(window) > 1:  # one step of the slices, joined
-                spans, size = [], 0
-                for lo, hi in window:  # each range's slice, as below
-                    cells = slice(max(lo - _MARGIN, 0),
-                                  min(hi + _MARGIN, n - from_half) + 2 * from_half)
-                    at = slice(size, size + cells.stop - cells.start)
-                    u_joined[at], k_joined[at], size = views[0][cells], k[cells], at.stop
-                    spans.append((cells, at))
-                k = k_joined[:size]
-                views = stepper.views(u_joined[:size], v_joined[:size + 1 - 2 * from_half])
+        if ranges is not None and row == start:  # a span starts: join the pieces of its row
+            ranges, plateaus, pieces = _pieces(ranges, plateaus, pairs * reach + _MARGIN, n)
+            if pieces == [(0, n)]:  # the window covers the mesh from here on
+                ranges = None
+            else:  # cuts: each piece's cells [a, b) and where they start in the joined row
+                cuts, size, stop = [], 0, min(row + pairs, rows)
+                for a, b in pieces:
+                    cuts.append((a, b, size))
+                    j_base[row, size:size + b - a] = base_rows[head if row == 0 else row][a:b]
+                    j_k[0][size:size + b - a], j_k[1][size:size + b - a] = k_base[a:b], \
+                        k_slotted[a:b]
+                    size += b - a
+                j_k[1][size] = k_slotted[b]  # a Half row's slot after the last piece
+                j_ks, j_cells = (j_k[0][:size], j_k[1][:size + 1]), (slice(size), slice(size + 1))
+                j_views = [(stepper.views(j_base[r, :size], j_half[r, :size + 1]),
+                            stepper.views(j_half[r, :size + 1], j_base[r + 1, :size]))
+                           for r in range(row, stop)]
+        joined = ranges is not None
+        pair, ks = (j_views[row - start], j_ks) if joined else (whole[row], (kbar, k_slotted))
+        for from_half, views, k in zip((0, 1), pair, ks):
+            cells, a_rows, sig_rows = every, a_blocks, sig_blocks
+            if joined:
+                cells, a_rows, sig_rows = j_cells[from_half], j_a, j_sig
             elif window is not None:  # step the cells [lo, hi) that reach the changing ones
-                lo, hi = max(window[0][0] - _MARGIN, 0), min(window[0][1] + _MARGIN, n - from_half)
+                lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n - from_half)
                 if lo or hi < n - from_half:  # a Half row's pairs take its slots' neighbours
                     cells = slice(lo, hi + 2 * from_half)
                     k, views = k[cells], stepper.views(views[0][cells], views[3][lo:hi + 1])
                 else:  # the window covers the mesh from here on
                     window = None
             corrections, sig = step(k, views)
-            if spans:  # each slice's values, less the pair where two slices meet
-                more = 1 - 2 * from_half  # the values a step gives less the values it takes
-                for cells, at in spans:
-                    pair[from_half][3][cells.start:cells.stop + more] = \
-                        views[3][at.start:at.stop + more]
             if window is not None:  # a step of the window
-                window, plateaus = _widened(window, growth[from_half],
-                                            stepped_bits[from_half][row], plateaus)
-            for cells, at in spans or ((cells, every),):
-                if corrections is not None:  # an NT step that computes `correction_max`
-                    np.abs(corrections[at], out=a_blocks[from_half][row][cells])
-                if sig_blocks:  # an NT step with a collector
-                    sig_blocks[from_half][row][cells] = sig[at]
+                window = _widened(*window, growth[from_half], stepped_bits[from_half][row],
+                                  *plateaus)
+            if corrections is not None:  # an NT step that computes `correction_max`
+                np.abs(corrections, out=a_rows[from_half][row][cells])
+            if sig_rows:  # an NT step with a collector
+                sig_rows[from_half][row][cells] = sig
             time += dt
             index += 1
             if index in snapshots:  # the values without the slots
-                kept = pair[from_half][4]
+                if joined:
+                    expand(row, row + 1, outputs[from_half:from_half + 1])
+                kept = whole[row][from_half][4]
                 snapshots[index] = StaggeredState(mesh, kept.copy(), *lands[from_half], time,
                                                   index)
         kbar = k_base
         row += 1
-        if row == rows or index == end:
+        if joined and (row == stop or index == end):  # the span ends
             if report:
-                u_min = _least(u_min, _step_order(lowest, stepped, row))
-                u_max = _greatest(u_max, _step_order(highest, stepped, row))
-                correction_max = _greatest(correction_max, _step_order(highest, a_blocks, row))
+                extremes = _extremes((j_half[start:row, 1:size], j_base[start + 1:row + 1, :size]),
+                                     tuple(b[start:row, :size + h] for h, b in enumerate(j_a)),
+                                     None)
+                lows, highs, peaks = extremes
+                # the bits of a NaN or of a zero of u that a reduction gives depend on where it
+                # lies, so those extremes are taken row by row from the whole rows
+                if any(x != x or x == 0 for x in lows + highs) or any(x != x for x in peaks):
+                    expand(start, row, outputs + tuple(zip(a_blocks, j_a)))
+                    extremes = _extremes(tuple(b[start:row] for b in stepped),
+                                         tuple(b[start:row] for b in a_blocks))
+                acc = _folded(acc, extremes)
+            if collector is not None:
+                expand(start, row, outputs + tuple(zip(sig_blocks, j_sig)))
+            else:  # the last Base row, which the next span starts from
+                expand(row - 1, row, outputs[1:])
+            ranges = _redrawn(ranges, plateaus, cuts, j_base[row, :size].view(np.uint64))
+            start = row
+        if row == rows or index == end:
+            if report and start < row:
+                acc = _folded(acc, _extremes(tuple(b[start:row] for b in stepped),
+                                             tuple(b[start:row] for b in a_blocks)))
             if collector is not None:
                 collector.observe(base_rows[:row + 1], half_rows[:row],
                                   [head_kbar, k_slotted] + [k_base, k_slotted] * (row - 1),
                                   tuple(b[:row] for b in sig_blocks) or None)
                 base_rows[0], head_kbar = base_rows[row], k_base  # heads the next block
-            u, row = base_rows[row], 0
+            u, row, start = base_rows[row], 0, 0
     if report:
-        rep.u_min, rep.u_max = float(u_min), float(u_max)
-        rep.correction_max = float(correction_max)
+        rep.u_min, rep.u_max, rep.correction_max = map(float, acc)
     for key in (k for name in ESTIMATES.keys() - computed for k in ESTIMATES[name]):
         setattr(rep, key, None)
     rep.snapped_time = time

@@ -380,6 +380,20 @@ reference.dx = 0.0078125
         err = capsys.readouterr().err
         assert ("blow-up" in err and "dx = 0.04, 0.02" in err) == (code == 4)
 
+    def test_study_reports_every_time(self, tmp_path, capsys):
+        # one config serves run and study: each t_end gets its group of rows, in the order
+        # given, with the rows a config of that time alone writes (orders within the group)
+        def table(name, times):
+            cfg = write_config(tmp_path, STUDY_CONFIG.replace("t_end = 0.4", f"t_end = {times}"),
+                               name=f"{name}.cfg")
+            assert main(["study", cfg, "--halvings", "3", "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "error_table.csv").read_text().splitlines()
+
+        both, late, early = table("both", "0.4, 0.2"), table("late", "0.4"), table("early", "0.2")
+        assert both == late + early[1:]
+        assert [round(float(row.split(",")[2]), 2) for row in both[1:]] == [0.4] * 3 + [0.2] * 3
+        assert [row.endswith(",") for row in both[1:]] == [False, False, True] * 2
+
     def test_bad_halvings_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, EX1_CONFIG)
         assert main(["study", cfg, "--halvings", "1", "--out", str(tmp_path / "s")]) == 1

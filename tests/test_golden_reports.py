@@ -9,12 +9,13 @@ canned and the 8000-cell reports are pinned twice: with every estimate
 computed (`diagnostics = all`), and as run, with only the estimates the paper
 claims for the run (`*_claimed.json`).  The
 worst margin of each `verify` suite is pinned as its `float.hex()` value, and
-the sha256 of every CSV that `reproduce 1`, `reproduce 2` and the 8000-cell
-run write (solutions and error tables) in `golden/solutions.sha256`, in the
-format of `sha256sum`.
+the sha256 of every CSV that `reproduce 1`, `reproduce 2`, the 8000-cell
+run and the benchmark's `study` (seed 0, `--halvings 4`) write (solutions and
+error tables) in `golden/solutions.sha256`, in the format of `sha256sum`.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from discflux.cli import _write_report, main
 from discflux.verify import SUITES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_RUN = GOLDEN.parents[1] / "bench" / "run.py"
 
 
 @pytest.mark.parametrize("example", [1, 2])
@@ -98,6 +100,18 @@ def test_reproduce_solution_bytes(tmp_path, request, monkeypatch, example):
 
 def test_fine_run_solution_bytes(fine_run_out):
     assert _digests(fine_run_out) == _golden_digests("fine")
+
+
+def test_study_table_bytes(tmp_path):
+    # the config of bench/run.py's `study` workload at its seed-0 value
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    config = tmp_path / "study.cfg"
+    config.write_text(bench.STUDY_CFG.format(value="0.15"))
+    out = tmp_path / "out"
+    assert main(["study", str(config), "--halvings", "4", "--out", str(out)]) == 0
+    assert _digests(out) == _golden_digests("study")
 
 
 VERIFY_MARGINS = {

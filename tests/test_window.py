@@ -186,6 +186,104 @@ class TestSeveralRangesEqualWholeMesh:
                                              report, plateau)
 
 
+class _Folds:
+    """Records the `axis` of each `schemes._extremes` call of a march (None: one reduction over
+    the joined rows of a span; -1: one per whole row) and counts the spans it joins."""
+
+    def __init__(self, mp):
+        self.axes, self.spans = [], 0
+        extremes, redrawn = schemes._extremes, schemes._redrawn
+
+        def recorded(stepped, a_blocks, axis=-1):
+            self.axes.append(axis)
+            return extremes(stepped, a_blocks, axis)
+
+        def counted(*args):
+            self.spans += 1
+            return redrawn(*args)
+
+        mp.setattr(schemes, "_extremes", recorded)
+        mp.setattr(schemes, "_redrawn", counted)
+
+
+def _fronts(model_coeff, levels, cells):
+    """`_riemann` data of levels[i] on cells[i] cells, on their total."""
+    return _riemann(model_coeff, levels, np.cumsum(cells)[:-1], sum(cells))
+
+
+class TestJoinedSpans:
+    @given(st.sampled_from(MODELS), st.sampled_from(list(Scheme)),
+           st.sampled_from([LimiterKind.MINMOD, LimiterKind.MINMOD_MODIFIED]),
+           st.integers(min_value=1, max_value=20), st.booleans(),
+           st.sampled_from([None, 1, 2, 3]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_states_and_report_bitwise(self, model_coeff, scheme, kind, pairs, report, rows,
+                                       data):
+        # 2 or 3 fronts of 1 to 3 levels between the far fields, with plateaus of 30 to 60
+        # cells between them: longer than 2R = 2 * (3 * 3 + 2) cells, so that they stay apart
+        # through blocks of up to 3 pairs, and merge only in the longer marches
+        level = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 1.0))
+        levels, cells = [data.draw(level)], [data.draw(st.integers(1, 30))]
+        fronts = data.draw(st.integers(2, 3))
+        for front in range(fronts):
+            for _ in range(data.draw(st.integers(1, 3))):
+                levels.append(data.draw(level))
+                cells.append(data.draw(st.integers(1, 3)))
+            levels.append(data.draw(level))
+            cells.append(data.draw(st.integers(30, 60) if front < fronts - 1 else
+                                   st.integers(1, 30)))
+        model, coeff, initial = _fronts(model_coeff(), levels, cells)
+        limiter = LimiterConfig(kind=kind, k_tilde=data.draw(st.floats(0.01, 2.0)))
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=0.5 * 0.2 / model.sup_fu,
+                           collect_diagnostics="all" if report else False)
+        ranges = _ranges(model, coeff, initial, cfg, 10)
+        assume(ranges is not None and len(ranges) >= 2)  # a front may equal its neighbours
+        steps = 2 * pairs
+        wanted = [data.draw(st.integers(0, pairs - 1)) * 2 + 1,  # a Half state
+                  *data.draw(st.lists(st.integers(0, steps), max_size=3))]
+        with pytest.MonkeyPatch.context() as mp:
+            folds = _Folds(mp)
+            _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows,
+                                                 wanted, report, 10)
+        assume(folds.spans >= 1)  # short far fields may make one slice over the ranges cheaper
+
+    # a NaN inside a range, NaNs of both signs, and a -0.0 range beside +0.0 plateaus: the bits
+    # a reduction gives depend on where those values lie, so the march folds whole rows
+    PICKED = {"a NaN in a range": [0.3, 0.6, 0.2, math.nan, 0.2, 0.5],
+              "NaNs of both signs": [0.3, -math.nan, 0.2, math.nan, 0.2, 0.5],
+              "-0.0 beside +0.0": [0.3, 0.6, 0.0, -0.0, 0.0, 0.5]}
+
+    @pytest.mark.parametrize("levels", PICKED.values(), ids=PICKED.keys())
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_extremes_picked_by_position_fold_whole_rows(self, levels, rows, scheme):
+        model, coeff, initial = _fronts(builtin_burgers_const_k(), levels, [15, 3, 42, 2, 43, 15])
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        assert len(_ranges(model, coeff, initial, cfg, 10)) == 3
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            folds = _Folds(mp)
+            _march(initial, model, coeff, cfg, 24 * cfg.lam * initial.mesh.dx, rows, plateau=10)
+        assert folds.spans >= 1 and -1 in folds.axes
+        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, rows, (1, 7, 13),
+                                             plateau=10)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_span_joins_R_plateau_cells_beside_each_range(self, rows, scheme):
+        # R = rows * reach + _MARGIN: a pair of steps reaches 3 cells (LF: 1) on each side
+        model, coeff, initial = _fronts(builtin_burgers_const_k(), [0.3, 0.6, 0.2, 0.9, 0.2],
+                                        [40, 3, 60, 2, 60])
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        assert _ranges(model, coeff, initial, cfg, 10) == [(40, 44), (102, 105)]
+        r = rows * {Scheme.NESSYAHU_TADMOR: 3, Scheme.LAX_FRIEDRICHS: 1}[scheme] + 2
+        with pytest.MonkeyPatch.context() as mp:
+            widths, folds = _Widths(mp), _Folds(mp)
+            _march(initial, model, coeff, cfg, 2 * rows * cfg.lam * initial.mesh.dx, rows,
+                   plateau=10)
+        assert widths.widths[0] == 4 + 3 + 4 * r and folds.spans == 1
+        assert folds.axes == [None]  # one fold over the joined rows, none over whole rows
+
+
 # cells whose bits the value check must tell from the far field's: far-field values with a
 # value beside them that differs in its last bit or only in its sign, and the least subnormal
 NEXT = float(np.nextafter(0.9, 1.0))
