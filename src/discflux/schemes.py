@@ -42,18 +42,10 @@ MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 wo
 # // n_cells) when a collector folds it: the collector's per-cell terms of a whole block, 11 per
 # cell for the LF Kruzkov residuals, would take megabytes at the larger size
 _BLOCK_VALUES, _FOLD_VALUES = 16384, 1024
-# plateau cells a windowed step keeps inside its slice at each end, and a span's pieces beyond
-# the reach of its pairs
-_MARGIN = 2
-# by second order, the fewest cells of a plateau between the far fields that a march cuts out
-# of its steps: where a step of several ranges broke even with one slice over the plateau when
-# each step joined the ranges' slices; stepped span by span, a plateau pays from fewer cells
-_PLATEAU = {False: 2200, True: 550}
+# the fewest cells of a plateau between the far fields that a march cuts out of its steps: the
+# smallest plateau at which cutting one out measured a saving under both schemes
+_PLATEAU = 600
 _STRIP = 4  # cells of the strip that checks that a step maps a plateau to itself
-# the most cells a range of values that may differ from the plateaus can gain on the left
-# and on the right with a step from Base and with one from Half: a Half value is stepped from
-# Base cells j-1 ... j+2 (LF: j, j+1), a Base value from Half values j-2 ... j+1 (LF: j-1, j)
-_GROWTH = {False: ((1, 0), (0, 1)), True: ((2, 1), (1, 2))}  # keyed by second order
 
 
 class Scheme(Enum):
@@ -262,20 +254,25 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
     return n - (n % 2)
 
 
-def _extremes(stepped: tuple, a_blocks: tuple, axis: int | None = -1) -> tuple:
-    """Each step's least and greatest value (`stepped`) and greatest |correction| (`a_blocks`)
-    in step order, one reduction per row of the 2-d blocks of the steps from Base and from Half
-    (the steps alternate, Base first); empty without blocks.  With `axis` None, one reduction
-    per block instead, which folds to the same extremes unless one is a NaN or a zero."""
+def _extremes(stepped: tuple, a_blocks: tuple, axis: int | None) -> tuple:
+    """The least and greatest value (`stepped`) and greatest |correction| (`a_blocks`) of the
+    2-d blocks of the steps from Base and from Half (the steps alternate, Base first): one
+    reduction per block with `axis` None, else one per row, in step order; empty without
+    blocks."""
     lowest, highest = np.minimum.reduce, np.maximum.reduce
     return tuple([reduce(b, axis=None) for b in blocks] if axis is None else
                  _interleave(*(reduce(b, axis=axis).tolist() for b in blocks)) if blocks else []
                  for reduce, blocks in ((lowest, stepped), (highest, stepped), (highest, a_blocks)))
 
 
-def _folded(acc: tuple, extremes: tuple) -> tuple:
-    """(u_min, u_max, correction_max) `acc` folded with the `_extremes` of the next steps."""
-    lows, highs, peaks = extremes
+def _folded(acc: tuple, steps: tuple, whole) -> tuple:
+    """(u_min, u_max, correction_max) `acc` folded with the `_extremes` of a block's `steps`,
+    one reduction per block.  Those are the extremes a fold step by step gives unless one is a
+    NaN or a zero, whose bits a reduction picks by where it lies: then the rows of the block's
+    steps in the whole mesh (`whole()`) are folded row by row."""
+    lows, highs, peaks = _extremes(*steps, None)
+    if any(x != x or x == 0 for x in lows + highs) or any(x != x for x in peaks):
+        lows, highs, peaks = _extremes(*whole(), -1)
     return _least(acc[0], lows), _greatest(acc[1], highs), _greatest(acc[2], peaks)
 
 
@@ -284,22 +281,6 @@ def _run(a: np.ndarray) -> int:
     bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
     differ = np.flatnonzero(bits != bits[0])
     return int(differ[0]) if len(differ) else len(bits)
-
-
-def _widened(lo: int, hi: int, growth: tuple, bits: np.ndarray, left: int, right: int) -> tuple:
-    """The range of cells of a stepped row (`bits`, its values as uint64) that can differ from
-    the plateaus `left` and `right` around it: the range [lo, hi) of the row stepped from,
-    widened on each side by the `growth` the stencil allows, less the outer cells that hold
-    their plateau's bits."""
-    for j in range(max(lo - growth[0], 0), lo):
-        if bits[j] != left:
-            lo = j
-            break
-    for j in range(min(hi + growth[1], len(bits)) - 1, hi - 1, -1):
-        if bits[j] != right:
-            hi = j + 1
-            break
-    return lo, hi
 
 
 def _pieces(ranges: list, plateaus: list, r: int, n: int) -> tuple:
@@ -315,27 +296,17 @@ def _pieces(ranges: list, plateaus: list, r: int, n: int) -> tuple:
     return merged, kept, [(max(lo - r, 0), min(hi + r, n)) for lo, hi in merged]
 
 
-def _span_pairs(ranges: list, plateaus: list, reach: int, rows: int, n: int) -> int:
-    """The most step pairs e, up to `rows`, for which the pieces of `ranges` with R = e * reach
-    + _MARGIN plateau cells on each side hold fewer cells than the one slice over all of them
-    with _MARGIN; 0 when not even one pair's do."""
-    hull = min(ranges[-1][1] + _MARGIN, n) - max(ranges[0][0] - _MARGIN, 0)
-    e = 0
-    while e < rows and sum(b - a for a, b in _pieces(ranges, plateaus, (e + 1) * reach
-                                                     + _MARGIN, n)[2]) < hull:
-        e += 1
-    return e
-
-
 def _redrawn(ranges: list, plateaus: list, cuts: list, bits: np.ndarray) -> list:
     """The `ranges` of a span, each widened to the outermost cell of its piece (`cuts`: its
     cells [a, b) and where they start in the joined row) that differs from the plateau beside it
     in the joined Base row (`bits`, its values as uint64) the span ends with."""
     redrawn = []
     for (lo, hi), (a, b, at), left, right in zip(ranges, cuts, plateaus, plateaus[1:]):
-        shift = a - at  # a cell's index in the mesh less its index in the joined row
-        lo, hi = _widened(lo - shift, hi - shift, (lo - a, b - hi), bits, left, right)
-        redrawn.append((lo + shift, hi + shift))
+        shift = at - a  # a cell's index in the joined row less its index in the mesh
+        differ = [j for j, x in enumerate(bits[at:lo + shift].tolist()) if x != left]
+        lo = a + differ[0] if differ else lo
+        differ = [j for j, x in enumerate(bits[hi + shift:b + shift].tolist()) if x != right]
+        redrawn.append((lo, hi + differ[-1] + 1 if differ else hi))
     return redrawn
 
 
@@ -355,8 +326,8 @@ def _far_fields(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray) -> tuple | N
     """The sorted ranges [lo, hi) of Base cells of a march from Base values `u` with `kbar`
     that can differ from the plateaus around them, and those plateaus' bits (one left of each
     range, one right of the last); None when the march must step the whole mesh from the
-    start (no far field, one that a step does not map to itself, or one range whose stepped
-    window covers the mesh).  The far fields are the longest runs from the edges where `u` and
+    start (no far field, one that a step does not map to itself, or one range whose first
+    span covers the mesh).  The far fields are the longest runs from the edges where `u` and
     the averaged coefficient of both parities hold one value each, bit for bit, with a cell
     between them; between them, so is each run of at least _PLATEAU cells that hold one value
     with both neighbours, a cell apart from the far fields, and that a step maps to itself."""
@@ -382,9 +353,8 @@ def _far_fields(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray) -> tuple | N
     inner = ((ub[prev] == ub[mid]) & (ub[mid] == ub[nxt]) & (kb[prev] == kb[mid])
              & (kb[mid] == kb[nxt]) & (kh[prev] == kh[mid]))
     edges = (np.flatnonzero(np.diff(inner, prepend=False, append=False)) + lo + 1).tolist()
-    fewest = _PLATEAU[stepper.limiter is not None]
-    cut = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if b - a >= fewest and kept(a)]
-    if not cut and lo <= _MARGIN and hi >= n - _MARGIN:
+    cut = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if b - a >= _PLATEAU and kept(a)]
+    if not cut and lo <= 2 and hi >= n - 2:  # the first span's piece (R >= 2) covers the mesh
         return None
     if not all(kept(edge) for size, edge in ((left, 0), (right, -1)) if size):
         return None
@@ -393,75 +363,125 @@ def _far_fields(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray) -> tuple | N
             [int(ub[j]) for j in (0, *(a for a, _ in cut), -1)])
 
 
+class _Rows:
+    """Blocks of `rows` pairs of steps on rows of n cells: the Base values after a head row, the
+    state the block starts from (`base`); the Half values with a ghost slot at each end
+    (`half`); and on the cells stepped from Base and from Half, the |corrections| (`a`) and the
+    slopes (`sig`), or () where no step keeps them."""
+
+    def __init__(self, make, rows: int, n: int, corrections: bool, slopes: bool):
+        self.base, self.half = make((rows + 1, n)), make((rows, n + 1))
+        self.a, self.sig = ((make((rows, n)), make((rows, n + 1))) if kept else ()
+                            for kept in (corrections, slopes))
+
+    def steps(self, count: int, size: int) -> tuple:
+        """The values and the |corrections| of the first `count` pairs of steps on the first
+        `size` cells, as `_extremes` takes them."""
+        return ((self.half[:count, 1:size], self.base[1:count + 1, :size]),
+                tuple(b[:count, :size + h] for h, b in enumerate(self.a)))
+
+
+def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.ndarray,
+            found: tuple | None, index: int, end: int, rows: int, whole_rows: int, headed: bool):
+    """Step from the Base values `u` with `kbar` at step `index` to step `end` and yield each
+    filled block as (block, size, index, count, whole): `count` pairs of steps from `index` on
+    the first `size` cells of the `_Rows` `block`, and `whole()`, which gives the whole rows
+    holding them (the last Base row at once).
+
+    With a window (`found`), a block is a span of up to `rows` pairs that steps the pieces
+    [lo - R, hi + R) of the ranges joined end to end (`_pieces`), R = E + 1 for E the most pairs
+    a block takes: no change crosses a plateau's 2R cells within the span.  After the span each
+    range is redrawn (`_redrawn`).  Once a piece covers the mesh, or without a window, a block
+    is up to `whole_rows` pairs of the whole rows, started from the head row if `headed`."""
+    n, step, views = len(u), stepper.step, stepper.views
+    k_base = stepper.kbar[Parity.BASE]
+    second_order = stepper.limiter is not None
+    whole = _Rows(np.zeros, whole_rows if found is None else rows, n,
+                  stepper.corrections and second_order, headed and second_order)
+    head = 0 if headed else whole_rows  # the row a block of whole rows starts from
+    at = head  # the whole Base row that the next block starts from
+    whole.base[at] = u
+    if found is not None:  # no step writes a value outside its pieces: fill in the plateaus
+        whole.base[:], whole.half[:, :-1], whole.half[:, -1] = u, u, u[-1]
+        joined = _Rows(np.empty, rows, n, bool(whole.a), bool(whole.sig))
+        j_k = np.empty(n), np.empty(n + 1)
+        (ranges, plateaus), r = found, min(rows, (end - index) // 2) + 1
+        pairs_of = ((whole.base[1:], joined.base[1:]), (whole.half, joined.half),
+                    *zip(whole.a, joined.a), *zip(whole.sig, joined.sig))
+    whole_steps = None
+    while index < end:
+        pairs = (end - index) // 2
+        if found is not None:
+            ranges, plateaus, pieces = _pieces(ranges, plateaus, r, n)
+            if pieces == [(0, n)]:  # the window covers the mesh from here on
+                found, whole.base[head], at = None, whole.base[at], head
+        if found is not None:  # cuts: each piece's cells [a, b) and where they start in the row
+            block, count, cuts, size = joined, min(rows, pairs), [], 0
+            for a, b in pieces:
+                cuts.append((a, b, size))
+                joined.base[0, size:size + b - a] = whole.base[at, a:b]
+                j_k[0][size:size + b - a], j_k[1][size:size + b - a] = k_base[a:b], k_slotted[a:b]
+                size += b - a
+            j_k[1][size] = k_slotted[b]  # a Half row's slot after the last piece
+            ks = after = j_k[0][:size], j_k[1][:size + 1]
+            steps = [(views(joined.base[i, :size], joined.half[i, :size + 1]),
+                      views(joined.half[i, :size + 1], joined.base[i + 1, :size]))
+                     for i in range(count)]
+        else:
+            block, count, size = whole, min(whole_rows, pairs), n
+            ks, after = (kbar, k_slotted), (k_base, k_slotted)
+            steps = whole_steps = whole_steps or [
+                (views(whole.base[head if i == 0 else i], whole.half[i]),
+                 views(whole.half[i], whole.base[i + 1])) for i in range(count)]
+        for i in range(count):
+            for h, k, view in zip((0, 1), ks, steps[i]):
+                a, sig = step(k, view)
+                if a is not None:  # an NT step that computes `correction_max`
+                    np.abs(a, out=block.a[h][i, :size + h])
+                if block.sig:  # an NT step with a collector
+                    block.sig[h][i, :size + h] = sig
+            ks = after
+        if block is whole:
+            yield whole, n, index, count, lambda: whole
+        else:
+            def expanded(span=slice(count), blocks=pairs_of, cuts=cuts, size=size):
+                """The whole rows, the cells of the span's pieces written from its rows."""
+                for w, j in blocks:
+                    for a, b, start in cuts:
+                        w[span, a:b] = j[span, start:start + b - a]
+                    if w.shape[1] > n:  # a Half row: the slot after the last piece
+                        w[span, b] = j[span, size]
+                return whole
+
+            expanded(slice(count - 1, count), pairs_of[:1])  # the last Base row
+            ranges = _redrawn(ranges, plateaus, cuts, joined.base[count, :size].view(np.uint64))
+            yield joined, size, index, count, expanded
+        index, at, kbar = index + 2 * count, count, k_base
+        if headed:
+            whole.base[0], at = whole.base[count], 0
+
+
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
           cfg: SchemeConfig, t_end: float, *, snapshots: dict | None = None,
           report: bool = True) -> tuple[StaggeredState, DiagnosticsReport]:
     """Advance to the even-step snap of t_end; return the final state and the report.
 
-    The loop walks pairs of steps on arrays and builds a state only where one is read: the
-    final state and the state at each step index that is a key of `snapshots` (march sets
-    its value).  A pair writes the next row of each of two blocks the march owns, of
-    max(1, 16384 // n_cells) rows, or of max(1, 1024 // n_cells) when a collector folds them
-    (of 1 row without a report, unless the march steps several ranges): the Half values with
-    a ghost slot at each end, and the Base values after a head row, the state a block starts
-    from (without a collector, a block starts from the last row of the one before).  The
-    views of a row that a step of the whole mesh takes are built once per row.  A kept state
-    holds a copy, the final state too (so that it keeps no block alive), and the initial
-    values are never written.
+    The march steps blocks of pairs of steps on arrays (`_blocks`): max(1, 16384 // n_cells)
+    pairs, max(1, 1024 // n_cells) when a collector folds them, 1 without a report once the
+    whole mesh is stepped.  It steps only the cells that can differ from the plateaus of the
+    initial data (`_far_fields`), span by span, and gives the bits of a march that steps the
+    whole mesh.  Each full block is read three ways: the report's `u_min`, `u_max` and
+    `correction_max` (NaN once any state or correction holds one) are folded (`_folded`), a
+    `DiagnosticsCollector` folds the other estimates of `computed_estimates(cfg)` over the
+    whole rows (the rest are None), and a copy of a row is kept for each step index that is a
+    key of `snapshots` (march sets its value).  The final state holds a copy too, and the
+    initial values are never written.  The target time snaps to the nearest even multiple of
+    dt = lam*dx at or below t_end (recorded in the report), so the final state is on Base.
 
-    A step changes a value only inside its stencil, so the march steps only the cells
-    that can differ from the plateaus of the initial data (`_far_fields`): runs of cells
-    where the values and the averaged coefficient of both parities each hold one value, bit
-    for bit, that a step maps to itself (not so for NaN, +-inf or 1e308), found once per
-    march.  They are the far fields at the edges and, between them, runs of at least
-    `_PLATEAU` cells, a break-even per scheme; without a far field, or with one that a step
-    changes, the march steps the whole mesh.  Otherwise the blocks start out holding the
-    initial values and the window is a sorted list of ranges between plateaus.
-
-    One range is stepped step by step, in place: the kernel takes its slice with _MARGIN = 2
-    plateau cells more at each end, so that its edges compute what the whole step computes
-    there (a slice of a Half row takes its ends' real neighbours for the slots: plateau
-    bits, equal to them).  After each step the range gains at most the stencil's reach on
-    each side (`_GROWTH`), less the outer cells of that gain that hold their plateau's bits,
-    so it never shrinks (`_widened`).  Several ranges are stepped span by span, a span being
-    e pairs of steps within a block, e fixed per march (`_span_pairs`: the most, up to the
-    block's pairs, for which the pieces below hold fewer cells than one slice over all the
-    ranges; with none, the march steps them as one range).  At a span's start the pieces
-    [lo - R, hi + R) of the ranges, R = e * reach + _MARGIN (reach: 3 cells a pair for NT, 1
-    for LF), are joined end to end into a row of blocks of the march's own, two ranges merged
-    once their pieces meet (`_pieces`).  That row is the mesh with each plateau between two
-    ranges cut down to 2R cells, which no change crosses within the span, and a plateau maps
-    to itself, so the kernel steps it like the whole mesh, through views built once per
-    span.  At the span's end the march folds the extremes over the joined rows, which hold
-    every plateau's value and every cell that changed, writes the rows into the whole rows
-    only for the collector, a snapshot or the next span's start (the last Base row), and
-    redraws each range to the outermost cell of its piece whose bits differ from the plateau
-    beside it (`_redrawn`).  Once one slice or piece covers the mesh the march steps the whole
-    arrays.  Only the march knows the window: its blocks hold whole rows (those of the
-    corrections and slopes start as zeros, the +0.0 that a plateau's step gives), and the
-    collector reads them whole.  States, snapshots and the report are the same bits as those
-    of a march that steps the whole mesh.
-
-    The target time snaps to the nearest even multiple of dt = lam*dx at or
-    below t_end (recorded in the report), so the final state is always on
-    Base parity.  The report's `u_min`/`u_max` and `correction_max` are NaN once
-    any state or correction holds a NaN.  `march` folds these itself, once per filled
-    block and after the last step: a reduction per row (the NT corrections' magnitudes
-    go into blocks of their own), then the row values in step order, so the result does
-    not depend on the block size.  A span of several ranges takes one reduction per joined
-    block instead, which gives the same bits unless an extreme is a NaN or a zero, whose
-    bits a reduction picks by where it lies: then the march writes the span's rows into the
-    whole rows and folds those row by row.  The report holds None for each estimate not in
-    `computed_estimates(cfg)`; without `correction_max` the NT step skips its corrections.
-    For the other estimates the march hands the block's rows, and the NT slopes it keeps in
-    blocks of their own, to a `DiagnosticsCollector`, which folds those checks over them,
-    and copies the last Base row into the head row.
-
-    `report` False says that nothing reads the report's folded fields: the march takes
-    no extremes and computes no estimate.  `u_min` and `u_max` then keep their
-    never-observed defaults, the run facts (scheme, `lam`, `dx`, `steps`,
-    `snapped_time`, the CFL fields) are still set, and `cfg.collect_diagnostics` is
-    refused with ValueError.
+    `report` False says that nothing reads the report's folded fields: the march takes no
+    extremes and computes no estimate, `u_min` and `u_max` keep their never-observed
+    defaults, the run facts (scheme, `lam`, `dx`, `steps`, `snapped_time`, the CFL fields)
+    are still set, and `cfg.collect_diagnostics` is refused with ValueError.
     """
     if initial.mesh.n_cells < 2:
         raise ValueError("marching needs at least 2 cells")
@@ -484,139 +504,37 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
                             kappa_bound=kappa)
     u, kbar, time, index = initial.values, initial.kbar, initial.time, initial.step_index
     end = index + n_steps
-    found = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
-    window = ranges = None  # one range [lo, hi), stepped step by step; several, span by span
-    rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n)
-    if found is not None:
-        ranges, plateaus = found
-        growth = _GROWTH[second_order]
-        reach = sum(g[0] for g in growth)  # the cells a pair of steps reaches on each side
-        if len(ranges) == 1 or not (pairs := _span_pairs(ranges, plateaus, reach,
-                                                         min(rows, n_steps // 2), n)):
-            window, plateaus, ranges = (ranges[0][0], ranges[-1][1]), plateaus[::len(ranges)], None
-    rows = rows if report or ranges else 1
     collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep) if collect else None
     snapshots = {} if snapshots is None else snapshots
-    if initial.step_index in snapshots:
-        snapshots[initial.step_index] = initial
+    if index in snapshots:
+        snapshots[index] = initial
+    wanted = sorted(i for i in snapshots if isinstance(i, (int, np.integer)) and index < i <= end)
     k_base, k_half = stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
     k_slotted = np.pad(k_half, 1, mode="edge")  # the coefficient of a ghost-slotted Half row
-    step = stepper.step
-    # the blocks of the Base states (n values, after a head row) and of the Half states (n - 1
-    # values and a ghost slot at each end); |corrections| and slopes are on the cells stepped from
-    base_rows, half_rows = np.zeros((rows + 1, n)), np.zeros((rows, n + 1))
-    stepped = half_rows[:, 1:-1], base_rows[1:]
-    # zeros: the correction and the slope of a cell outside the window are +0.0
-    a_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
-                if stepper.corrections and second_order else ())
-    sig_blocks = ((np.zeros((rows, n)), np.zeros((rows, n + 1)))
-                  if collect and second_order else ())
-    if found is not None:  # no step writes a value outside its ranges: fill in the plateaus
-        base_rows[:], half_rows[:, :-1], half_rows[:, -1] = u, u, u[-1]
-        stepped_bits = tuple(b.view(np.uint64) for b in stepped)
-    if ranges is not None:  # a span's rows, joined: by block row, as the blocks
-        j_base, j_half = np.empty((rows + 1, n)), np.empty((rows, n + 1))
-        j_k = np.empty(n), np.empty(n + 1)
-        j_a, j_sig = (tuple(np.empty(b.shape) for b in blocks) for blocks in (a_blocks, sig_blocks))
-        outputs = (half_rows, j_half), (base_rows[1:], j_base[1:])  # the rows pair r writes
-
-        def expand(r0: int, r1: int, blocks: tuple) -> None:
-            """Write rows r0 ... r1 - 1 of each joined block of (whole, joined) `blocks` into
-            the cells of the span's pieces in its whole rows."""
-            for whole_rows, joined_rows in blocks:
-                for a, b, at in cuts:
-                    whole_rows[r0:r1, a:b] = joined_rows[r0:r1, at:at + b - a]
-                if whole_rows.shape[1] > n:  # a Half row: the slot after the last piece
-                    whole_rows[r0:r1, b] = joined_rows[r0:r1, size]
-
-    # across the whole mesh, Base row r steps into Half row r and that into Base row r + 1; a
-    # block starts from the head row (without a collector, from the last row of the one before)
-    head = 0 if collector is not None else rows
-    base_rows[head] = u
-    whole = [(stepper.views(base_rows[head if r == 0 else r], half_rows[r]),
-              stepper.views(half_rows[r], base_rows[r + 1]))
-             for r in range(min(rows, n_steps // 2))]
-    lands, every = ((k_half, Parity.HALF), (k_base, Parity.BASE)), slice(None)
+    lands = (k_base, Parity.BASE), (k_half, Parity.HALF)
+    rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n)
+    found = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
+    blocks = _blocks(stepper, u, kbar, k_slotted, found, index, end, rows,
+                     rows if report else 1, collector is not None)
     acc = (np.minimum.reduce(u), np.maximum.reduce(u), 0.0) if report else None
-    row, start, head_kbar = 0, 0, kbar  # start: the first row of the span, or of the block
-    for _ in range(n_steps // 2):
-        if ranges is not None and row == start:  # a span starts: join the pieces of its row
-            ranges, plateaus, pieces = _pieces(ranges, plateaus, pairs * reach + _MARGIN, n)
-            if pieces == [(0, n)]:  # the window covers the mesh from here on
-                ranges = None
-            else:  # cuts: each piece's cells [a, b) and where they start in the joined row
-                cuts, size, stop = [], 0, min(row + pairs, rows)
-                for a, b in pieces:
-                    cuts.append((a, b, size))
-                    j_base[row, size:size + b - a] = base_rows[head if row == 0 else row][a:b]
-                    j_k[0][size:size + b - a], j_k[1][size:size + b - a] = k_base[a:b], \
-                        k_slotted[a:b]
-                    size += b - a
-                j_k[1][size] = k_slotted[b]  # a Half row's slot after the last piece
-                j_ks, j_cells = (j_k[0][:size], j_k[1][:size + 1]), (slice(size), slice(size + 1))
-                j_views = [(stepper.views(j_base[r, :size], j_half[r, :size + 1]),
-                            stepper.views(j_half[r, :size + 1], j_base[r + 1, :size]))
-                           for r in range(row, stop)]
-        joined = ranges is not None
-        pair, ks = (j_views[row - start], j_ks) if joined else (whole[row], (kbar, k_slotted))
-        for from_half, views, k in zip((0, 1), pair, ks):
-            cells, a_rows, sig_rows = every, a_blocks, sig_blocks
-            if joined:
-                cells, a_rows, sig_rows = j_cells[from_half], j_a, j_sig
-            elif window is not None:  # step the cells [lo, hi) that reach the changing ones
-                lo, hi = max(window[0] - _MARGIN, 0), min(window[1] + _MARGIN, n - from_half)
-                if lo or hi < n - from_half:  # a Half row's pairs take its slots' neighbours
-                    cells = slice(lo, hi + 2 * from_half)
-                    k, views = k[cells], stepper.views(views[0][cells], views[3][lo:hi + 1])
-                else:  # the window covers the mesh from here on
-                    window = None
-            corrections, sig = step(k, views)
-            if window is not None:  # a step of the window
-                window = _widened(*window, growth[from_half], stepped_bits[from_half][row],
-                                  *plateaus)
-            if corrections is not None:  # an NT step that computes `correction_max`
-                np.abs(corrections, out=a_rows[from_half][row][cells])
-            if sig_rows:  # an NT step with a collector
-                sig_rows[from_half][row][cells] = sig
+    for block, size, index, count, whole in blocks:
+        if report:
+            acc = _folded(acc, block.steps(count, size), lambda: whole().steps(count, n))
+        if collector is not None:
+            rows_of = whole()
+            collector.observe(rows_of.base[:count + 1], rows_of.half[:count],
+                              [kbar, k_slotted] + [k_base, k_slotted] * (count - 1),
+                              tuple(b[:count] for b in rows_of.sig) or None)
+        while wanted and wanted[0] <= index + 2 * count:  # a copy of each snapshot's row
+            i, kept, rows_of = wanted.pop(0), time, whole()
+            for _ in range(i - index):
+                kept += dt
+            row, half = divmod(i - index, 2)  # on Half: the values without the slots
+            values = rows_of.half[row, 1:-1] if half else rows_of.base[row]
+            snapshots[i] = StaggeredState(mesh, values.copy(), *lands[half], kept, i)
+        for _ in range(2 * count):
             time += dt
-            index += 1
-            if index in snapshots:  # the values without the slots
-                if joined:
-                    expand(row, row + 1, outputs[from_half:from_half + 1])
-                kept = whole[row][from_half][4]
-                snapshots[index] = StaggeredState(mesh, kept.copy(), *lands[from_half], time,
-                                                  index)
         kbar = k_base
-        row += 1
-        if joined and (row == stop or index == end):  # the span ends
-            if report:
-                extremes = _extremes((j_half[start:row, 1:size], j_base[start + 1:row + 1, :size]),
-                                     tuple(b[start:row, :size + h] for h, b in enumerate(j_a)),
-                                     None)
-                lows, highs, peaks = extremes
-                # the bits of a NaN or of a zero of u that a reduction gives depend on where it
-                # lies, so those extremes are taken row by row from the whole rows
-                if any(x != x or x == 0 for x in lows + highs) or any(x != x for x in peaks):
-                    expand(start, row, outputs + tuple(zip(a_blocks, j_a)))
-                    extremes = _extremes(tuple(b[start:row] for b in stepped),
-                                         tuple(b[start:row] for b in a_blocks))
-                acc = _folded(acc, extremes)
-            if collector is not None:
-                expand(start, row, outputs + tuple(zip(sig_blocks, j_sig)))
-            else:  # the last Base row, which the next span starts from
-                expand(row - 1, row, outputs[1:])
-            ranges = _redrawn(ranges, plateaus, cuts, j_base[row, :size].view(np.uint64))
-            start = row
-        if row == rows or index == end:
-            if report and start < row:
-                acc = _folded(acc, _extremes(tuple(b[start:row] for b in stepped),
-                                             tuple(b[start:row] for b in a_blocks)))
-            if collector is not None:
-                collector.observe(base_rows[:row + 1], half_rows[:row],
-                                  [head_kbar, k_slotted] + [k_base, k_slotted] * (row - 1),
-                                  tuple(b[:row] for b in sig_blocks) or None)
-                base_rows[0], head_kbar = base_rows[row], k_base  # heads the next block
-            u, row, start = base_rows[row], 0, 0
     if report:
         rep.u_min, rep.u_max, rep.correction_max = map(float, acc)
     for key in (k for name in ESTIMATES.keys() - computed for k in ESTIMATES[name]):
@@ -626,5 +544,5 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         rep.correction_bound = _correction_bound(cfg, model, mesh.dx)
     if end in snapshots:  # the initial state itself when no step is taken
         return snapshots[end], rep
-    return (StaggeredState(mesh, u.copy(), k_base, Parity.BASE, time, end) if n_steps
-            else initial), rep
+    return (StaggeredState(mesh, whole().base[count].copy(), k_base, Parity.BASE, time, end)
+            if n_steps else initial), rep

@@ -1,12 +1,11 @@
 """The march steps only the cells that can differ from the plateaus of its initial data.
 
-A march of piecewise-constant data steps a window that grows by at most the stencil's reach,
-up to the outermost cell whose bits differ from its plateau's: the far fields at the edges
-and, between them, each plateau of at least `schemes._PLATEAU` cells, which splits the window
-into ranges stepped in one kernel call.  It must give the same bits as chained public steps,
-which step the whole mesh, and the same report as a march that steps the whole mesh.  Marches
-with one range (a front, or fronts closer than `_PLATEAU`) step exactly the cells they
-stepped before plateaus were cut out.
+Between the far fields and the interior plateaus of at least `schemes._PLATEAU` cells lie the
+ranges of cells that can differ.  A march of piecewise-constant data steps them span by span,
+each range with R = E + 1 plateau cells on each side, joined into one row, and redraws each
+range to the outermost cell whose bits differ from its plateau's.  It must give the same bits
+as chained public steps, which step the whole mesh, and the same report as a march that steps
+the whole mesh.
 """
 
 import dataclasses
@@ -69,9 +68,9 @@ class _Widths:
 
 
 def _plateau(mp, cells):
-    """Cut out interior plateaus of at least `cells` cells (None: the default) in both schemes."""
+    """Cut out interior plateaus of at least `cells` cells (None: the default)."""
     if cells is not None:
-        mp.setattr(schemes, "_PLATEAU", {False: cells, True: cells})
+        mp.setattr(schemes, "_PLATEAU", cells)
 
 
 def _ranges(model, coeff, initial, cfg, plateau=None):
@@ -151,7 +150,8 @@ class TestWindowedMarchEqualsWholeMesh:
         cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam,
                            collect_diagnostics="all" if report else False)
         steps = 2 * pairs
-        wanted = data.draw(st.lists(st.integers(0, steps), max_size=4))
+        wanted = [data.draw(st.integers(0, pairs - 1)) * 2 + 1,  # a Half state
+                  *data.draw(st.lists(st.integers(0, steps), max_size=3))]
         _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows, wanted,
                                              report)
 
@@ -187,8 +187,8 @@ class TestSeveralRangesEqualWholeMesh:
 
 
 class _Folds:
-    """Records the `axis` of each `schemes._extremes` call of a march (None: one reduction over
-    the joined rows of a span; -1: one per whole row) and counts the spans it joins."""
+    """Records the `axis` of each `schemes._extremes` call of a march (None: one reduction per
+    block; -1: one per whole row) and counts the spans it joins."""
 
     def __init__(self, mp):
         self.axes, self.spans = [], 0
@@ -220,8 +220,8 @@ class TestJoinedSpans:
     def test_states_and_report_bitwise(self, model_coeff, scheme, kind, pairs, report, rows,
                                        data):
         # 2 or 3 fronts of 1 to 3 levels between the far fields, with plateaus of 30 to 60
-        # cells between them: longer than 2R = 2 * (3 * 3 + 2) cells, so that they stay apart
-        # through blocks of up to 3 pairs, and merge only in the longer marches
+        # cells between them: longer than 2R = 2 * (3 + 1) cells, so that they stay apart
+        # through blocks of up to 3 pairs, and merge in the longer spans of the default block
         level = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 1.0))
         levels, cells = [data.draw(level)], [data.draw(st.integers(1, 30))]
         fronts = data.draw(st.integers(2, 3))
@@ -270,12 +270,13 @@ class TestJoinedSpans:
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_a_span_joins_R_plateau_cells_beside_each_range(self, rows, scheme):
-        # R = rows * reach + _MARGIN: a pair of steps reaches 3 cells (LF: 1) on each side
+        # R = E + 1, E the block's pairs: beside a plateau a slope is 0, so under either scheme
+        # the cells that differ spread by 1 cell a pair on each side
         model, coeff, initial = _fronts(builtin_burgers_const_k(), [0.3, 0.6, 0.2, 0.9, 0.2],
                                         [40, 3, 60, 2, 60])
         cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
         assert _ranges(model, coeff, initial, cfg, 10) == [(40, 44), (102, 105)]
-        r = rows * {Scheme.NESSYAHU_TADMOR: 3, Scheme.LAX_FRIEDRICHS: 1}[scheme] + 2
+        r = rows + 1
         with pytest.MonkeyPatch.context() as mp:
             widths, folds = _Widths(mp), _Folds(mp)
             _march(initial, model, coeff, cfg, 2 * rows * cfg.lam * initial.mesh.dx, rows,
@@ -428,11 +429,9 @@ class TestWindow:
         widths, whole = self._riemann_march(0.9, scheme)
         assert len(widths) == len(whole) == 8
         assert all(w < n for w, n in zip(widths, whole))
-        # the cells that can differ gain at most the stencil's reach, 1 1/2 (LF: 1/2) on each
-        # side per step; the cells that do differ gain 1/2 with either scheme
-        grow = {Scheme.NESSYAHU_TADMOR: 3, Scheme.LAX_FRIEDRICHS: 1}[scheme]
-        assert all(w <= 10 + 4 + grow * i for i, w in enumerate(widths))
-        assert widths == list(range(14, 22))
+        # one span of E = 4 pairs: the range's 10 cells and R = E + 1 cells on each side
+        assert all(w <= 10 + 2 * (4 + 1) for w in widths)
+        assert widths == [20, 19] * 4
 
     @pytest.mark.parametrize("far", [math.nan, math.inf, -math.inf, 1e308])
     def test_a_far_field_a_step_does_not_keep_makes_it_step_the_whole_mesh(self, far):
@@ -505,15 +504,16 @@ def _reproduce(example):
     reference_run(spec)
 
 
-# (steps, summed widths) of each march in the order run, recorded before interior plateaus were
-# cut out: none of these marches has a plateau of _PLATEAU cells between its far fields
+# (steps, summed widths) of each march in the order run: none of these marches has a plateau of
+# _PLATEAU cells between its far fields, so each steps one range span by span (the 50-cell NT
+# marches step the whole mesh: their first span's piece covers it)
 SINGLE_FRONT = {
     "reproduce 1": (lambda: _reproduce(example_1),
-                    [(1200, 58343), (1200, 58343), (24000, 23491993)]),
+                    [(1200, 59400), (1200, 59120), (24000, 23505920)]),
     "reproduce 2": (lambda: _reproduce(example_2),
-                    [(250, 11846), (250, 11846), (10000, 13560387)]),
-    "study": (_study, [(38400, 117753593), (600, 28643), (1200, 114793), (2400, 459593),
-                       (4800, 1839193)]),
+                    [(250, 12375), (250, 12215), (10000, 13627112)]),
+    "study": (_study, [(38400, 117763190), (600, 29700), (1200, 119400), (2400, 473130),
+                       (4800, 1854320)]),
 }
 
 
@@ -529,3 +529,15 @@ def test_marches_of_one_range_step_the_cells_they_stepped_before(name):
         at += steps
     assert at == len(widths.widths)
     assert sums == expected
+
+
+def test_a_march_of_one_range_steps_joined_spans():
+    # example 1's 1000-cell LF reference has one range between its far fields: it is stepped
+    # span by span like a window of several ranges, not step by step
+    found, real = [], schemes._far_fields
+    with pytest.MonkeyPatch.context() as mp:
+        folds = _Folds(mp)
+        mp.setattr(schemes, "_far_fields", lambda *args: found.append(real(*args)) or found[-1])
+        run = reference_run(example_1())
+    assert run.final.mesh.n_cells == 1000 and len(found) == 1 and len(found[0][0]) == 1
+    assert folds.spans >= 1
