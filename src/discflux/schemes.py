@@ -413,8 +413,9 @@ def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.nd
         pairs = (end - index) // 2
         if found is not None:
             ranges, plateaus, pieces = _pieces(ranges, plateaus, r, n)
-            if pieces == [(0, n)]:  # the window covers the mesh from here on
-                found, whole.base[head], at = None, whole.base[at], head
+            if pieces == [(0, n)]:  # the window covers the mesh: step whole rows of their own
+                found, fresh = None, _Rows(np.zeros, whole_rows, n, bool(whole.a), bool(whole.sig))
+                fresh.base[head], whole, at = whole.base[at], fresh, head
         if found is not None:  # cuts: each piece's cells [a, b) and where they start in the row
             block, count, cuts, size = joined, min(rows, pairs), [], 0
             for a, b in pieces:
