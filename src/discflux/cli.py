@@ -31,13 +31,13 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .diagnostics import TOL, DiagnosticsReport
+from .diagnostics import TOL, DiagnosticsReport, computed_estimates
 from .experiments import (EXAMPLES, ErrorRow, ErrorTable, ExperimentSpec,
                           InitialData, l1_error, reference_run,
                           refinement_study, run_experiment)
 from .grid import write_state_csv
 from .limiter import LimiterConfig, LimiterKind
-from .schemes import CflError, CflLevel, Scheme
+from .schemes import CflError, CflLevel, Scheme, SchemeConfig
 from .schemes import march  # noqa: F401  (unused here; bench/child.py wraps cli.march)
 from .verify import SUITES
 
@@ -144,6 +144,11 @@ class RunConfig:
         ref_dx = r.number("reference.dx") if "reference.dx" in entries else None
         scheme = r.choice("scheme", _SCHEMES, "nessyahu-tadmor")
         diagnostics = r.choice("diagnostics", _DIAGNOSTICS, "true", fold=True)
+        level = r.choice("cfl_level", _CFL_LEVELS, "max-principle")
+        # window_x masks only the cubic accumulator: a run that does not compute it ignores it
+        cubic = "cubic" in computed_estimates(SchemeConfig(
+            scheme=scheme, limiter=LimiterConfig(kind), cfl_level=level,
+            collect_diagnostics=diagnostics))
         out_dir = r.text("output_dir", ".")
         try:
             spec = ExperimentSpec(
@@ -153,8 +158,8 @@ class RunConfig:
                 output_times=tuple(_finite("t_end", t) for t in r.text("t_end").split(",")),
                 reference_dx=dx if ref_dx is None else ref_dx,
                 limiter=LimiterConfig(kind, k_tilde, alpha), k_tilde_auto=k_tilde_auto,
-                cfl_level=r.choice("cfl_level", _CFL_LEVELS, "max-principle"),
-                window_x=r.number("window_x") if "window_x" in entries else None)
+                cfl_level=level,
+                window_x=r.number("window_x") if cubic and "window_x" in entries else None)
         except ValueError as exc:  # range errors of the spec; a reader ConfigError keeps its text
             raise ConfigError(str(exc)) from exc
         if unread := sorted(set(entries) - r.read):

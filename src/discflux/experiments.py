@@ -33,7 +33,7 @@ class InitialData:
 
 def _whole_count(length: float, step: float) -> int:
     """round(length / step) if that ratio is whole to within 1e-9, else 0."""
-    n = length / step
+    n = length / step if step else math.nan
     return round(n) if math.isfinite(n) and abs(n - round(n)) <= 1e-9 else 0
 
 
@@ -65,8 +65,7 @@ class ExperimentSpec:
             raise ValueError("output times must be nonnegative")
         if not all(0 < v < math.inf for v in (self.dx, self.reference_dx, self.lam)):
             raise ValueError("dx, reference_dx and lam must be positive and finite")
-        if _whole_count(self.x_max - self.x_min, self.dx) < 1:
-            raise ValueError(f"dx = {self.dx!r} does not tile [{self.x_min!r}, {self.x_max!r}]")
+        self.mesh()  # refuses a dx that does not tile the domain
         if _whole_count(self.dx, self.reference_dx) < 1:
             raise ValueError("reference_dx must divide dx (nested grids)")
 
@@ -74,8 +73,11 @@ class ExperimentSpec:
         return make_model(self.model_name, **self.model_params)
 
     def mesh(self, dx: float | None = None) -> Mesh:
+        """The mesh of cells of `dx` (default: the spec's); ValueError where they do not tile
+        the domain."""
         dx = self.dx if dx is None else dx
-        n = round((self.x_max - self.x_min) / dx)
+        if (n := _whole_count(self.x_max - self.x_min, dx)) < 1:
+            raise ValueError(f"dx = {dx!r} does not tile [{self.x_min!r}, {self.x_max!r}]")
         return Mesh.from_cells(self.x_min, self.x_max, n)
 
     def initial(self, mesh: Mesh, coeff: Coefficient) -> StaggeredState:

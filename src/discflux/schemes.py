@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .diagnostics import (ESTIMATES, DiagnosticsCollector, DiagnosticsReport, _correction_bound,
-                          _greatest, _interleave, _least, computed_estimates)
+                          _greatest, _least, computed_estimates)
 from .flux_model import Coefficient, FluxModel
 from .grid import Mesh, Parity, StaggeredState, cell_average_coefficient, extend_absorbing
 from .limiter import LimiterConfig, slopes
@@ -149,7 +149,7 @@ class _Stepper:
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
                  limiter: LimiterConfig | None, *, corrections: bool = True):
         self.model, self.mesh, self.lam, self.limiter = model, mesh, lam, limiter
-        self.corrections = corrections
+        self.corrections = corrections and limiter is not None
         self.kbar = _Averages(mesh, coeff)
         self.diff = np.empty(mesh.n_cells)
 
@@ -254,26 +254,17 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
     return n - (n % 2)
 
 
-def _extremes(stepped: tuple, a_blocks: tuple, axis: int | None) -> tuple:
-    """The least and greatest value (`stepped`) and greatest |correction| (`a_blocks`) of the
-    2-d blocks of the steps from Base and from Half (the steps alternate, Base first): one
-    reduction per block with `axis` None, else one per row, in step order; empty without
-    blocks."""
+def _folded(acc: tuple, block, count: int, size: int) -> tuple:
+    """(u_min, u_max, correction_max) `acc` folded with the values and the |corrections| of the
+    first `count` pairs of steps on the first `size` cells of the `_Rows` `block`, one reduction
+    per 2-d block; a NaN sticks.  Only the bits of a zero or a NaN depend on where a reduction
+    finds them, and `march` reports those as values."""
+    values = block.half[:count, 1:size], block.base[1:count + 1, :size]
+    peaks = (b[:count, :size + h] for h, b in enumerate(block.a))
     lowest, highest = np.minimum.reduce, np.maximum.reduce
-    return tuple([reduce(b, axis=None) for b in blocks] if axis is None else
-                 _interleave(*(reduce(b, axis=axis).tolist() for b in blocks)) if blocks else []
-                 for reduce, blocks in ((lowest, stepped), (highest, stepped), (highest, a_blocks)))
-
-
-def _folded(acc: tuple, steps: tuple, whole) -> tuple:
-    """(u_min, u_max, correction_max) `acc` folded with the `_extremes` of a block's `steps`,
-    one reduction per block.  Those are the extremes a fold step by step gives unless one is a
-    NaN or a zero, whose bits a reduction picks by where it lies: then the rows of the block's
-    steps in the whole mesh (`whole()`) are folded row by row."""
-    lows, highs, peaks = _extremes(*steps, None)
-    if any(x != x or x == 0 for x in lows + highs) or any(x != x for x in peaks):
-        lows, highs, peaks = _extremes(*whole(), -1)
-    return _least(acc[0], lows), _greatest(acc[1], highs), _greatest(acc[2], peaks)
+    return (_least(acc[0], (lowest(b, axis=None) for b in values)),
+            _greatest(acc[1], (highest(b, axis=None) for b in values)),
+            _greatest(acc[2], (highest(b, axis=None) for b in peaks)))
 
 
 def _run(a: np.ndarray) -> int:
@@ -374,66 +365,26 @@ class _Rows:
         self.a, self.sig = ((make((rows, n)), make((rows, n + 1))) if kept else ()
                             for kept in (corrections, slopes))
 
-    def steps(self, count: int, size: int) -> tuple:
-        """The values and the |corrections| of the first `count` pairs of steps on the first
-        `size` cells, as `_extremes` takes them."""
-        return ((self.half[:count, 1:size], self.base[1:count + 1, :size]),
-                tuple(b[:count, :size + h] for h, b in enumerate(self.a)))
-
 
 def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.ndarray,
             found: tuple | None, index: int, end: int, rows: int, whole_rows: int, headed: bool):
     """Step from the Base values `u` with `kbar` at step `index` to step `end` and yield each
-    filled block as (block, size, index, count, whole): `count` pairs of steps from `index` on
-    the first `size` cells of the `_Rows` `block`, and `whole()`, which gives the whole rows
-    holding them (the last Base row at once).
+    filled block as (block, size, index, count, row): `count` pairs of steps from `index` on
+    the first `size` cells of the `_Rows` `block`, and `row(i)`, a copy of the whole row i steps
+    after `index` (on Half, the values without the slots).
 
-    With a window (`found`), a block is a span of up to `rows` pairs that steps the pieces
-    [lo - R, hi + R) of the ranges joined end to end (`_pieces`), R = E + 1 for E the most pairs
-    a block takes: no change crosses a plateau's 2R cells within the span.  After the span each
-    range is redrawn (`_redrawn`).  Once a piece covers the mesh, or without a window, a block
-    is up to `whole_rows` pairs of the whole rows, started from the head row if `headed`."""
-    n, step, views = len(u), stepper.step, stepper.views
-    k_base = stepper.kbar[Parity.BASE]
-    second_order = stepper.limiter is not None
-    whole = _Rows(np.zeros, whole_rows if found is None else rows, n,
-                  stepper.corrections and second_order, headed and second_order)
-    head = 0 if headed else whole_rows  # the row a block of whole rows starts from
-    at = head  # the whole Base row that the next block starts from
-    whole.base[at] = u
-    if found is not None:  # no step writes a value outside its pieces: fill in the plateaus
-        whole.base[:], whole.half[:, :-1], whole.half[:, -1] = u, u, u[-1]
-        joined = _Rows(np.empty, rows, n, bool(whole.a), bool(whole.sig))
-        j_k = np.empty(n), np.empty(n + 1)
-        (ranges, plateaus), r = found, min(rows, (end - index) // 2) + 1
-        pairs_of = ((whole.base[1:], joined.base[1:]), (whole.half, joined.half),
-                    *zip(whole.a, joined.a), *zip(whole.sig, joined.sig))
-    whole_steps = None
-    while index < end:
-        pairs = (end - index) // 2
-        if found is not None:
-            ranges, plateaus, pieces = _pieces(ranges, plateaus, r, n)
-            if pieces == [(0, n)]:  # the window covers the mesh: step whole rows of their own
-                found, fresh = None, _Rows(np.zeros, whole_rows, n, bool(whole.a), bool(whole.sig))
-                fresh.base[head], whole, at = whole.base[at], fresh, head
-        if found is not None:  # cuts: each piece's cells [a, b) and where they start in the row
-            block, count, cuts, size = joined, min(rows, pairs), [], 0
-            for a, b in pieces:
-                cuts.append((a, b, size))
-                joined.base[0, size:size + b - a] = whole.base[at, a:b]
-                j_k[0][size:size + b - a], j_k[1][size:size + b - a] = k_base[a:b], k_slotted[a:b]
-                size += b - a
-            j_k[1][size] = k_slotted[b]  # a Half row's slot after the last piece
-            ks = after = j_k[0][:size], j_k[1][:size + 1]
-            steps = [(views(joined.base[i, :size], joined.half[i, :size + 1]),
-                      views(joined.half[i, :size + 1], joined.base[i + 1, :size]))
-                     for i in range(count)]
-        else:
-            block, count, size = whole, min(whole_rows, pairs), n
-            ks, after = (kbar, k_slotted), (k_base, k_slotted)
-            steps = whole_steps = whole_steps or [
-                (views(whole.base[head if i == 0 else i], whole.half[i]),
-                 views(whole.half[i], whole.base[i + 1])) for i in range(count)]
+    The blocks come in two phases.  With a window (`found`), a block is first a span of up to
+    `rows` pairs that steps the pieces [lo - R, hi + R) of the ranges joined end to end
+    (`_pieces`), R = E + 1 for E the most pairs a span takes: no change crosses a plateau's 2R
+    cells within the span.  One whole Base row holds the march's state: each span starts from
+    its pieces and writes its last row's pieces back, and each range is then redrawn
+    (`_redrawn`).  Once a piece covers the mesh, or without a window, a block is up to
+    `whole_rows` pairs of whole rows, started from the head row if `headed`."""
+    n, step, views, k_base = len(u), stepper.step, stepper.views, stepper.kbar[Parity.BASE]
+
+    def stepped(block: _Rows, steps: list, count: int, size: int, ks: tuple, after: tuple):
+        """`count` pairs of `steps` on `size` cells with the coefficients `ks`, `after` from the
+        second pair on; the |corrections| and the slopes kept in `block`."""
         for i in range(count):
             for h, k, view in zip((0, 1), ks, steps[i]):
                 a, sig = step(k, view)
@@ -442,24 +393,56 @@ def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.nd
                 if block.sig:  # an NT step with a collector
                     block.sig[h][i, :size + h] = sig
             ks = after
-        if block is whole:
-            yield whole, n, index, count, lambda: whole
-        else:
-            def expanded(span=slice(count), blocks=pairs_of, cuts=cuts, size=size):
-                """The whole rows, the cells of the span's pieces written from its rows."""
-                for w, j in blocks:
-                    for a, b, start in cuts:
-                        w[span, a:b] = j[span, start:start + b - a]
-                    if w.shape[1] > n:  # a Half row: the slot after the last piece
-                        w[span, b] = j[span, size]
-                return whole
 
-            expanded(slice(count - 1, count), pairs_of[:1])  # the last Base row
+    if found is not None:
+        (ranges, plateaus), r = found, min(rows, (end - index) // 2) + 1
+        joined, j_k = _Rows(np.empty, rows, n, stepper.corrections, False), np.empty((2, n + 1))
+        base = u.copy()  # the march's whole Base row; the initial values are never written
+        while index < end:
+            ranges, plateaus, pieces = _pieces(ranges, plateaus, r, n)
+            if pieces == [(0, n)]:  # the window covers the mesh
+                break
+            count, cuts, size = min(rows, (end - index) // 2), [], 0
+            for a, b in pieces:  # cuts: each piece's cells [a, b) and where they start in the row
+                cuts.append((a, b, size))
+                joined.base[0, size:size + b - a] = base[a:b]
+                j_k[0, size:size + b - a], j_k[1, size:size + b - a] = k_base[a:b], k_slotted[a:b]
+                size += b - a
+            j_k[1, size] = k_slotted[b]  # a Half row's slot after the last piece
+            ks = j_k[0, :size], j_k[1, :size + 1]
+            stepped(joined, [(views(joined.base[i, :size], joined.half[i, :size + 1]),
+                              views(joined.half[i, :size + 1], joined.base[i + 1, :size]))
+                             for i in range(count)], count, size, ks, ks)
+            for a, b, at in cuts:
+                base[a:b] = joined.base[count, at:at + b - a]
             ranges = _redrawn(ranges, plateaus, cuts, joined.base[count, :size].view(np.uint64))
-            yield joined, size, index, count, expanded
-        index, at, kbar = index + 2 * count, count, k_base
+
+            def row(i: int, cuts=cuts) -> np.ndarray:  # outside the pieces Half holds u[1:]
+                pair, half = divmod(i, 2)
+                values = (u if half else base).copy()
+                for a, b, at in cuts:
+                    values[a:b] = (joined.half if half else joined.base)[pair, at:at + b - a]
+                return values[1:] if half else values
+
+            yield joined, size, index, count, row
+            index, kbar = index + 2 * count, k_base
+    whole = _Rows(np.zeros, whole_rows, n, stepper.corrections,
+                  headed and stepper.limiter is not None)
+    head = 0 if headed else whole_rows  # the row a block of whole rows starts from
+    whole.base[head] = u if found is None else base
+    steps = [(views(whole.base[head if i == 0 else i], whole.half[i]),
+              views(whole.half[i], whole.base[i + 1])) for i in range(whole_rows)]
+
+    def row(i: int) -> np.ndarray:
+        return (whole.half[i // 2, 1:-1] if i % 2 else whole.base[i // 2]).copy()
+
+    while index < end:
+        count = min(whole_rows, (end - index) // 2)
+        stepped(whole, steps, count, n, (kbar, k_slotted), (k_base, k_slotted))
+        yield whole, n, index, count, row
+        index, kbar = index + 2 * count, k_base
         if headed:
-            whole.base[0], at = whole.base[count], 0
+            whole.base[0] = whole.base[count]
 
 
 def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
@@ -469,15 +452,17 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
 
     The march steps blocks of pairs of steps on arrays (`_blocks`): max(1, 16384 // n_cells)
     pairs, max(1, 1024 // n_cells) when a collector folds them, 1 without a report once the
-    whole mesh is stepped.  It steps only the cells that can differ from the plateaus of the
-    initial data (`_far_fields`), span by span, and gives the bits of a march that steps the
-    whole mesh.  Each full block is read three ways: the report's `u_min`, `u_max` and
-    `correction_max` (NaN once any state or correction holds one) are folded (`_folded`), a
-    `DiagnosticsCollector` folds the other estimates of `computed_estimates(cfg)` over the
-    whole rows (the rest are None), and a copy of a row is kept for each step index that is a
-    key of `snapshots` (march sets its value).  The final state holds a copy too, and the
-    initial values are never written.  The target time snaps to the nearest even multiple of
-    dt = lam*dx at or below t_end (recorded in the report), so the final state is on Base.
+    whole mesh is stepped.  Without a collector it steps only the cells that can differ from
+    the plateaus of the initial data (`_far_fields`), span by span, and gives the bits of a
+    march that steps the whole mesh; a collector reads every cell of every row, so with one
+    the march steps every cell.  Each full block is read three ways: the report's `u_min`,
+    `u_max` and `correction_max` are folded (`_folded`) into values (a zero is +0.0, and NaN
+    once any state or correction holds one), a `DiagnosticsCollector` folds the other
+    estimates of `computed_estimates(cfg)` over the whole rows (the rest are None), and a copy
+    of a row is kept for each step index that is a key of `snapshots` (march sets its value).
+    The final state holds a copy too, and the initial values are never written.  The target
+    time snaps to the nearest even multiple of dt = lam*dx at or below t_end (recorded in the
+    report), so the final state is on Base.
 
     `report` False says that nothing reads the report's folded fields: the march takes no
     extremes and computes no estimate, `u_min` and `u_max` keep their never-observed
@@ -514,30 +499,30 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     k_slotted = np.pad(k_half, 1, mode="edge")  # the coefficient of a ghost-slotted Half row
     lands = (k_base, Parity.BASE), (k_half, Parity.HALF)
     rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n)
-    found = _far_fields(stepper, u, kbar) if n_steps else None  # the cells that can differ
+    # the cells that can differ; the collector reads every cell of every row
+    found = _far_fields(stepper, u, kbar) if n_steps and collector is None else None
     blocks = _blocks(stepper, u, kbar, k_slotted, found, index, end, rows,
                      rows if report else 1, collector is not None)
     acc = (np.minimum.reduce(u), np.maximum.reduce(u), 0.0) if report else None
-    for block, size, index, count, whole in blocks:
+    for block, size, index, count, row in blocks:
         if report:
-            acc = _folded(acc, block.steps(count, size), lambda: whole().steps(count, n))
-        if collector is not None:
-            rows_of = whole()
-            collector.observe(rows_of.base[:count + 1], rows_of.half[:count],
+            acc = _folded(acc, block, count, size)
+        if collector is not None:  # whole rows: a march with a collector has no window
+            collector.observe(block.base[:count + 1], block.half[:count],
                               [kbar, k_slotted] + [k_base, k_slotted] * (count - 1),
-                              tuple(b[:count] for b in rows_of.sig) or None)
+                              tuple(b[:count] for b in block.sig) or None)
         while wanted and wanted[0] <= index + 2 * count:  # a copy of each snapshot's row
-            i, kept, rows_of = wanted.pop(0), time, whole()
+            i, kept = wanted.pop(0), time
             for _ in range(i - index):
                 kept += dt
-            row, half = divmod(i - index, 2)  # on Half: the values without the slots
-            values = rows_of.half[row, 1:-1] if half else rows_of.base[row]
-            snapshots[i] = StaggeredState(mesh, values.copy(), *lands[half], kept, i)
+            snapshots[i] = StaggeredState(mesh, row(i - index), *lands[(i - index) % 2], kept, i)
         for _ in range(2 * count):
             time += dt
         kbar = k_base
     if report:
-        rep.u_min, rep.u_max, rep.correction_max = map(float, acc)
+        # values: a zero reads +0.0 and a NaN math.nan, whichever bits a reduction found
+        rep.u_min, rep.u_max, rep.correction_max = (math.nan if x != x else float(x) + 0.0
+                                                    for x in acc)
     for key in (k for name in ESTIMATES.keys() - computed for k in ESTIMATES[name]):
         setattr(rep, key, None)
     rep.snapped_time = time
@@ -545,5 +530,5 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
         rep.correction_bound = _correction_bound(cfg, model, mesh.dx)
     if end in snapshots:  # the initial state itself when no step is taken
         return snapshots[end], rep
-    return (StaggeredState(mesh, whole().base[count].copy(), k_base, Parity.BASE, time, end)
+    return (StaggeredState(mesh, row(2 * count), k_base, Parity.BASE, time, end)
             if n_steps else initial), rep

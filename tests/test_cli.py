@@ -194,8 +194,9 @@ class TestInputOutsideTheTheory:
         ("u0 = constant", "u0 = constant\nlimiter.alpha = 0.5"),  # only minmod-modified reads it
         ("u0 = constant", "u0 = constant\nlimiter.k_tilde = 2"),
         ("u0 = constant", "u0 = constant\ndiagnostics = flase"),
-        ("u0 = constant", "u0 = constant\nwindow_x = nan"),
-        ("u0 = constant", "u0 = constant\nwindow_x = -1"),  # it masked every interface
+        ("u0 = constant", "u0 = constant\ndiagnostics = all\nwindow_x = nan"),
+        ("u0 = constant", "u0 = constant\ndiagnostics = all\nwindow_x = -1"),  # it masked all
+        ("u0 = constant", "u0 = constant\nwindow_x = 0.3"),  # only the cubic accumulator reads it
         ("domain.x_max = 1", "domain.x_max = inf"),
         ("t_end = 0.2", "t_end = inf"),
         ("t_end = 0.2", "t_end = 1e300"),      # finite, but about 1e303 steps: it never ended
@@ -205,7 +206,7 @@ class TestInputOutsideTheTheory:
     ], ids=["above-u_hi", "nan", "inf", "dx-does-not-tile", "modelfoo", "u0foo",
             "k_left-for-two-flux", "k_tidle", "x_mx", "reference-foo", "u0-left-for-constant",
             "alpha-for-minmod", "k_tilde-for-minmod", "diagnostics-flase", "window_x-nan",
-            "window_x-negative",
+            "window_x-negative", "window_x-without-cubic-estimate",
             "x_max-inf", "t_end-inf", "t_end-1e300", "reference-dx-0", "k_tilde-nan",
             "dx-0-with-dt"])
     def test_run_refuses_with_exit_1(self, tmp_path, capsys, old, new):
@@ -227,7 +228,7 @@ class TestInputOutsideTheTheory:
         assert not (tmp_path / "s").exists()
 
     def test_study_refuses_a_negative_window_x(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TWO_FLUX_CONFIG + "window_x = -1\n")
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG + "diagnostics = all\nwindow_x = -1\n")
         assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
         assert "window_x" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
@@ -240,6 +241,7 @@ class TestInputOutsideTheTheory:
 
     @pytest.mark.parametrize("extra", ["reference.dx = 0.01\n", "limiter.kind = minmod\n",
                                        "diagnostics = OFF\n", "diagnostics = All\n",
+                                       "diagnostics = all\nwindow_x = 0.3\n",
                                        "scheme = lf\nlimiter.kind = zero\n"])
     def test_keys_the_spec_reads_are_accepted(self, tmp_path, extra):
         # keys are judged against the spec, which serves run and study and

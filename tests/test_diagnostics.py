@@ -313,6 +313,11 @@ def _high(current, x):
     return x if x > current or x != x else current
 
 
+def _as_value(x):
+    """An extreme as the report gives it: +0.0 for a zero, math.nan for a NaN."""
+    return 0.0 if x == 0 else math.nan if x != x else x
+
+
 BUILTINS = [lambda: builtin_multiplicative(3.0, 1.0), builtin_two_flux_rational,
             builtin_burgers_const_k]
 
@@ -343,7 +348,8 @@ class TestEntropyResidualRewrite:
 class _CollectorOracle:
     """The collector as it was before it reused the step's slopes: each
     transition of chained public steps is judged by the public checks alone,
-    the slopes recomputed.  Extremes fold as the report folds them, a NaN sticking."""
+    the slopes recomputed.  Extremes fold as the report folds them, a NaN sticking, and read
+    as values: +0.0 for a zero, math.nan for a NaN."""
 
     def __init__(self, model, coeff, cfg, initial):
         self.model, self.coeff, self.cfg, self.initial = model, coeff, cfg, initial
@@ -366,7 +372,10 @@ class _CollectorOracle:
                 next, corrections = lf_step(prev, model, coeff, cfg.lam, cfg.cfl_level), None
             self.observe(prev, next, corrections)
             prev = next
-        return self.report
+        rep = self.report
+        rep.u_min, rep.u_max, rep.correction_max = map(
+            _as_value, (rep.u_min, rep.u_max, rep.correction_max))
+        return rep
 
     def observe(self, prev, next, corrections):
         rep, model, lam = self.report, self.model, self.cfg.lam

@@ -116,6 +116,20 @@ class TestRunExperiment:
             ExperimentSpec(name="bad", model_name="burgers-const-k",
                            dx=0.1, reference_dx=0.04, output_times=(1.0,))
 
+    @pytest.mark.parametrize("dx", [0.03, 0.0, -0.04, math.nan])
+    def test_run_refuses_a_dx_that_does_not_tile_the_domain(self, dx):
+        # 2 / 0.03 is not whole: this run marched 67 cells of 0.029850746268656716
+        with pytest.raises(ValueError, match="does not tile"):
+            run_experiment(example_1(), Scheme.LAX_FRIEDRICHS, dx=dx, times=(0.1,))
+
+    @pytest.mark.parametrize("example, cells", [(example_1, 1000), (example_2, 2000)])
+    def test_study_levels_and_reference_tile_the_domain(self, example, cells):
+        spec = dataclasses.replace(example(), reference_dx=example().dx / 8)
+        assert [spec.mesh(spec.dx / 2**i).n_cells for i in range(4)] == [50, 100, 200, 400]
+        table = refinement_study(spec, Scheme.NESSYAHU_TADMOR, 4, times=(0.1,))
+        assert [row.dx for row in table.rows] == [spec.dx / 2**i for i in range(4)]
+        assert reference_run(example(), times=(0.01,)).final.mesh.n_cells == cells
+
     @pytest.mark.parametrize("bad", [
         {"dx": 0.0}, {"dx": -0.04}, {"reference_dx": 0.0}, {"lam": 0.0}, {"lam": math.inf},
         {"x_max": math.inf}, {"x_max": math.nan},

@@ -1,6 +1,11 @@
 import dataclasses
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -943,7 +948,8 @@ def _march_rows(rows, initial, *args):
 
 def _per_step_extremes(state, model, coeff, cfg, steps):
     """`u_min`, `u_max` and `correction_max` folded after each of `steps` chained public
-    steps, as `march` folded them before it folded blocks."""
+    steps, as `march` folded them before it folded blocks, and read as values: +0.0 for a
+    zero, math.nan for a NaN."""
     u_min, u_max, correction_max = np.min(state.values), np.max(state.values), 0.0
     for _ in range(steps):
         if cfg.scheme is Scheme.NESSYAHU_TADMOR:
@@ -956,7 +962,8 @@ def _per_step_extremes(state, model, coeff, cfg, steps):
         lo, hi = np.min(state.values), np.max(state.values)
         u_min = lo if lo < u_min or lo != lo else u_min
         u_max = hi if hi > u_max or hi != hi else u_max
-    return u_min, u_max, correction_max
+    return tuple(0.0 if x == 0 else math.nan if x != x else float(x)
+                 for x in (u_min, u_max, correction_max))
 
 
 def _float_bits(x):
@@ -1007,3 +1014,52 @@ class TestExtremesFoldInBlocks:
             assert got[2] is None
             got, want = got[:2], want[:2]
         assert [_float_bits(x) for x in got] == [_float_bits(x) for x in want]
+
+
+def _zeros_state():
+    """A 17-cell Burgers state of zeros with -0.0 in its last cell."""
+    model, coeff = builtin_burgers_const_k()
+    mesh = Mesh.from_cells(-1.0, 1.0, 17)
+    values = np.zeros(17)
+    values[-1] = -0.0
+    return model, coeff, StaggeredState(mesh, values,
+                                        cell_average_coefficient(mesh, coeff, Parity.BASE),
+                                        Parity.BASE, 0.0, 0)
+
+
+class TestExtremesAreValues:
+    # which zero a reduction over +0.0 and -0.0 returns follows numpy's loops: with numpy 2.4
+    # the march from `_zeros_state` folded +0.0 on AVX-512 and -0.0 on AVX2, so the report
+    # reads every zero extreme as +0.0
+    def test_do_not_follow_numpys_simd_loops(self):
+        script = "\n".join([
+            "import math",
+            "import numpy as np",
+            "from discflux import (Mesh, Parity, SchemeConfig, StaggeredState,"
+            " builtin_burgers_const_k, cell_average_coefficient, march)",
+            inspect.getsource(_zeros_state),
+            "model, coeff, state = _zeros_state()",
+            "_, report = march(state, model, coeff, SchemeConfig(lam=0.05), 0.05)",
+            "print(*(f'{x.hex()} {math.copysign(1.0, x)}' for x in (report.u_min, report.u_max)))"])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        model, coeff, state = _zeros_state()
+        _, report = march(state, model, coeff, SchemeConfig(lam=0.05), 0.05)
+        assert report.steps == 8
+        here = [f"{x.hex()} {math.copysign(1.0, x)}" for x in (report.u_min, report.u_max)]
+        assert out == " ".join(here).split() == ["0x0.0p+0", "1.0"] * 2
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    @pytest.mark.parametrize("collect", [False, "all"])  # windowed, and whole rows
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=["lf", "nt", "nt-modified"])
+    def test_zeros_of_both_signs_read_plus_zero(self, case, collect, rows):
+        scheme, limiter = case
+        model, coeff, state = _zeros_state()
+        cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=0.05, collect_diagnostics=collect)
+        _, report = _march_rows(rows, state, model, coeff, cfg, 0.05)
+        extremes = [report.u_min, report.u_max, report.correction_max]
+        assert [_float_bits(x) for x in extremes if x is not None] == \
+            [("0x0.0p+0", 1.0)] * (3 - extremes.count(None))

@@ -1,11 +1,13 @@
-"""The march steps only the cells that can differ from the plateaus of its initial data.
+"""A march without a collector steps only the cells that can differ from the plateaus of its
+initial data.
 
 Between the far fields and the interior plateaus of at least `schemes._PLATEAU` cells lie the
 ranges of cells that can differ.  A march of piecewise-constant data steps them span by span,
 each range with R = E + 1 plateau cells on each side, joined into one row, and redraws each
-range to the outermost cell whose bits differ from its plateau's.  It must give the same bits
-as chained public steps, which step the whole mesh, and the same report as a march that steps
-the whole mesh.
+range to the outermost cell whose bits differ from its plateau's; one whole Base row holds its
+state between spans.  It must give the same bits as chained public steps, which step the whole
+mesh, and the same report as a march that steps the whole mesh.  A march with a collector
+steps every cell, since the collector reads every cell of every row.
 """
 
 import dataclasses
@@ -110,7 +112,8 @@ def _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows
                                          wanted=(), report=True, plateau=None):
     """A windowed march of `steps` steps (cutting out plateaus of at least `plateau` cells)
     gives the states, the snapshots at the `wanted` step indices and the report of a march
-    that steps the whole mesh, bit for bit, and the states of chained public steps."""
+    that steps the whole mesh, bit for bit, and the states of chained public steps, which it
+    returns."""
     t_end = steps * cfg.lam * initial.mesh.dx
     with np.errstate(all="ignore"):
         snapshots = dict.fromkeys(wanted)
@@ -128,6 +131,13 @@ def _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, steps, rows
     for n in wanted:
         assert snapshots[n].values.tobytes() == chained[n].values.tobytes()
     assert _report_bits(rep) == _report_bits(whole_rep)
+    return chained
+
+
+def _collect(report, data):
+    """The `collect_diagnostics` of a march: drawn from False and "all" with a report, since
+    only a march without a collector steps a window."""
+    return data.draw(st.sampled_from([False, "all"])) if report else False
 
 
 class TestWindowedMarchEqualsWholeMesh:
@@ -148,7 +158,7 @@ class TestWindowedMarchEqualsWholeMesh:
         limiter = LimiterConfig(kind=kind, k_tilde=data.draw(st.floats(0.01, 2.0)))
         lam = 0.5 * 0.2 / model.sup_fu
         cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=lam,
-                           collect_diagnostics="all" if report else False)
+                           collect_diagnostics=_collect(report, data))
         steps = 2 * pairs
         wanted = [data.draw(st.integers(0, pairs - 1)) * 2 + 1,  # a Half state
                   *data.draw(st.lists(st.integers(0, steps), max_size=3))]
@@ -177,7 +187,7 @@ class TestSeveralRangesEqualWholeMesh:
                                          sum(cells))
         limiter = LimiterConfig(kind=kind, k_tilde=data.draw(st.floats(0.01, 2.0)))
         cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=0.5 * 0.2 / model.sup_fu,
-                           collect_diagnostics="all" if report else False)
+                           collect_diagnostics=_collect(report, data))
         ranges = _ranges(model, coeff, initial, cfg, plateau)
         assume(ranges is not None and len(ranges) >= 2)  # a level beside it may be its equal
         steps = 2 * pairs
@@ -187,22 +197,15 @@ class TestSeveralRangesEqualWholeMesh:
 
 
 class _Folds:
-    """Records the `axis` of each `schemes._extremes` call of a march (None: one reduction per
-    block; -1: one per whole row) and counts the spans it joins."""
+    """Counts the spans a march joins."""
 
     def __init__(self, mp):
-        self.axes, self.spans = [], 0
-        extremes, redrawn = schemes._extremes, schemes._redrawn
-
-        def recorded(stepped, a_blocks, axis=-1):
-            self.axes.append(axis)
-            return extremes(stepped, a_blocks, axis)
+        self.spans, redrawn = 0, schemes._redrawn
 
         def counted(*args):
             self.spans += 1
             return redrawn(*args)
 
-        mp.setattr(schemes, "_extremes", recorded)
         mp.setattr(schemes, "_redrawn", counted)
 
 
@@ -235,7 +238,7 @@ class TestJoinedSpans:
         model, coeff, initial = _fronts(model_coeff(), levels, cells)
         limiter = LimiterConfig(kind=kind, k_tilde=data.draw(st.floats(0.01, 2.0)))
         cfg = SchemeConfig(scheme=scheme, limiter=limiter, lam=0.5 * 0.2 / model.sup_fu,
-                           collect_diagnostics="all" if report else False)
+                           collect_diagnostics=_collect(report, data))
         ranges = _ranges(model, coeff, initial, cfg, 10)
         assume(ranges is not None and len(ranges) >= 2)  # a front may equal its neighbours
         steps = 2 * pairs
@@ -248,7 +251,8 @@ class TestJoinedSpans:
         assume(folds.spans >= 1)  # short far fields may make one slice over the ranges cheaper
 
     # a NaN inside a range, NaNs of both signs, and a -0.0 range beside +0.0 plateaus: the bits
-    # a reduction gives depend on where those values lie, so the march folds whole rows
+    # a reduction gives depend on where those values lie, so the report gives them as values,
+    # the per-step fold of chained public steps with +0.0 for a zero and math.nan for a NaN
     PICKED = {"a NaN in a range": [0.3, 0.6, 0.2, math.nan, 0.2, 0.5],
               "NaNs of both signs": [0.3, -math.nan, 0.2, math.nan, 0.2, 0.5],
               "-0.0 beside +0.0": [0.3, 0.6, 0.0, -0.0, 0.0, 0.5]}
@@ -258,14 +262,22 @@ class TestJoinedSpans:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_extremes_picked_by_position_fold_whole_rows(self, levels, rows, scheme):
         model, coeff, initial = _fronts(builtin_burgers_const_k(), levels, [15, 3, 42, 2, 43, 15])
-        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
         assert len(_ranges(model, coeff, initial, cfg, 10)) == 3
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
             folds = _Folds(mp)
-            _march(initial, model, coeff, cfg, 24 * cfg.lam * initial.mesh.dx, rows, plateau=10)
-        assert folds.spans >= 1 and -1 in folds.axes
-        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, rows, (1, 7, 13),
-                                             plateau=10)
+            _, rep = _march(initial, model, coeff, cfg, 24 * cfg.lam * initial.mesh.dx, rows,
+                            plateau=10)
+        assert folds.spans >= 1
+        chained = _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, rows,
+                                                       (1, 7, 13), plateau=10)
+        low, high = math.inf, -math.inf
+        for state in chained:
+            lo, hi = np.min(state.values), np.max(state.values)
+            low = lo if lo < low or lo != lo else low
+            high = hi if hi > high or hi != hi else high
+        want = [0.0 if x == 0 else math.nan if x != x else float(x) for x in (low, high)]
+        assert [_hex(rep.u_min), _hex(rep.u_max)] == [_hex(x) for x in want]
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -274,7 +286,7 @@ class TestJoinedSpans:
         # the cells that differ spread by 1 cell a pair on each side
         model, coeff, initial = _fronts(builtin_burgers_const_k(), [0.3, 0.6, 0.2, 0.9, 0.2],
                                         [40, 3, 60, 2, 60])
-        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
         assert _ranges(model, coeff, initial, cfg, 10) == [(40, 44), (102, 105)]
         r = rows + 1
         with pytest.MonkeyPatch.context() as mp:
@@ -282,7 +294,6 @@ class TestJoinedSpans:
             _march(initial, model, coeff, cfg, 2 * rows * cfg.lam * initial.mesh.dx, rows,
                    plateau=10)
         assert widths.widths[0] == 4 + 3 + 4 * r and folds.spans == 1
-        assert folds.axes == [None]  # one fold over the joined rows, none over whole rows
 
 
 # cells whose bits the value check must tell from the far field's: far-field values with a
@@ -302,7 +313,7 @@ class TestValueCheckedWindow:
     @pytest.mark.parametrize("model_coeff", MODELS, ids=["multiplicative", "burgers"])
     def test_states_and_report_bitwise(self, levels, scheme, model_coeff):
         model, coeff, initial = _riemann(model_coeff(), levels, [19, 20, 40, 41], 60)
-        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
         _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, wanted=(1, 2, 7))
 
 
@@ -329,7 +340,7 @@ class TestValueCheckedPlateau:
     @pytest.mark.parametrize("model_coeff", MODELS, ids=["multiplicative", "burgers"])
     def test_states_and_report_bitwise(self, value, beside, scheme, model_coeff):
         model, coeff, initial = _plateau_riemann(model_coeff(), value, beside)
-        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
         assert len(_ranges(model, coeff, initial, cfg, 10)) >= 2
         _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 24, wanted=(1, 2, 7),
                                              plateau=10)
@@ -338,7 +349,7 @@ class TestValueCheckedPlateau:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_a_plateau_a_step_changes_is_not_cut_out(self, value, scheme):
         model, coeff, initial = _plateau_riemann(builtin_multiplicative(3.0, 1.0), value, 0.5)
-        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
         assert _ranges(model, coeff, initial, cfg, 10) == [(10, 70)]
         assert len(_ranges(*_plateau_riemann(builtin_multiplicative(3.0, 1.0), 0.9, 0.5)[:3],
                            cfg, 10)) == 3  # a finite plateau, cut out on each side of x = 0
@@ -351,7 +362,7 @@ class TestValueCheckedPlateau:
         # Base averages that hold one value around a Half average that does not (no builtin
         # coefficient gives such averages): the plateau is cut out on each side of that value
         model, coeff, initial = _plateau_riemann(builtin_burgers_const_k(), 0.9, 0.5)
-        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
         real = schemes.cell_average_coefficient
 
         def bumped(mesh, coeff, parity):
@@ -390,25 +401,25 @@ class TestWholeRowCollector:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_observes_the_rows_of_a_whole_mesh_march(self, scheme):
-        # the collector is not told the window: a march that steps a window hands it every
-        # cell of every row, the bits that a march stepping the whole mesh hands it
+        # the collector reads every cell of every row, so a march with one steps every cell
+        # and hands it the bits that a march stepping the whole mesh hands it
         model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0), [0.9, 0.5, 0.2],
                                          [20, 30], 60)
         cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
         observed, stepped = self._observed(model, coeff, initial, cfg)
-        assert stepped[True] < stepped[False] == 4 * (60 + 59)
+        assert stepped[True] == stepped[False] == 4 * (60 + 59)
         assert len(observed[True]) == 2 and all(c[0][0] == (3, 60) for c in observed[True])
         assert observed[True] == observed[False]
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_observes_the_rows_of_a_march_of_several_ranges(self, scheme):
-        # nor the ranges: the march copies each slice's values, corrections and slopes back
+        # data of several ranges too: with a collector no plateau is cut out
         model, coeff, initial = _plateau_riemann(builtin_multiplicative(3.0, 1.0), 0.9, 0.5)
         cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics="all")
         assert len(_ranges(model, coeff, initial, cfg, 10)) == 3
         observed, stepped = self._observed(model, coeff, initial, cfg, plateau=10)
         one_range = self._observed(model, coeff, initial, cfg)[1][True]
-        assert stepped[True] < one_range < stepped[False] == 4 * (80 + 79)
+        assert stepped[True] == one_range == stepped[False] == 4 * (80 + 79)
         assert len(observed[True]) == 2 and all(c[0][0] == (3, 80) for c in observed[True])
         assert observed[True] == observed[False]
 
@@ -417,7 +428,7 @@ class TestWindow:
     def _riemann_march(self, far_left, scheme=Scheme.NESSYAHU_TADMOR, n_cells=60):
         model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0),
                                          [far_left, 0.5, 0.2], [20, 30], n_cells)
-        cfg = SchemeConfig(scheme=scheme, lam=0.05)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
             widths = _Widths(mp)
             final, report = march(initial, model, coeff, cfg, 8 * cfg.lam * initial.mesh.dx)
@@ -506,12 +517,13 @@ def _reproduce(example):
 
 # (steps, summed widths) of each march in the order run: none of these marches has a plateau of
 # _PLATEAU cells between its far fields, so each steps one range span by span (the 50-cell NT
-# marches step the whole mesh: their first span's piece covers it)
+# marches step the whole mesh: their first span's piece covers it; the 50-cell LF marches
+# collect the entropy residual, so they step every cell)
 SINGLE_FRONT = {
     "reproduce 1": (lambda: _reproduce(example_1),
-                    [(1200, 59400), (1200, 59120), (24000, 23505920)]),
+                    [(1200, 59400), (1200, 59400), (24000, 23505920)]),
     "reproduce 2": (lambda: _reproduce(example_2),
-                    [(250, 12375), (250, 12215), (10000, 13627112)]),
+                    [(250, 12375), (250, 12375), (10000, 13627112)]),
     "study": (_study, [(38400, 117763190), (600, 29700), (1200, 119400), (2400, 473130),
                        (4800, 1854320)]),
 }
