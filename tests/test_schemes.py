@@ -981,12 +981,11 @@ EXTREME_FLUXES = [
 
 class TestExtremesFoldInBlocks:
     # blocks of 1, 2 or 3 rows make a march of up to 40 steps cross many block edges; the
-    # default block holds all of them in one partial block at these sizes.  The fold order
-    # shows in the sign of a NaN, since the last NaN in step order wins: numpy's scalar loop
-    # keeps the sign of a row's first NaN, its SIMD loop gives a positive NaN (with numpy 2.4
-    # on AVX-512, rows of 9 values or more, a whole block say, take the SIMD loop).  There,
-    # the two examples tell a fold of whole blocks, and one of the Base rows before the Half
-    # rows, from the fold in step order.
+    # default block holds all of them in one partial block at these sizes.  Which zero or NaN
+    # a reduction returns follows where it lies and numpy's loops (numpy's scalar loop keeps
+    # the sign of a row's first NaN, its SIMD loop gives a positive NaN), so the report and
+    # the per-step fold read +0.0 for a zero and math.nan for a NaN; the two examples hold
+    # NaNs of both signs in blocks of either kind of loop.
     @example(KERNEL_CASES[1], EXTREME_FLUXES[2], [0.25, 0.25, 0.9], 0.2, 2, None)
     @example(KERNEL_CASES[2], EXTREME_FLUXES[2], [0.9, 0.9], 0.1, 1, 3)
     @given(st.sampled_from(KERNEL_CASES), st.sampled_from(EXTREME_FLUXES),
