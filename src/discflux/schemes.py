@@ -254,7 +254,7 @@ def snap_steps(t_start: float, t_end: float, dt: float) -> int:
     return n - (n % 2)
 
 
-def _folded(acc: tuple, block, count: int, size: int) -> tuple:
+def _folded(acc: tuple, block: _Rows, count: int, size: int) -> tuple:
     """(u_min, u_max, correction_max) `acc` folded with the values and the |corrections| of the
     first `count` pairs of steps on the first `size` cells of the `_Rows` `block`, one reduction
     per 2-d block; a NaN sticks.  Only the bits of a zero or a NaN depend on where a reduction
