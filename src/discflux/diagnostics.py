@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -289,40 +289,31 @@ class DiagnosticsCollector:
     as views of the rows it stepped into: the collector copies no state.  Each check runs
     once per block and parity on whole rows, the block's states as the rows of one array,
     and the per-step figures enter the report in step order, so the report does not depend
-    on the block size.  The last state of a block heads the next one.  What is fixed for
-    the run is computed once.
+    on the block size.  The last state of a block heads the next one.  Every step takes the
+    march's coefficient, `k_base` on Base and `k_slotted` (Half with a ghost slot at each end)
+    on Half, so what is fixed for the run is built here, once: for each parity the window
+    mask, the midpoints of kbar and, for LF, the Kruzkov table.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, cfg: "SchemeConfig", mesh: Mesh,
-                 report: DiagnosticsReport):
+                 report: DiagnosticsReport, k_base: np.ndarray, k_slotted: np.ndarray):
         from .schemes import Scheme  # local import keeps module load acyclic
 
         self.model, self.cfg, self.mesh, self.report = model, cfg, mesh, report
         lf = cfg.scheme is Scheme.LAX_FRIEDRICHS
-        self._c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT) if lf else None
+        c_grid = np.linspace(model.u_lo, model.u_hi, ENTROPY_C_COUNT)
         self._decay, self._psi_bv = _decay_terms(model, cfg.lam, coeff.sup_norm, coeff.bv_norm)
-        self._masks = {p: _window_mask(mesh, p, cfg.window_x) for p in Parity}
-        self._fixed: dict[Parity, tuple] = {}
+        self._fixed = {parity: (_window_mask(mesh, parity, cfg.window_x), _midpoints(cells)[None],
+                                (k, *_kruzkov_table(k, model, cfg.lam, c_grid)) if lf else None)
+                       for parity, k, cells in ((Parity.BASE, k_base, k_base),
+                                                (Parity.HALF, k_slotted, k_slotted[1:-1]))}
 
-    def _constants(self, kbar: np.ndarray, parity: Parity) -> tuple:
-        """The midpoints of kbar (on Half with its ghost slots) as a row and, for LF, the
-        Kruzkov table of `parity`; rebuilt only for a state that brings its own kbar."""
-        fixed = self._fixed.get(parity)
-        if fixed is None or fixed[0] is not kbar:
-            lf = self._c_grid is not None
-            table = _kruzkov_table(kbar, self.model, self.cfg.lam, self._c_grid) if lf else None
-            k = kbar if parity is Parity.BASE else kbar[1:-1]
-            self._fixed[parity] = fixed = (kbar, _midpoints(np.asarray(k, dtype=float))[None],
-                                           (kbar, *table) if lf else None)
-        return fixed[1:]
-
-    def observe(self, a: np.ndarray, b: np.ndarray, kbars: list, sig):
+    def observe(self, a: np.ndarray, b: np.ndarray, sig):
         """Fold the steps s0 -> s1 -> ... -> s_2m of one block into the report: `a` holds the
         Base states s0, s2, ..., s_2m as rows (s0 is the march's initial state or the last
         state of the previous block), `b` the Half states s1, s3, ..., s_2m-1 with a ghost
-        slot at each end, `kbars` the coefficient each step started from (on Half with its
-        slots), and `sig` the slopes the steps took on the rows of a[:m] and of `b`, or None
-        (Lax-Friedrichs)."""
+        slot at each end, and `sig` the slopes the steps took on the rows of a[:m] and of `b`,
+        or None (Lax-Friedrichs)."""
         rep, m = self.report, len(b)
         # the jumps and one-sided sums of s0 ... s_2m in state order
         du_a, du_b = _jumps(a), _jumps(b[:, 1:-1])
@@ -331,8 +322,8 @@ class DiagnosticsCollector:
         sig_a, sig_b = (None, None) if sig is None else sig
         # the steps alternate between the two grids: interleave their terms
         cubic, quad, low, maxima = (_interleave(x, y) for x, y in zip(
-            self._step_terms(Parity.BASE, a[:m], du_a[:m], b[:, 1:-1], sig_a, kbars[0::2]),
-            self._step_terms(Parity.HALF, b, du_b, a[1:], sig_b, kbars[1::2])))
+            self._step_terms(Parity.BASE, a[:m], du_a[:m], b[:, 1:-1], sig_a),
+            self._step_terms(Parity.HALF, b, du_b, a[1:], sig_b)))
         rhs = [m2_prev - self._decay * cubes_prev + self._psi_bv
                for m2_prev, cubes_prev in zip(m2[:-1], cubes)]
         rep.onesided_worst_margin = _least(rep.onesided_worst_margin,
@@ -348,27 +339,20 @@ class DiagnosticsCollector:
         rep.entropy_max_residual = _greatest(rep.entropy_max_residual,
                                              chain.from_iterable(maxima))
 
-    def _step_terms(self, parity: Parity, u, du, v, sig, kbars: list) -> tuple:
-        """Lists with one entry per step from a row of `u` (jumps `du`, slopes `sig`, both on
-        Half with the ghost slots) on `parity`'s grid to the row of `v`: the cubic and the
-        quadratic terms, the least nu (inf where there is no jump) and, for LF, each Kruzkov
-        constant's worst residual (else empty)."""
+    def _step_terms(self, parity: Parity, u, du, v, sig) -> tuple:
+        """Lists with one entry per step from a row of `u` (`u` and slopes `sig` on Half with
+        the ghost slots, jumps `du` without) on `parity`'s grid to the row of `v`: the cubic
+        and the quadratic terms, the least nu (inf where there is no jump) and, for LF, each
+        Kruzkov constant's worst residual (else empty)."""
         model, lam, dx = self.model, self.cfg.lam, self.mesh.dx
+        mask, kt, kruzkov = self._fixed[parity]
         cells = slice(1, -1) if parity is Parity.HALF else slice(None)  # without the slots
-        quad, low, maxima, start = [], [], [], 0
-        for _, run in groupby(kbars, key=id):  # rows that share a kbar
-            rows = slice(start, start + len(list(run)))
-            kt, kruzkov = self._constants(kbars[start], parity)
-            d = du[rows]
-            nu = _nu(u[rows, cells], d, kt, None if sig is None else sig[rows, cells], model, lam)
-            low += (np.minimum.reduce(nu, axis=-1).tolist() if nu.shape[-1]
-                    else [math.inf] * len(d))
-            quad += (dx * np.add.reduce(nu * np.square(d), axis=-1)).tolist()
-            if kruzkov:
-                maxima += _entropy_residuals(u[rows], v[rows], model, lam,
-                                             *kruzkov).max(axis=-1).tolist()
-            start = rows.stop
-        return _cubic(_cube(np.abs(du)), dx, self._masks[parity]).tolist(), quad, low, maxima
+        nu = _nu(u[:, cells], du, kt, None if sig is None else sig[:, cells], model, lam)
+        low = np.minimum.reduce(nu, axis=-1).tolist() if nu.shape[-1] else [math.inf] * len(du)
+        quad = (dx * np.add.reduce(nu * np.square(du), axis=-1)).tolist()
+        maxima = (_entropy_residuals(u, v, model, lam, *kruzkov).max(axis=-1).tolist()
+                  if kruzkov else [])
+        return _cubic(_cube(np.abs(du)), dx, mask).tolist(), quad, low, maxima
 
 
 def _interleave(even: list, odd: list) -> list:

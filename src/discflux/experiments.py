@@ -31,6 +31,11 @@ class InitialData:
         return cls(fn=lambda x: np.where(np.asarray(x) <= at, left, right), jumps=(at,))
 
 
+# the most cells of a mesh a spec builds: the largest bench or example run takes 8,000 cells,
+# and a march of 1e7 holds a few hundred MB; a finer dx is refused before anything is allocated
+_MAX_CELLS = 10**7
+
+
 def _whole_count(length: float, step: float) -> int:
     """round(length / step) if that ratio is whole to within 1e-9, else 0."""
     n = length / step if step else math.nan
@@ -74,10 +79,12 @@ class ExperimentSpec:
 
     def mesh(self, dx: float | None = None) -> Mesh:
         """The mesh of cells of `dx` (default: the spec's); ValueError where they do not tile
-        the domain."""
+        the domain or number more than `_MAX_CELLS`."""
         dx = self.dx if dx is None else dx
         if (n := _whole_count(self.x_max - self.x_min, dx)) < 1:
             raise ValueError(f"dx = {dx!r} does not tile [{self.x_min!r}, {self.x_max!r}]")
+        if n > _MAX_CELLS:
+            raise ValueError(f"dx = {dx!r} makes {n} cells, more than {_MAX_CELLS}")
         return Mesh.from_cells(self.x_min, self.x_max, n)
 
     def initial(self, mesh: Mesh, coeff: Coefficient) -> StaggeredState:

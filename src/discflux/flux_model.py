@@ -16,6 +16,7 @@ via :func:`verify_hypotheses`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import iadd, imul
@@ -171,8 +172,8 @@ def builtin_multiplicative(k_left: float, k_right: float) -> tuple[FluxModel, Co
     The flux vanishes at u = 0 and u = 1 for every k, so the endpoint
     flux-equality assumption holds by construction.
     """
-    if k_left <= 0 or k_right <= 0:
-        raise ValueError("coefficient values must be positive")
+    if not (0 < k_left < math.inf and 0 < k_right < math.inf):  # NaN included
+        raise ValueError("coefficient values must be positive and finite")
     k_lo, k_hi = min(k_left, k_right), max(k_left, k_right)
     model = FluxModel(
         name="multiplicative",

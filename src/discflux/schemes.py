@@ -313,18 +313,16 @@ def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bo
             and (a is None or not a.view(np.uint64).any()))
 
 
-def _far_fields(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray) -> tuple | None:
-    """The sorted ranges [lo, hi) of Base cells of a march from Base values `u` with `kbar`
-    that can differ from the plateaus around them, and those plateaus' bits (one left of each
-    range, one right of the last); None when the march must step the whole mesh from the
-    start (no far field, one that a step does not map to itself, or one range whose first
-    span covers the mesh).  The far fields are the longest runs from the edges where `u` and
-    the averaged coefficient of both parities hold one value each, bit for bit, with a cell
-    between them; between them, so is each run of at least _PLATEAU cells that hold one value
-    with both neighbours, a cell apart from the far fields, and that a step maps to itself."""
+def _far_fields(stepper: _Stepper, u: np.ndarray) -> tuple | None:
+    """The sorted ranges [lo, hi) of Base cells of a march from Base values `u` that can differ
+    from the plateaus around them, and those plateaus' bits (one left of each range, one right
+    of the last); None when the march must step the whole mesh from the start (no far field,
+    one that a step does not map to itself, or one range whose first span covers the mesh).
+    The far fields are the longest runs from the edges where `u` and the stepper's averaged
+    coefficient of both parities hold one value each, bit for bit, with a cell between them;
+    between them, so is each run of at least _PLATEAU cells that hold one value with both
+    neighbours, a cell apart from the far fields, and that a step maps to itself."""
     n, k_base, k_half = len(u), stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
-    if kbar is not k_base and kbar.tobytes() != k_base.tobytes():
-        return None
     # a Half value lies between Base cells j and j+1, so a Half run of r covers r + 1 cells
     left = min(_run(u), _run(k_base), _run(k_half) + 1)
     right = min(_run(u[::-1]), _run(k_base[::-1]), _run(k_half[::-1]) + 1)
@@ -366,9 +364,9 @@ class _Rows:
                             for kept in (corrections, slopes))
 
 
-def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.ndarray,
-            found: tuple | None, index: int, end: int, rows: int, whole_rows: int, headed: bool):
-    """Step from the Base values `u` with `kbar` at step `index` to step `end` and yield each
+def _blocks(stepper: _Stepper, u: np.ndarray, k_slotted: np.ndarray, found: tuple | None,
+            index: int, end: int, rows: int, whole_rows: int, headed: bool):
+    """Step from the Base values `u` at step `index` to step `end` and yield each
     filled block as (block, size, index, count, row): `count` pairs of steps from `index` on
     the first `size` cells of the `_Rows` `block`, and `row(i)`, a copy of the whole row i steps
     after `index` (on Half, the values without the slots).
@@ -379,12 +377,13 @@ def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.nd
     cells within the span.  One whole Base row holds the march's state: each span starts from
     its pieces and writes its last row's pieces back, and each range is then redrawn
     (`_redrawn`).  Once a piece covers the mesh, or without a window, a block is up to
-    `whole_rows` pairs of whole rows, started from the head row if `headed`."""
+    `whole_rows` pairs of whole rows, started from the head row if `headed`.  Every pair steps
+    with the stepper's Base kbar and `k_slotted`, its Half kbar with a slot at each end."""
     n, step, views, k_base = len(u), stepper.step, stepper.views, stepper.kbar[Parity.BASE]
 
-    def stepped(block: _Rows, steps: list, count: int, size: int, ks: tuple, after: tuple):
-        """`count` pairs of `steps` on `size` cells with the coefficients `ks`, `after` from the
-        second pair on; the |corrections| and the slopes kept in `block`."""
+    def stepped(block: _Rows, steps: list, count: int, size: int, ks: tuple):
+        """`count` pairs of `steps` on `size` cells with the coefficients `ks`; the |corrections|
+        and the slopes kept in `block`."""
         for i in range(count):
             for h, k, view in zip((0, 1), ks, steps[i]):
                 a, sig = step(k, view)
@@ -392,7 +391,6 @@ def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.nd
                     np.abs(a, out=block.a[h][i, :size + h])
                 if block.sig:  # an NT step with a collector
                     block.sig[h][i, :size + h] = sig
-            ks = after
 
     if found is not None:
         (ranges, plateaus), r = found, min(rows, (end - index) // 2) + 1
@@ -412,7 +410,7 @@ def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.nd
             ks = j_k[0, :size], j_k[1, :size + 1]
             stepped(joined, [(views(joined.base[i, :size], joined.half[i, :size + 1]),
                               views(joined.half[i, :size + 1], joined.base[i + 1, :size]))
-                             for i in range(count)], count, size, ks, ks)
+                             for i in range(count)], count, size, ks)
             for a, b, at in cuts:
                 base[a:b] = joined.base[count, at:at + b - a]
             ranges = _redrawn(ranges, plateaus, cuts, joined.base[count, :size].view(np.uint64))
@@ -425,7 +423,7 @@ def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.nd
                 return values[1:] if half else values
 
             yield joined, size, index, count, row
-            index, kbar = index + 2 * count, k_base
+            index += 2 * count
     whole = _Rows(np.zeros, whole_rows, n, stepper.corrections,
                   headed and stepper.limiter is not None)
     head = 0 if headed else whole_rows  # the row a block of whole rows starts from
@@ -438,9 +436,9 @@ def _blocks(stepper: _Stepper, u: np.ndarray, kbar: np.ndarray, k_slotted: np.nd
 
     while index < end:
         count = min(whole_rows, (end - index) // 2)
-        stepped(whole, steps, count, n, (kbar, k_slotted), (k_base, k_slotted))
+        stepped(whole, steps, count, n, (k_base, k_slotted))
         yield whole, n, index, count, row
-        index, kbar = index + 2 * count, k_base
+        index += 2 * count
         if headed:
             whole.base[0] = whole.base[count]
 
@@ -462,7 +460,9 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     of a row is kept for each step index that is a key of `snapshots` (march sets its value).
     The final state holds a copy too, and the initial values are never written.  The target
     time snaps to the nearest even multiple of dt = lam*dx at or below t_end (recorded in the
-    report), so the final state is on Base.
+    report), so the final state is on Base.  Every step takes its coefficient from `coeff`:
+    an initial state whose `kbar` has other bits than `coeff`'s Base cell averages is refused
+    with ValueError (the single steps take a state's own `kbar`).
 
     `report` False says that nothing reads the report's folded fields: the march takes no
     extremes and computes no estimate, `u_min` and `u_max` keep their never-observed
@@ -488,28 +488,30 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     rep = DiagnosticsReport(scheme=cfg.scheme.value, lam=cfg.lam, dx=mesh.dx, steps=n_steps,
                             cfl_level=cfg.cfl_level.value, kappa_used=kappa_used,
                             kappa_bound=kappa)
-    u, kbar, time, index = initial.values, initial.kbar, initial.time, initial.step_index
+    k_base, k_half = stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
+    if np.asarray(initial.kbar).tobytes() != k_base.tobytes():
+        raise ValueError("the initial state's kbar is not coeff's Base cell averages")
+    k_slotted = np.pad(k_half, 1, mode="edge")  # the coefficient of a ghost-slotted Half row
+    u, time, index = initial.values, initial.time, initial.step_index
     end = index + n_steps
-    collector = DiagnosticsCollector(model, coeff, cfg, mesh, rep) if collect else None
+    collector = (DiagnosticsCollector(model, coeff, cfg, mesh, rep, k_base, k_slotted)
+                 if collect else None)
     snapshots = {} if snapshots is None else snapshots
     if index in snapshots:
         snapshots[index] = initial
     wanted = sorted(i for i in snapshots if isinstance(i, (int, np.integer)) and index < i <= end)
-    k_base, k_half = stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
-    k_slotted = np.pad(k_half, 1, mode="edge")  # the coefficient of a ghost-slotted Half row
     lands = (k_base, Parity.BASE), (k_half, Parity.HALF)
     rows = max(1, (_FOLD_VALUES if collect else _BLOCK_VALUES) // n)
     # the cells that can differ; the collector reads every cell of every row
-    found = _far_fields(stepper, u, kbar) if n_steps and collector is None else None
-    blocks = _blocks(stepper, u, kbar, k_slotted, found, index, end, rows,
-                     rows if report else 1, collector is not None)
+    found = _far_fields(stepper, u) if n_steps and collector is None else None
+    blocks = _blocks(stepper, u, k_slotted, found, index, end, rows, rows if report else 1,
+                     collector is not None)
     acc = (np.minimum.reduce(u), np.maximum.reduce(u), 0.0) if report else None
     for block, size, index, count, row in blocks:
         if report:
             acc = _folded(acc, block, count, size)
         if collector is not None:  # whole rows: a march with a collector has no window
             collector.observe(block.base[:count + 1], block.half[:count],
-                              [kbar, k_slotted] + [k_base, k_slotted] * (count - 1),
                               tuple(b[:count] for b in block.sig) or None)
         while wanted and wanted[0] <= index + 2 * count:  # a copy of each snapshot's row
             i, kept = wanted.pop(0), time
@@ -518,7 +520,6 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
             snapshots[i] = StaggeredState(mesh, row(i - index), *lands[(i - index) % 2], kept, i)
         for _ in range(2 * count):
             time += dt
-        kbar = k_base
     if report:
         # values: a zero reads +0.0 and a NaN math.nan, whichever bits a reduction found
         rep.u_min, rep.u_max, rep.correction_max = (math.nan if x != x else float(x) + 0.0

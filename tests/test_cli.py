@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import discflux.experiments as experiments
+from discflux import Mesh
 from discflux.cli import ConfigError, RunConfig, main, parse_config_text
 
 EX1_CONFIG = """\
@@ -238,6 +240,27 @@ class TestInputOutsideTheTheory:
         assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1
         assert "MAX_STEPS" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("text, args", [
+        (TWO_FLUX_CONFIG.replace("dx = 0.04", "dx = 2e-10"), []),  # 1e10 cells: 74.5 GiB
+        (TWO_FLUX_CONFIG, ["--halvings", "40"]),  # a reference mesh of 50 * 2**41 cells
+    ], ids=["run-dx-2e-10", "study-halvings-40"])
+    def test_refuses_more_cells_than_a_mesh_may_hold(self, tmp_path, capsys, monkeypatch, text,
+                                                      args):
+        # refused before a mesh of that many cells is built: a mesh of more fails the test
+        # here instead of allocating a march's arrays
+        real = Mesh.from_cells.__func__
+
+        def bounded(cls, x_min, x_max, n_cells):
+            assert n_cells <= experiments._MAX_CELLS, f"a mesh of {n_cells} cells was built"
+            return real(cls, x_min, x_max, n_cells)
+
+        monkeypatch.setattr(Mesh, "from_cells", classmethod(bounded))
+        cfg = write_config(tmp_path, text)
+        command = "study" if args else "run"
+        assert main([command, cfg, *args, "--out", str(tmp_path / "o")]) == 1
+        assert "more than" in capsys.readouterr().err.split("config error: ")[1]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("extra", ["reference.dx = 0.01\n", "limiter.kind = minmod\n",
                                        "diagnostics = OFF\n", "diagnostics = All\n",

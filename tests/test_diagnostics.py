@@ -14,7 +14,7 @@ from discflux import (ExperimentSpec, InitialData, LimiterConfig, LimiterKind, M
                       cell_average_coefficient, cfl_bound, CflLevel,
                       correction_bound_check, entropy_residual_lf, example_1,
                       lf_step, march, nt_step, nu_coefficient, onesided_check,
-                      psi_constant, Scheme, slopes)
+                      psi_constant, run_experiment, Scheme, slopes)
 import discflux.diagnostics as diagnostics
 import discflux.schemes as schemes
 from discflux.diagnostics import DiagnosticsReport, _cube
@@ -486,11 +486,15 @@ class TestFusedCollector:
                            collect_diagnostics="all")
         mesh = Mesh.from_cells(-1.0, 1.0, n_cells)
         kbar = cell_average_coefficient(mesh, coeff, Parity.BASE)
-        initial = StaggeredState(  # an initial state may bring a kbar of its own
+        initial = StaggeredState(
             mesh=mesh, values=rng.uniform(model.u_lo, model.u_hi, n_cells),
-            kbar=kbar[::-1].copy() if own_kbar else kbar,
+            kbar=kbar.copy() if own_kbar else kbar,  # a distinct array of the same bits
             parity=Parity.BASE, time=0.0, step_index=0)
         t_end = 2 * pairs * lam * mesh.dx
+        if own_kbar and kbar[::-1].tobytes() != kbar.tobytes():  # a kbar of other bits
+            with pytest.raises(ValueError, match="kbar"):
+                _march_in_blocks(rows, dataclasses.replace(initial, kbar=kbar[::-1].copy()),
+                                 model, coeff, cfg, t_end)
         _, report = _march_in_blocks(rows, initial, model, coeff, cfg, t_end)
         assert report.steps == 2 * pairs
         oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
@@ -509,7 +513,7 @@ class TestFusedCollector:
         observe = diagnostics.DiagnosticsCollector.observe
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diagnostics.DiagnosticsCollector, "observe",
-                       lambda self, *args: steps.append(len(args[2])) or observe(self, *args))
+                       lambda self, *args: steps.append(2 * len(args[1])) or observe(self, *args))
             _, report = _march_in_blocks(rows, initial, model, coeff, cfg, 14 * 0.05 * mesh.dx)
         assert report.steps == 14 and steps == folds
         oracle = _CollectorOracle(model, coeff, cfg, initial).march(report.steps)
@@ -535,14 +539,27 @@ class TestFusedCollector:
             final, report = _march_in_blocks(rows, initial, model, coeff, cfg,
                                              14 * 0.05 * mesh.dx)
         assert report.steps == 14 and len(calls) == (1 if rows is None else -(-7 // rows))
-        a, b, _, sig = calls[-1]
+        a, b, sig = calls[-1]
         assert a.base is not None and b.base is not None  # views
         assert not np.shares_memory(a, final.values) and a[-1].tobytes() == final.values.tobytes()
         for args in calls[:-1]:  # every block lies in the same two buffers
             assert np.shares_memory(args[0], a) and np.shares_memory(args[1], b)
             if sig is not None:
-                assert all(np.shares_memory(s, t) for s, t in zip(args[3], sig))
+                assert all(np.shares_memory(s, t) for s, t in zip(args[2], sig))
         assert (sig is None) == (scheme is Scheme.LAX_FRIEDRICHS)
+
+    @pytest.mark.parametrize("scheme, collect, builds", [
+        (Scheme.LAX_FRIEDRICHS, True, 2), (Scheme.NESSYAHU_TADMOR, "all", 0)])
+    def test_builds_the_kruzkov_tables_once_per_march(self, scheme, collect, builds):
+        # every step takes the march's coefficient: one table per parity for LF, none for NT,
+        # which judges no entropy residual
+        calls, real = [], diagnostics._kruzkov_table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "_kruzkov_table",
+                       lambda *args: calls.append(args) or real(*args))
+            run = run_experiment(example_1(), scheme, collect_diagnostics=collect)
+        assert run.report.steps == 1200 and run.report.entropy_max_residual is not None
+        assert len(calls) == builds
 
 
 def _report_bits(report):

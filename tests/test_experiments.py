@@ -122,6 +122,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="does not tile"):
             run_experiment(example_1(), Scheme.LAX_FRIEDRICHS, dx=dx, times=(0.1,))
 
+    @pytest.mark.parametrize("dx", [2e-12, 2.0 / (2 * experiments._MAX_CELLS)])
+    def test_a_mesh_of_more_than_max_cells_is_refused(self, dx):
+        # example_1().mesh(2e-12) built a Mesh of 1e12 cells, whose march would not fit
+        with pytest.raises(ValueError, match="more than"):
+            example_1().mesh(dx)
+        with pytest.raises(ValueError, match="more than"):
+            dataclasses.replace(example_1(), dx=dx, reference_dx=dx)
+        assert example_1().mesh(2.0 / experiments._MAX_CELLS).n_cells == experiments._MAX_CELLS
+
     @pytest.mark.parametrize("example, cells", [(example_1, 1000), (example_2, 2000)])
     def test_study_levels_and_reference_tile_the_domain(self, example, cells):
         spec = dataclasses.replace(example(), reference_dx=example().dx / 8)
@@ -246,7 +255,8 @@ def _run_by_hand(spec, scheme, dx, times, collect_diagnostics):
 
 
 class OwnKbarSpec(ExperimentSpec):
-    """A spec whose initial state brings its own kbar (the run's, reversed)."""
+    """A spec whose initial state brings its own kbar (the run's, reversed), which `march`
+    refuses."""
 
     def initial(self, mesh, coeff):
         state = super().initial(mesh, coeff)
@@ -277,6 +287,10 @@ class TestSnapshotsEqualChainedSteps:
         dt = spec.lam * dx
         # 0.0, repeated times, and times that snap to one even step (k and k + 1)
         times = tuple(0.0 if t == 0.0 else (t[0] + t[1]) * dt for t in drawn)
+        if own_kbar:
+            with pytest.raises(ValueError, match="kbar"):
+                run_experiment(spec, scheme, dx=dx, times=times, collect_diagnostics=diagnostics)
+            return
         run = run_experiment(spec, scheme, dx=dx, times=times, collect_diagnostics=diagnostics)
         states, final, report = _run_by_hand(spec, scheme, dx, times, diagnostics)
         assert run.states.keys() == states.keys()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,11 @@ class TestMultiplicative:
         assert coeff.sup_norm == 3.0
         assert coeff.limits_at(0.0) == (3.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [(-1.0, 1.0), (2.0, 0.0)])
+    # (1.0, nan) gave sup_fu 1.0 and bv_norm nan, and a run of it passed the CFL check and
+    # ended on a state of NaNs
+    @pytest.mark.parametrize("bad", [(-1.0, 1.0), (2.0, 0.0), (math.nan, 1.0), (1.0, math.nan),
+                                     (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+                                     (1.0, -math.inf)])
     def test_rejects_nonpositive_coefficients(self, bad):
         with pytest.raises(ValueError):
             builtin_multiplicative(*bad)

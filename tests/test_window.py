@@ -81,7 +81,7 @@ def _ranges(model, coeff, initial, cfg, plateau=None):
         _plateau(mp, plateau)
         limiter = cfg.limiter if cfg.scheme is Scheme.NESSYAHU_TADMOR else None
         stepper = schemes._Stepper(model, coeff, initial.mesh, cfg.lam, limiter)
-        found = schemes._far_fields(stepper, initial.values, initial.kbar)
+        found = schemes._far_fields(stepper, initial.values)
     return None if found is None else found[0]
 
 
@@ -386,10 +386,10 @@ class TestWholeRowCollector:
         for windowed in (True, False):
             calls = observed[windowed] = []
 
-            def recorded(self, a, b, kbars, sig):
-                arrays = (a, b, *kbars, *(sig or ()))
+            def recorded(self, a, b, sig):
+                arrays = (a, b, *(sig or ()))
                 calls.append([(x.shape, x.tobytes()) for x in arrays])  # the blocks are reused
-                return real(self, a, b, kbars, sig)
+                return real(self, a, b, sig)
 
             with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
                 mp.setattr(diagnostics.DiagnosticsCollector, "observe", recorded)
@@ -458,19 +458,28 @@ class TestWindow:
         with np.errstate(all="ignore"):
             assert not schemes._maps_to_itself(stepper, far, k[0], Parity.BASE)
         u = np.where(np.arange(60) < 20, far, 0.2)
-        assert schemes._far_fields(stepper, u, k) is None
+        assert schemes._far_fields(stepper, u) is None
         # the right far field starts at the coefficient's jump
         bits = [int(np.float64(x).view(np.uint64)) for x in (0.9, 0.2)]
-        assert (schemes._far_fields(stepper, np.where(np.arange(60) < 20, 0.9, 0.2), k)
+        assert (schemes._far_fields(stepper, np.where(np.arange(60) < 20, 0.9, 0.2))
                 == ([(20, 30)], bits))
 
-    def test_an_initial_kbar_of_its_own_makes_it_step_the_whole_mesh(self):
+    def test_an_initial_kbar_of_its_own_is_refused(self):
+        # march steps the coefficient's averages only: it refuses a state with other bits
+        # before it looks for far fields, and takes a distinct array with the same bits
         model, coeff, initial = _riemann(builtin_multiplicative(3.0, 1.0), [0.9, 0.2], [20], 60)
-        stepper = schemes._Stepper(model, coeff, initial.mesh, 0.05, LimiterConfig())
+        cfg = SchemeConfig(lam=0.05, collect_diagnostics=False)
         own = initial.kbar.copy()
-        assert schemes._far_fields(stepper, initial.values, own) is not None
         own[5] = 2.0
-        assert schemes._far_fields(stepper, initial.values, own) is None
+        asked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "_far_fields", lambda *args: asked.append(args))
+            with pytest.raises(ValueError, match="kbar"):
+                march(dataclasses.replace(initial, kbar=own), model, coeff, cfg, 0.1)
+        assert asked == []
+        same = dataclasses.replace(initial, kbar=initial.kbar.copy())
+        assert (march(same, model, coeff, cfg, 0.1)[0].values.tobytes()
+                == march(initial, model, coeff, cfg, 0.1)[0].values.tobytes())
 
 
 def test_fine_run_steps_fewer_cells_than_the_mesh():
