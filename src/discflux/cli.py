@@ -259,7 +259,10 @@ def cmd_study(args) -> int:
     config = load_config(args.config, args.out)
     spec = config.spec
     if not config.reference_given:  # an underflow to 0 is refused, as are < 2 halvings
-        spec = replace(spec, reference_dx=math.ldexp(spec.dx, -(max(args.halvings, 0) + 1)))
+        try:
+            spec = replace(spec, reference_dx=math.ldexp(spec.dx, -(max(args.halvings, 0) + 1)))
+        except ValueError as exc:
+            raise ValueError(f"--halvings {args.halvings}: {exc}") from exc
     table = refinement_study(spec, config.scheme, args.halvings, spec.output_times)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     table.write(config.output_dir / "error_table.csv")

@@ -70,9 +70,12 @@ class ExperimentSpec:
             raise ValueError("output times must be nonnegative")
         if not all(0 < v < math.inf for v in (self.dx, self.reference_dx, self.lam)):
             raise ValueError("dx, reference_dx and lam must be positive and finite")
-        self.mesh()  # refuses a dx that does not tile the domain
-        if _whole_count(self.dx, self.reference_dx) < 1:
+        cells = self.mesh().n_cells  # refuses a dx that does not tile the domain
+        if (ratio := _whole_count(self.dx, self.reference_dx)) < 1:
             raise ValueError("reference_dx must divide dx (nested grids)")
+        if cells * ratio > _MAX_CELLS:
+            raise ValueError(f"reference_dx = {self.reference_dx!r} makes {cells * ratio} cells, "
+                             f"more than {_MAX_CELLS}")
 
     def build(self) -> tuple[FluxModel, Coefficient]:
         return make_model(self.model_name, **self.model_params)
@@ -231,6 +234,9 @@ def refinement_study(spec: ExperimentSpec, scheme: Scheme, halvings: int,
     """
     if halvings < 2:
         raise ValueError("halvings must be >= 2")
+    if _whole_count(finest := math.ldexp(spec.dx, 1 - halvings), spec.reference_dx) < 1:
+        raise ValueError(f"reference_dx = {spec.reference_dx!r} does not nest the finest "
+                         f"level's dx = {finest!r}")
     times = spec.output_times[:1] if times is None else tuple(times)
     if not times:
         raise ValueError("no time to study: the spec has no output time")

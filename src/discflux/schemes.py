@@ -42,7 +42,7 @@ MAX_STEPS = 10**9  # the largest bench or example run takes 38,400 steps; 1e9 wo
 # // n_cells) when a collector folds it: the collector's per-cell terms of a whole block, 11 per
 # cell for the LF Kruzkov residuals, would take megabytes at the larger size
 _BLOCK_VALUES, _FOLD_VALUES = 16384, 1024
-# the fewest cells of a plateau between the far fields that a march cuts out of its steps: the
+# the fewest cells of a plateau away from the edges that a march cuts out of its steps: the
 # smallest plateau at which cutting one out measured a saving under both schemes
 _PLATEAU = 600
 _STRIP = 4  # cells of the strip that checks that a step maps a plateau to itself
@@ -267,13 +267,6 @@ def _folded(acc: tuple, block: _Rows, count: int, size: int) -> tuple:
             _greatest(acc[2], (highest(b, axis=None) for b in peaks)))
 
 
-def _run(a: np.ndarray) -> int:
-    """How many leading entries of `a` have the bits of its first entry."""
-    bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
-    differ = np.flatnonzero(bits != bits[0])
-    return int(differ[0]) if len(differ) else len(bits)
-
-
 def _pieces(ranges: list, plateaus: list, r: int, n: int) -> tuple:
     """The `ranges` and their `plateaus`, two ranges merged where their pieces meet, and the
     pieces [lo - r, hi + r) of the ranges within the mesh's n cells."""
@@ -316,40 +309,32 @@ def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bo
 def _far_fields(stepper: _Stepper, u: np.ndarray) -> tuple | None:
     """The sorted ranges [lo, hi) of Base cells of a march from Base values `u` that can differ
     from the plateaus around them, and those plateaus' bits (one left of each range, one right
-    of the last); None when the march must step the whole mesh from the start (no far field,
-    one that a step does not map to itself, or one range whose first span covers the mesh).
-    The far fields are the longest runs from the edges where `u` and the stepper's averaged
-    coefficient of both parities hold one value each, bit for bit, with a cell between them;
-    between them, so is each run of at least _PLATEAU cells that hold one value with both
-    neighbours, a cell apart from the far fields, and that a step maps to itself."""
-    n, k_base, k_half = len(u), stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]
-    # a Half value lies between Base cells j and j+1, so a Half run of r covers r + 1 cells
-    left = min(_run(u), _run(k_base), _run(k_half) + 1)
-    right = min(_run(u[::-1]), _run(k_base[::-1]), _run(k_half[::-1]) + 1)
-    # keep a cell between them: a stencil that does not reach it lies in one far field
-    left = min(left, n - 1 - min(right, n - 1))
-    right = min(right, n - 1 - left)
-    lo, hi = left, n - right
-
-    def kept(j: int) -> bool:  # a step maps the plateau of cell j to itself on both parities
-        return all(_maps_to_itself(stepper, u[j], k[j], parity)
-                   for parity, k in ((Parity.BASE, k_base), (Parity.HALF, k_half)))
-
-    ub, kb, kh = (np.ascontiguousarray(a, dtype=float).view(np.uint64)
-                  for a in (u, k_base, k_half))
-    m = max(hi - lo - 2, 0)  # the cells lo + 1 ... hi - 2 and their neighbours
-    prev, mid, nxt = (slice(lo + d, lo + d + m) for d in range(3))
-    inner = ((ub[prev] == ub[mid]) & (ub[mid] == ub[nxt]) & (kb[prev] == kb[mid])
-             & (kb[mid] == kb[nxt]) & (kh[prev] == kh[mid]))
-    edges = (np.flatnonzero(np.diff(inner, prepend=False, append=False)) + lo + 1).tolist()
-    cut = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if b - a >= _PLATEAU and kept(a)]
-    if not cut and lo <= 2 and hi >= n - 2:  # the first span's piece (R >= 2) covers the mesh
+    of the last; beside an edge, the ghost's); None when no cell can differ or the mesh has at
+    most _STRIP cells, and the march steps the whole mesh.  A plateau is a maximal run of cells
+    that hold the value of `u` and of the stepper's Base averaged coefficient of both their
+    neighbours, and one Half average on both sides, bit for bit, an absorbing ghost repeating
+    each edge cell.  It is cut out where it reaches an edge or spans at least _PLATEAU cells,
+    and a step maps it to itself; any other is stepped like the cells around it."""
+    n = len(u)
+    if n <= _STRIP:  # a strip takes 3 entries of the stepper's difference buffer of n
         return None
-    if not all(kept(edge) for size, edge in ((left, 0), (right, -1)) if size):
+    # with a ghost at each end: cell j is entry j + 1 of u and of the Base kbar, and lies
+    # between entries j and j + 1 of the Half kbar
+    u, k_base, k_half = (np.pad(np.asarray(a, dtype=float), 1, mode="edge")
+                         for a in (u, stepper.kbar[Parity.BASE], stepper.kbar[Parity.HALF]))
+    ub, kb, kh = (a.view(np.uint64) for a in (u, k_base, k_half))
+    flat = (ub[:-1] == ub[1:]) & (kb[:-1] == kb[1:])  # entry j: cells j - 1 and j agree
+    inner = flat[:-1] & flat[1:] & (kh[:-1] == kh[1:])
+    edges = np.flatnonzero(np.diff(inner, prepend=False, append=False)).tolist()
+    cut = [(a, b) for a, b in zip(edges[::2], edges[1::2])
+           if (a == 0 or b == n or b - a >= _PLATEAU)
+           and all(_maps_to_itself(stepper, u[a + 1], k, parity)
+                   for parity, k in ((Parity.BASE, k_base[a + 1]), (Parity.HALF, k_half[a])))]
+    bounds = [0, *sum(cut, ()), n]
+    ranges = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
+    if not ranges:  # one plateau covers the mesh
         return None
-    bounds = [lo, *sum(cut, ()), hi]
-    return (list(zip(bounds[::2], bounds[1::2])),
-            [int(ub[j]) for j in (0, *(a for a, _ in cut), -1)])
+    return ranges, [int(ub[lo]) for lo, _ in ranges] + [int(ub[ranges[-1][1] + 1])]
 
 
 class _Rows:
@@ -376,8 +361,9 @@ def _blocks(stepper: _Stepper, u: np.ndarray, k_slotted: np.ndarray, found: tupl
     (`_pieces`), R = E + 1 for E the most pairs a span takes: no change crosses a plateau's 2R
     cells within the span.  One whole Base row holds the march's state: each span starts from
     its pieces and writes its last row's pieces back, and each range is then redrawn
-    (`_redrawn`).  Once a piece covers the mesh, or without a window, a block is up to
-    `whole_rows` pairs of whole rows, started from the head row if `headed`.  Every pair steps
+    (`_redrawn`).  Once a piece covers the mesh (at once where the first does), or without a
+    window, a block is up to `whole_rows` pairs of whole rows, started from the head row if
+    `headed`.  Every pair steps
     with the stepper's Base kbar and `k_slotted`, its Half kbar with a slot at each end."""
     n, step, views, k_base = len(u), stepper.step, stepper.views, stepper.kbar[Parity.BASE]
 
@@ -451,9 +437,10 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     The march steps blocks of pairs of steps on arrays (`_blocks`): max(1, 16384 // n_cells)
     pairs, max(1, 1024 // n_cells) when a collector folds them, 1 without a report once the
     whole mesh is stepped.  Without a collector it steps only the cells that can differ from
-    the plateaus of the initial data (`_far_fields`), span by span, and gives the bits of a
-    march that steps the whole mesh; a collector reads every cell of every row, so with one
-    the march steps every cell.  Each full block is read three ways: the report's `u_min`,
+    the plateaus of the initial data that reach an edge or span 600 cells and that a step
+    maps to themselves (`_far_fields`), span by span, and gives the bits of a march that
+    steps the whole mesh; a collector reads every cell of every row, so with one the march
+    steps every cell.  Each full block is read three ways: the report's `u_min`,
     `u_max` and `correction_max` are folded (`_folded`) into values (a zero is +0.0, and NaN
     once any state or correction holds one), a `DiagnosticsCollector` folds the other
     estimates of `computed_estimates(cfg)` over the whole rows (the rest are None), and a copy

@@ -229,6 +229,14 @@ class TestInputOutsideTheTheory:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_study_names_halvings_when_its_reference_mesh_is_too_fine(self, tmp_path, capsys):
+        # the default reference mesh dx / 2**41 is refused by its name and the option behind it
+        cfg = write_config(tmp_path, TWO_FLUX_CONFIG)
+        assert main(["study", cfg, "--halvings", "40", "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --halvings 40: reference_dx = ") and "more than" in err
+        assert not (tmp_path / "s").exists()
+
     def test_study_refuses_a_negative_window_x(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TWO_FLUX_CONFIG + "diagnostics = all\nwindow_x = -1\n")
         assert main(["study", cfg, "--halvings", "2", "--out", str(tmp_path / "s")]) == 1

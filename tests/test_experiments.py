@@ -131,6 +131,14 @@ class TestRunExperiment:
             dataclasses.replace(example_1(), dx=dx, reference_dx=dx)
         assert example_1().mesh(2.0 / experiments._MAX_CELLS).n_cells == experiments._MAX_CELLS
 
+    def test_a_reference_mesh_of_more_than_max_cells_is_refused_by_name(self):
+        # the spec bounded the cells of dx only, so a reference_dx this fine was refused later,
+        # when its mesh was built, under the name dx
+        with pytest.raises(ValueError, match=r"^reference_dx = .* more than"):
+            dataclasses.replace(example_1(), reference_dx=example_1().dx / 2**30)
+        fine = dataclasses.replace(example_1(), reference_dx=2.0 / experiments._MAX_CELLS)
+        assert fine.mesh(fine.reference_dx).n_cells == experiments._MAX_CELLS
+
     @pytest.mark.parametrize("example, cells", [(example_1, 1000), (example_2, 2000)])
     def test_study_levels_and_reference_tile_the_domain(self, example, cells):
         spec = dataclasses.replace(example(), reference_dx=example().dx / 8)
@@ -159,6 +167,18 @@ class TestRefinementStudy:
     def test_halvings_validated(self):
         with pytest.raises(ValueError):
             refinement_study(constant_spec(), Scheme.NESSYAHU_TADMOR, halvings=1)
+
+    def test_a_reference_that_does_not_nest_the_finest_level_is_refused_up_front(self,
+                                                                                 monkeypatch):
+        # dx / 512 nests 10 halvings, not 12: each march ran before l1_error refused the grids
+        spec = dataclasses.replace(example_1(), reference_dx=example_1().dx / 512)
+
+        def marched(*args, **kwargs):
+            raise AssertionError("a march ran before the reference was checked")
+
+        monkeypatch.setattr(experiments, "run_experiment", marched)
+        with pytest.raises(ValueError, match=r"reference_dx = 7\.8125e-05 .* dx = 1\.953125e-05"):
+            refinement_study(spec, Scheme.NESSYAHU_TADMOR, 12)
 
     def test_example_1_first_order_scheme(self, ex1_reference):
         # errors decrease; orders recorded (discontinuous solution keeps them
