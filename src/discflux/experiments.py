@@ -227,16 +227,17 @@ def refinement_study(spec: ExperimentSpec, scheme: Scheme, halvings: int,
     the first output time).
 
     Runs the scheme at dx, dx/2, ..., dx/2^(halvings-1) against the
-    first-order fine reference; the reference mesh must nest every level.
+    first-order fine reference, refused before any march unless its mesh nests every level.
     The reference and each level march once, keeping a state per time.  The rows come grouped
     by time, in the order given; within a group, orders are log2(e_i / e_{i+1}) and the finest
     row is left blank.  Only the states are read, so no march it runs fills a report.
     """
     if halvings < 2:
         raise ValueError("halvings must be >= 2")
-    if _whole_count(finest := math.ldexp(spec.dx, 1 - halvings), spec.reference_dx) < 1:
-        raise ValueError(f"reference_dx = {spec.reference_dx!r} does not nest the finest "
-                         f"level's dx = {finest!r}")
+    ref_dx = spec.reference_dx if reference is None else reference.final.mesh.dx
+    if _whole_count(finest := math.ldexp(spec.dx, 1 - halvings), ref_dx) < 1:
+        raise ValueError(f"reference_dx = {ref_dx!r} does not nest the finest level's dx = "
+                         f"{finest!r}")
     times = spec.output_times[:1] if times is None else tuple(times)
     if not times:
         raise ValueError("no time to study: the spec has no output time")

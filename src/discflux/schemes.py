@@ -309,12 +309,11 @@ def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bo
 def _far_fields(stepper: _Stepper, u: np.ndarray) -> tuple | None:
     """The sorted ranges [lo, hi) of Base cells of a march from Base values `u` that can differ
     from the plateaus around them, and those plateaus' bits (one left of each range, one right
-    of the last; beside an edge, the ghost's); None when no cell can differ or the mesh has at
-    most _STRIP cells, and the march steps the whole mesh.  A plateau is a maximal run of cells
-    that hold the value of `u` and of the stepper's Base averaged coefficient of both their
-    neighbours, and one Half average on both sides, bit for bit, an absorbing ghost repeating
-    each edge cell.  It is cut out where it reaches an edge or spans at least _PLATEAU cells,
-    and a step maps it to itself; any other is stepped like the cells around it."""
+    of the last, a ghost's beside an edge); None where one plateau covers the mesh or it has at
+    most _STRIP cells.  A plateau is a maximal run of cells that hold, bit for bit, the value of
+    `u` and the stepper's Base kbar of both neighbours and one Half kbar on both sides, a ghost
+    repeating each edge cell; it is cut out where it reaches an edge or spans _PLATEAU cells,
+    and a step maps it to itself.  Any other cell is stepped."""
     n = len(u)
     if n <= _STRIP:  # a strip takes 3 entries of the stepper's difference buffer of n
         return None
@@ -363,8 +362,8 @@ def _blocks(stepper: _Stepper, u: np.ndarray, k_slotted: np.ndarray, found: tupl
     its pieces and writes its last row's pieces back, and each range is then redrawn
     (`_redrawn`).  Once a piece covers the mesh (at once where the first does), or without a
     window, a block is up to `whole_rows` pairs of whole rows, started from the head row if
-    `headed`.  Every pair steps
-    with the stepper's Base kbar and `k_slotted`, its Half kbar with a slot at each end."""
+    `headed`.  Every pair steps with the stepper's Base kbar and `k_slotted`, its Half kbar
+    with a slot at each end."""
     n, step, views, k_base = len(u), stepper.step, stepper.views, stepper.kbar[Parity.BASE]
 
     def stepped(block: _Rows, steps: list, count: int, size: int, ks: tuple):
@@ -437,8 +436,8 @@ def march(initial: StaggeredState, model: FluxModel, coeff: Coefficient,
     The march steps blocks of pairs of steps on arrays (`_blocks`): max(1, 16384 // n_cells)
     pairs, max(1, 1024 // n_cells) when a collector folds them, 1 without a report once the
     whole mesh is stepped.  Without a collector it steps only the cells that can differ from
-    the plateaus of the initial data that reach an edge or span 600 cells and that a step
-    maps to themselves (`_far_fields`), span by span, and gives the bits of a march that
+    the plateaus of the initial data that reach an edge or span _PLATEAU cells and that a
+    step maps to themselves (`_far_fields`), span by span, and gives the bits of a march that
     steps the whole mesh; a collector reads every cell of every row, so with one the march
     steps every cell.  Each full block is read three ways: the report's `u_min`,
     `u_max` and `correction_max` are folded (`_folded`) into values (a zero is +0.0, and NaN

@@ -170,8 +170,10 @@ class TestRefinementStudy:
 
     def test_a_reference_that_does_not_nest_the_finest_level_is_refused_up_front(self,
                                                                                  monkeypatch):
-        # dx / 512 nests 10 halvings, not 12: each march ran before l1_error refused the grids
+        # dx / 512 nests 10 halvings, not 12: each march ran before l1_error refused the grids;
+        # a reference run given is checked by its own mesh
         spec = dataclasses.replace(example_1(), reference_dx=example_1().dx / 512)
+        given = reference_run(dataclasses.replace(spec, reference_dx=spec.dx / 4), times=(0.1,))
 
         def marched(*args, **kwargs):
             raise AssertionError("a march ran before the reference was checked")
@@ -179,6 +181,8 @@ class TestRefinementStudy:
         monkeypatch.setattr(experiments, "run_experiment", marched)
         with pytest.raises(ValueError, match=r"reference_dx = 7\.8125e-05 .* dx = 1\.953125e-05"):
             refinement_study(spec, Scheme.NESSYAHU_TADMOR, 12)
+        with pytest.raises(ValueError, match=r"reference_dx = 0\.01 .* dx = 0\.005"):
+            refinement_study(spec, Scheme.NESSYAHU_TADMOR, 4, times=(0.1,), reference=given)
 
     def test_example_1_first_order_scheme(self, ex1_reference):
         # errors decrease; orders recorded (discontinuous solution keeps them
