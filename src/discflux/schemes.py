@@ -309,11 +309,11 @@ def _maps_to_itself(stepper: _Stepper, c: float, k: float, parity: Parity) -> bo
 def _far_fields(stepper: _Stepper, u: np.ndarray) -> tuple | None:
     """The sorted ranges [lo, hi) of Base cells of a march from Base values `u` that can differ
     from the plateaus around them, and those plateaus' bits (one left of each range, one right
-    of the last, a ghost's beside an edge); None where one plateau covers the mesh or it has at
-    most _STRIP cells.  A plateau is a maximal run of cells that hold, bit for bit, the value of
-    `u` and the stepper's Base kbar of both neighbours and one Half kbar on both sides, a ghost
-    repeating each edge cell; it is cut out where it reaches an edge or spans _PLATEAU cells,
-    and a step maps it to itself.  Any other cell is stepped."""
+    of the last, a ghost's beside an edge); None where the mesh has at most _STRIP cells.  A
+    plateau is a maximal run of cells that hold, bit for bit, the value of `u` and the stepper's
+    Base kbar of both neighbours and one Half kbar on both sides, a ghost repeating each edge
+    cell; it is cut out where it reaches an edge or spans _PLATEAU cells, and a step maps it to
+    itself.  Any other cell is stepped; a plateau over the whole mesh leaves its first cell."""
     n = len(u)
     if n <= _STRIP:  # a strip takes 3 entries of the stepper's difference buffer of n
         return None
@@ -330,9 +330,7 @@ def _far_fields(stepper: _Stepper, u: np.ndarray) -> tuple | None:
            and all(_maps_to_itself(stepper, u[a + 1], k, parity)
                    for parity, k in ((Parity.BASE, k_base[a + 1]), (Parity.HALF, k_half[a])))]
     bounds = [0, *sum(cut, ()), n]
-    ranges = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
-    if not ranges:  # one plateau covers the mesh
-        return None
+    ranges = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi] or [(0, 1)]
     return ranges, [int(ub[lo]) for lo, _ in ranges] + [int(ub[ranges[-1][1] + 1])]
 
 

@@ -4,8 +4,8 @@ initial data.
 A plateau is a maximal run of cells whose value and coefficient equal both neighbours', an
 absorbing ghost repeating each edge cell.  Between the plateaus that reach an edge or span at
 least `schemes._PLATEAU` cells, and that a step maps to themselves, lie the ranges of cells
-that can differ.  A march of piecewise-constant data steps them span by span,
-each range with R = E + 1 plateau cells on each side, joined into one row, and redraws each
+that can differ.  A march of piecewise-constant data steps them span by span, each range
+with R = E + 1 plateau cells on each side, joined into one row, and redraws each
 range to the outermost cell whose bits differ from its plateau's; one whole Base row holds its
 state between spans.  It must give the same bits as chained public steps, which step the whole
 mesh, and the same report as a march that steps the whole mesh.  A march with a collector
@@ -461,8 +461,7 @@ def _plateau_rule(stepper, u):
                 ranges[-1] = (ranges[-1][0], j + 1)
             else:
                 ranges.append((j, j + 1))
-    if not ranges:
-        return None
+    ranges = ranges or [(0, 1)]  # a plateau that covers the mesh leaves its first cell
     return ranges, [bits(u, lo - 1) for lo, _ in ranges] + [bits(u, ranges[-1][1])]
 
 
@@ -534,6 +533,18 @@ class TestWindow:
         _assert_windowed_march_is_whole_mesh(
             model, coeff, StaggeredState(mesh, u, k, Parity.BASE, 0.0, 0),
             SchemeConfig(lam=0.05, collect_diagnostics=False), 8, wanted=(1, 2, 7))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_plateau_over_the_whole_mesh_steps_its_first_cell(self, scheme):
+        # the range [0, 1) and R = E + 1 = 5 cells on its right, not the whole mesh
+        model, coeff, initial = _riemann(builtin_burgers_const_k(), [0.5], [], 60)
+        cfg = SchemeConfig(scheme=scheme, lam=0.05, collect_diagnostics=False)
+        assert _ranges(model, coeff, initial, cfg) == [(0, 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            widths = _Widths(mp)
+            march(initial, model, coeff, cfg, 8 * cfg.lam * initial.mesh.dx)
+        assert widths.widths == [6, 5] * 4
+        _assert_windowed_march_is_whole_mesh(model, coeff, initial, cfg, 8, wanted=(1, 2, 7))
 
     def test_an_initial_kbar_of_its_own_is_refused(self):
         # march steps the coefficient's averages only: it refuses a state with other bits
