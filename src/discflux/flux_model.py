@@ -24,6 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# 0-d operands of every step's f and f_u: numpy takes a Python float about 0.35 us slower a call
+_HALF, _ONE, _TWO, _FOUR = (np.array(x) for x in (0.5, 1.0, 2.0, 4.0))
+
 
 class Convexity(Enum):
     STRICTLY_CONVEX = "strictly-convex"
@@ -177,8 +180,8 @@ def builtin_multiplicative(k_left: float, k_right: float) -> tuple[FluxModel, Co
     k_lo, k_hi = min(k_left, k_right), max(k_left, k_right)
     model = FluxModel(
         name="multiplicative",
-        eval=lambda k, u: imul(k * u, 1.0 - u),  # in place where k*u is an array
-        d_u=lambda k, u: k * (1.0 - 2.0 * u),
+        eval=lambda k, u: imul(k * u, _ONE - u),  # in place where k*u is an array
+        d_u=lambda k, u: k * (_ONE - _TWO * u),
         d_k=lambda k, u: u * (1.0 - u) + 0.0 * k,
         d_uu=lambda k, u: -2.0 * k + 0.0 * u,
         d_uk=lambda k, u: 1.0 - 2.0 * u + 0.0 * k,
@@ -203,10 +206,10 @@ def _two_flux(k, u):
     """k*_two_flux_right(u) + (1-k)*_two_flux_left(u), the same operations with the shared
     numerator 2u(1-u) taken once, those on u alone into one array (0-d for a scalar) and the
     products and the sum in place where an array holds them."""
-    w = np.subtract(1.0, u, out=np.empty(np.shape(u)))
-    g = imul(2.0 * u, w)
-    return iadd(k * np.divide(g, np.subtract(2.0, u, out=w), out=w),
-                (1.0 - k) * np.divide(g, np.add(1.0, u, out=w), out=w))
+    w = np.subtract(_ONE, u, out=np.empty(np.shape(u)))
+    g = imul(_TWO * u, w)
+    return iadd(k * np.divide(g, np.subtract(_TWO, u, out=w), out=w),
+                (_ONE - k) * np.divide(g, np.add(_ONE, u, out=w), out=w))
 
 
 def builtin_two_flux_rational() -> tuple[FluxModel, Coefficient]:
@@ -219,8 +222,8 @@ def builtin_two_flux_rational() -> tuple[FluxModel, Coefficient]:
     gamma1 = 1, gamma2 = 8 and sup |f_u| = 2.  The remaining suprema have no
     closed form and are estimated on a dense grid.
     """
-    dl = lambda u: 2.0 * (1.0 - 2.0 * u - u * u) / (1.0 + u) ** 2
-    dr = lambda u: 2.0 * (2.0 - 4.0 * u + u * u) / (2.0 - u) ** 2
+    dl = lambda u: _TWO * (_ONE - _TWO * u - u * u) / (_ONE + u) ** 2
+    dr = lambda u: _TWO * (_TWO - _FOUR * u + u * u) / (_TWO - u) ** 2
     ddl = lambda u: -8.0 / (1.0 + u) ** 3
     ddr = lambda u: -8.0 / (2.0 - u) ** 3
 
@@ -231,7 +234,7 @@ def builtin_two_flux_rational() -> tuple[FluxModel, Coefficient]:
     model = FluxModel(
         name="two-flux-rational",
         eval=_two_flux,
-        d_u=lambda k, u: k * dr(u) + (1.0 - k) * dl(u),
+        d_u=lambda k, u: k * dr(u) + (_ONE - k) * dl(u),
         d_k=lambda k, u: _two_flux_right(u) - _two_flux_left(u),
         d_uu=lambda k, u: k * ddr(u) + (1.0 - k) * ddl(u),
         d_uk=lambda k, u: dr(u) - dl(u),
@@ -252,7 +255,7 @@ def builtin_burgers_const_k() -> tuple[FluxModel, Coefficient]:
     """
     model = FluxModel(
         name="burgers-const-k",
-        eval=lambda k, u: imul(0.5 * k * u, u),
+        eval=lambda k, u: imul(_HALF * k * u, u),
         d_u=lambda k, u: k * u,
         d_k=lambda k, u: 0.5 * u * u + 0.0 * k,
         d_uu=lambda k, u: k + 0.0 * u,

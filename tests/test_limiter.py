@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from discflux import LimiterConfig, LimiterKind, slopes
@@ -185,4 +187,45 @@ class TestSlopesFromOneDifference:
         cfg = LimiterConfig(kind=kind, k_tilde=k_tilde)
         with np.errstate(all="ignore"):  # inf - inf, 1e308 - -1e308 and the like
             got, want = slopes(np.asarray(values), dx, cfg), _pairwise_slopes(values, dx, cfg)
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def _former_slopes(values, dx, cfg):
+    """`slopes` as it was before it took minmod from the min and the max of the one-sided
+    differences: their magnitudes and the sum of their signs."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(len(values))
+    if cfg.kind is LimiterKind.ZERO:
+        return out
+    d = values[1:] - values[:-1]
+    a = np.abs(d)
+    mags = np.minimum(a[1:], a[:-1])
+    if cfg.kind is LimiterKind.MINMOD_MODIFIED:
+        np.minimum(mags, cfg.k_tilde * dx**cfg.alpha, out=mags)
+    sd, inner = np.sign(d), out[1:-1]
+    t = sd[1:] + sd[:-1]
+    np.copyto(inner, mags, where=t == 2.0)
+    np.subtract(inner, mags, out=inner, where=t == -2.0)
+    return out
+
+
+EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308,
+         1e308, -1e308]
+edges_and_normals = st.one_of(st.sampled_from(EDGES), st.integers(-3, 3).map(float), finite,
+                              st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestSlopesFromMinAndMax:
+    @given(st.lists(edges_and_normals, min_size=3, max_size=40), st.sampled_from(list(LimiterKind)),
+           st.floats(min_value=-300.0, max_value=300.0), st.floats(min_value=-300.0, max_value=0.0),
+           st.floats(min_value=0.67, max_value=0.99))
+    @settings(max_examples=500)
+    def test_equals_former_sign_form_bitwise(self, values, kind, cap_exp, dx_exp, alpha):
+        # the cap k_tilde * dx**alpha spans 1e-300 to 1e300, from every dx down to 1e-300
+        dx = 10.0**dx_exp
+        k_tilde = 10.0**cap_exp / dx**alpha
+        assume(0 < k_tilde < math.inf)
+        cfg = LimiterConfig(kind=kind, k_tilde=k_tilde, alpha=alpha)
+        with np.errstate(all="ignore"):  # inf - inf, 1e308 - -1e308 and the like
+            got, want = slopes(np.asarray(values), dx, cfg), _former_slopes(values, dx, cfg)
         assert got.tobytes() == want.tobytes(), (got, want)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import discflux.diagnostics as diagnostics
@@ -20,7 +20,9 @@ from discflux import (CflError, CflLevel, Coefficient, Convexity, ExperimentSpec
                       builtin_multiplicative, builtin_two_flux_rational,
                       cell_average_coefficient, cfl_bound, extend_absorbing,
                       initial_state, lf_step, march, mid_time_values, nt_step,
-                      predictor_corrector_step, run_experiment, slopes, snap_steps)
+                      example_1, example_2, predictor_corrector_step, run_experiment,
+                      slopes, snap_steps)
+from discflux.cli import load_config
 
 
 def flat_k_model(flux, d_u, d_uu=None, sup_fu=1.0, gamma=(1.0, 1.0),
@@ -762,6 +764,47 @@ class TestSecondOrderStepWithoutGhosts:
         with np.errstate(all="ignore"):  # corrections and slopes are fresh arrays, and a later
             _kernel_step(stepper, values, kbar, parity)  # step into another row leaves all alone
         assert [x.tobytes() for x in got] == [x.tobytes() for x in kept]
+
+
+def _fine_run_cap_inputs():
+    """(dx, k_tilde, alpha) of the modified limiter of tests/golden/fine_run.cfg, its k_tilde
+    the automatic one that `run_experiment` sets on its mesh."""
+    spec = load_config(str(Path(__file__).parent / "golden" / "fine_run.cfg")).spec
+    model, _ = spec.build()
+    dx, alpha = spec.mesh().dx, spec.limiter.alpha
+    return dx, 2.0 * model.c_u0 * dx**-alpha, alpha
+
+
+BENCH_LAM = 0.0333333333333333333  # the `lambda` of the benchmark's configs
+
+
+class TestKernelConstants:
+    @given(st.one_of(st.sampled_from([BENCH_LAM, example_1().lam, example_2().lam]),
+                     st.floats(min_value=1e-300, max_value=1e300)))
+    @settings(max_examples=200)
+    def test_stepper_constants_are_0d_with_the_bits_python_computes(self, lam):
+        model, coeff = builtin_multiplicative(3.0, 1.0)
+        stepper = schemes._Stepper(model, coeff, Mesh.from_cells(-1.0, 1.0, 4), lam,
+                                   LimiterConfig())
+        held = stepper.half, stepper.eighth, stepper.lam_0d, stepper.half_lam, stepper.eight
+        assert all(type(x) is np.ndarray and x.shape == () and x.dtype == np.float64
+                   for x in held)
+        assert ([float(x).hex() for x in held]
+                == [x.hex() for x in (0.5, 0.125, lam, 0.5 * lam, 8.0)])
+
+    @given(st.one_of(st.just(_fine_run_cap_inputs()),
+                     st.tuples(st.floats(min_value=1e-300, max_value=1.0),
+                               st.floats(min_value=1e-300, max_value=1e300),
+                               st.floats(min_value=0.67, max_value=0.99))))
+    @settings(max_examples=200)
+    def test_modified_cap_has_the_bits_python_computes(self, inputs):
+        # a jump of inf on both sides of a cell gives the cap itself, and its negation
+        dx, k_tilde, alpha = inputs
+        cfg = LimiterConfig(kind=LimiterKind.MINMOD_MODIFIED, k_tilde=k_tilde, alpha=alpha)
+        cap = k_tilde * dx**alpha
+        assume(cap > 0)  # a cap that underflows to 0 gives +0.0 both ways
+        for ramp, want in (([-math.inf, 0.0, math.inf], cap), ([math.inf, 0.0, -math.inf], -cap)):
+            assert slopes(np.array(ramp), dx, cfg)[1].hex() == want.hex()
 
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]
