@@ -139,13 +139,13 @@ class _Stepper:
 
     Built once per run: the averaged-coefficient arrays (`_Averages`), one difference buffer,
     and as 0-d float64 arrays every constant a step hands numpy (0.5, 0.125, lam, 0.5*lam as
-    Python computes it, 8.0): numpy 2.4 takes a Python float operand about 0.35 us slower per
+    Python computes it, 8.0): numpy 2.4 takes a Python float operand 0.2-0.35 us slower per
     call than a 0-d array, with the same bits.  A step takes every staggered pair of a row: a
     Base row of n values gives the n - 1 Half values, and a Half row with a ghost slot at each
     end (n + 1 entries, the slots holding copies of its edge values, as absorbing ghost cells
-    would) gives the n Base values.  A step onto Half fills the slots of the row it writes, which must not
-    alias the row it reads.  With `corrections` False the second-order step skips f(k, u)
-    and the corrections a_j, which only the report reads, and returns None for them.
+    would) gives the n Base values.  A step onto Half fills the slots of the row it writes,
+    which must not alias the row it reads.  With `corrections` False the second-order step
+    skips f(k, u) and the corrections a_j, which only the report reads, and returns None for them.
     """
 
     def __init__(self, model: FluxModel, coeff: Coefficient, mesh: Mesh, lam: float,
